@@ -4,12 +4,15 @@ The model regresses depth on horizontal position with a squared
 exponential kernel and maintains an upper-triangular Cholesky factor
 of the noisy covariance (L.T @ L = K_y) that is extended in place when
 observations arrive, never refactored from scratch except on a
-hyper-parameter change.
+hyper-parameter change. Alongside the factor it extends L^-T y and
+L^-T 1, from which each snapshot builds its own (optionally centred)
+weights, so an append writes only new rows and columns.
 
 Thread contract: one writer (append / set_hypers), any number of
 readers. Readers operate on an immutable snapshot grabbed once per
 call, so a prediction reflects either the pre-append or the post-append
-model, never a mix.
+model, never a mix; a snapshot held across later appends or hyper
+changes keeps predicting exactly as it did when it was taken.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import cholesky, solve_triangular
 from scipy.linalg.lapack import dpotri
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
@@ -171,34 +174,46 @@ class _Buffers:
     """Preallocated storage shared by successive snapshots.
 
     Appends only ever write rows/columns at indices >= n of the current
-    snapshot, so earlier snapshots keep seeing consistent data.
+    snapshot, so earlier snapshots keep seeing consistent data. Column 0
+    of `solved` holds L^-T y and column 1 holds L^-T 1.
     """
 
-    __slots__ = ("x", "y", "K", "L", "beta", "cap")
+    __slots__ = ("x", "y", "L", "solved", "cap")
 
     def __init__(self, cap: int):
         cap = max(int(cap), 16)
         self.cap = cap
         self.x = np.zeros((cap, 2))
         self.y = np.zeros(cap)
-        self.K = np.zeros((cap, cap))
         self.L = np.zeros((cap, cap))
-        self.beta = np.zeros(cap)
+        self.solved = np.zeros((cap, 2))
 
     def grown(self, n: int, new_cap: int) -> "_Buffers":
         out = _Buffers(new_cap)
         out.x[:n] = self.x[:n]
         out.y[:n] = self.y[:n]
-        out.K[:n, :n] = self.K[:n, :n]
         out.L[:n, :n] = self.L[:n, :n]
-        out.beta[:n] = self.beta[:n]
+        out.solved[:n] = self.solved[:n]
         return out
 
 
-class GpState:
-    """Immutable view of the model at a point in time."""
+def _query_points(xs, st: "GpState", what: str) -> np.ndarray:
+    if st.n == 0:
+        raise EmptyModelError(f"{what} requires at least one observation")
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    if xs.shape[1] != 2 or not np.all(np.isfinite(xs)):
+        raise ConfigError(f"query points must be finite (m, 2), got shape {xs.shape}")
+    return xs
 
-    __slots__ = ("_bufs", "n", "hypers", "subtract_mean", "y_mean", "_alpha")
+
+class GpState:
+    """Immutable view of the model at a point in time.
+
+    Its predictions never change, whatever the model does after the
+    snapshot was taken.
+    """
+
+    __slots__ = ("_bufs", "n", "hypers", "subtract_mean", "y_mean", "_beta", "_alpha")
 
     def __init__(self, bufs, n, hypers, subtract_mean, y_mean):
         self._bufs = bufs
@@ -206,6 +221,7 @@ class GpState:
         self.hypers = hypers
         self.subtract_mean = subtract_mean
         self.y_mean = y_mean
+        self._beta = None
         self._alpha = None
 
     @property
@@ -222,7 +238,8 @@ class GpState:
 
     @property
     def K_y(self) -> np.ndarray:
-        return self._bufs.K[: self.n, : self.n]
+        """Noisy covariance of the stored points, built on demand."""
+        return kernel_matrix(self.X, self.X, self.hypers) + self.hypers.sigma_n2 * np.eye(self.n)
 
     @property
     def L(self) -> np.ndarray:
@@ -230,7 +247,13 @@ class GpState:
 
     @property
     def beta(self) -> np.ndarray:
-        return self._bufs.beta[: self.n]
+        """Cached L^-T applied to the (centered) depths, a vector of this snapshot's own."""
+        b = self._beta
+        if b is None:
+            solved = self._bufs.solved[: self.n]
+            b = solved[:, 0] - self.y_mean * solved[:, 1]
+            self._beta = b
+        return b
 
     @property
     def alpha(self) -> np.ndarray:
@@ -240,6 +263,38 @@ class GpState:
             a = solve_triangular(self.L, self.beta, lower=False, check_finite=False)
             self._alpha = a
         return a
+
+    def predict(self, xs) -> Prediction:
+        """Posterior mean and variance at query points.
+
+        Parameters
+        ----------
+        xs : array-like, shape (m, 2) or (2,)
+
+        Returns
+        -------
+        Prediction
+            mean (m,) and variance (m,); the variance includes the
+            observation noise, so far from all data it tends to
+            sigma_f2 + sigma_n2.
+        """
+        xs = _query_points(xs, self, "predict()")
+        h = self.hypers
+        ks = kernel_matrix(xs, self.X, h)
+        v = solve_triangular(self.L, ks.T, trans="T", lower=False, check_finite=False)
+        mean = v.T @ self.beta + self.y_mean
+        var = (h.sigma_f2 + h.sigma_n2) - np.einsum("ij,ij->j", v, v)
+        return Prediction(mean, np.maximum(var, 0.0))
+
+    def predict_mean(self, xs) -> np.ndarray:
+        """Posterior mean only, via the cached alpha vector.
+
+        Costs O(n*m) with no triangular solve beyond the one cached per
+        snapshot, so control loops can query every tick without paying
+        the variance path. Agrees with predict().mean to rounding.
+        """
+        xs = _query_points(xs, self, "predict_mean()")
+        return kernel_matrix(xs, self.X, self.hypers) @ self.alpha + self.y_mean
 
 
 class GpModel:
@@ -283,49 +338,26 @@ class GpModel:
         return self._state.alpha
 
     def predict(self, xs) -> Prediction:
-        """Posterior mean and variance at query points.
-
-        Parameters
-        ----------
-        xs : array-like, shape (m, 2) or (2,)
-
-        Returns
-        -------
-        Prediction
-            mean (m,) and variance (m,); the variance includes the
-            observation noise, so far from all data it tends to
-            sigma_f2 + sigma_n2.
-        """
-        st = self._state
-        if st.n == 0:
-            raise EmptyModelError("predict() requires at least one observation")
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        if xs.shape[1] != 2 or not np.all(np.isfinite(xs)):
-            raise ConfigError(f"query points must be finite (m, 2), got shape {xs.shape}")
-        return _predict_on(st, xs)
+        """Posterior mean and variance at query points; see GpState.predict."""
+        return self._state.predict(xs)
 
     def predict_mean(self, xs) -> np.ndarray:
-        """Posterior mean only, via the cached alpha vector.
-
-        Costs O(n*m) with no triangular solve beyond the one cached per
-        snapshot, so control loops can query every tick without paying
-        the variance path. Agrees with predict().mean to rounding.
-        """
-        st = self._state
-        if st.n == 0:
-            raise EmptyModelError("predict_mean() requires at least one observation")
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        if xs.shape[1] != 2 or not np.all(np.isfinite(xs)):
-            raise ConfigError(f"query points must be finite (m, 2), got shape {xs.shape}")
-        return kernel_matrix(xs, st.X, st.hypers) @ st.alpha + st.y_mean
+        """Posterior mean only; see GpState.predict_mean."""
+        return self._state.predict_mean(xs)
 
     def log_marginal_likelihood(self) -> LmlReport:
-        """Log marginal likelihood of the data with its hyper gradient."""
+        """Log marginal likelihood of the data with its hyper gradient.
+
+        Factors K_y afresh, without the jitter an append may have added;
+        raises FactorizationError when that factorization fails.
+        """
         st = self._state
         if st.n == 0:
             raise EmptyModelError("log marginal likelihood requires observations")
-        d2 = cdist(st.X, st.X, "sqeuclidean")
-        value, grad = _lml_and_grad(st.hypers, st.y_centered, d2, st.L, st.beta, st.alpha)
+        try:
+            value, grad = _lml_and_grad(st.hypers, st.y_centered, cdist(st.X, st.X, "sqeuclidean"))
+        except np.linalg.LinAlgError as exc:
+            raise FactorizationError(f"covariance not positive definite: {exc}") from exc
         return LmlReport(value, grad, st.hypers, st.n)
 
     # -- writer API ------------------------------------------------------
@@ -358,27 +390,19 @@ class GpModel:
                 k22 = k22 + JITTER_SCALE * h.sigma_f2 * np.eye(m)
                 s12, s22 = _extend_blocks(st.L, k12, k22)
             bufs = self._bufs_for(n + m)
+            rhs = np.column_stack([ys, np.ones(m)])
+            if n:
+                rhs -= s12.T @ bufs.solved[:n]
             bufs.x[n : n + m] = xs
             bufs.y[n : n + m] = ys
-            bufs.K[:n, n : n + m] = k12
-            bufs.K[n : n + m, :n] = k12.T
-            bufs.K[n : n + m, n : n + m] = k22
             bufs.L[:n, n : n + m] = s12
             bufs.L[n : n + m, n : n + m] = s22
-            if st.subtract_mean:
-                y_mean = float(bufs.y[: n + m].mean())
-                yc = bufs.y[: n + m] - y_mean
-                bufs.beta[: n + m] = solve_triangular(
-                    bufs.L[: n + m, : n + m], yc, trans="T", lower=False, check_finite=False
-                )
-            else:
-                y_mean = 0.0
-                resid = ys - (s12.T @ st.beta if n else 0.0)
-                bufs.beta[n : n + m] = solve_triangular(s22, resid, trans="T", lower=False, check_finite=False)
+            bufs.solved[n : n + m] = solve_triangular(s22, rhs, trans="T", lower=False, check_finite=False)
+            y_mean = float(bufs.y[: n + m].mean()) if st.subtract_mean else 0.0
             self._state = GpState(bufs, n + m, h, st.subtract_mean, y_mean)
 
     def set_hypers(self, hypers: HyperParams) -> None:
-        """Swap hyper-parameters, rebuilding K_y and the factor from scratch."""
+        """Swap hyper-parameters, refactoring K_y from scratch."""
         if not isinstance(hypers, HyperParams):
             hypers = HyperParams.from_array(np.asarray(hypers, dtype=float))
         with self._lock:
@@ -397,11 +421,11 @@ class GpModel:
                         fac = cholesky(k, lower=False, check_finite=False)
                     except np.linalg.LinAlgError as exc:
                         raise FactorizationError(f"rebuild with new hypers failed: {exc}") from exc
-                bufs.K[:n, :n] = k
                 bufs.L[:n, :n] = fac
+                bufs.solved[:n] = solve_triangular(
+                    fac, np.column_stack([bufs.y[:n], np.ones(n)]), trans="T", lower=False, check_finite=False
+                )
                 y_mean = float(bufs.y[:n].mean()) if st.subtract_mean else 0.0
-                yc = bufs.y[:n] - y_mean
-                bufs.beta[:n] = solve_triangular(fac, yc, trans="T", lower=False, check_finite=False)
             else:
                 y_mean = 0.0
             self._state = GpState(bufs, n, hypers, st.subtract_mean, y_mean)
@@ -451,34 +475,45 @@ class GpModel:
         return model
 
 
-def _predict_on(st: GpState, xs: np.ndarray) -> Prediction:
-    h = st.hypers
-    ks = kernel_matrix(xs, st.X, h)
-    v = solve_triangular(st.L, ks.T, trans="T", lower=False, check_finite=False)
-    mean = v.T @ st.beta + st.y_mean
-    var = (h.sigma_f2 + h.sigma_n2) - np.einsum("ij,ij->j", v, v)
-    return Prediction(mean, np.maximum(var, 0.0))
+def _lml_and_grad(h: HyperParams, yc: np.ndarray, d2: np.ndarray):
+    """Log marginal likelihood of yc and its gradient in raw parameters.
 
+    Builds K_y from the squared distances d2 and factors it in place.
+    With W = alpha alpha^T - K_y^-1 the gradient is 0.5 tr(W dK_y/dtheta)
+    (GPML eq. 5.9); the sigma_f2 and sigma_n2 terms reduce to scalars
+    through K_f = K_y - sigma_n2 I and K_y alpha = yc:
 
-def _k_y_inverse(factor: np.ndarray) -> np.ndarray:
-    """Full inverse of K_y from its upper Cholesky factor."""
-    inv, info = dpotri(factor, lower=0)
-    if info != 0:
-        return cho_solve((factor, False), np.eye(factor.shape[0]), check_finite=False)
-    return inv + np.triu(inv, 1).T
+        tr(K_y^-1 K_f)    = n - sigma_n2 tr(K_y^-1)
+        alpha^T K_f alpha = alpha^T yc - sigma_n2 |alpha|^2
 
-
-def _lml_and_grad(h: HyperParams, yc, d2, factor, beta, alpha):
+    Raises np.linalg.LinAlgError when K_y is not positive definite.
+    """
     n = len(yc)
-    value = -0.5 * float(beta @ beta) - float(np.log(np.diag(factor)).sum()) - 0.5 * n * LOG_2PI
-    k_noiseless = h.sigma_f2 * np.exp(-d2 / (2.0 * h.length_scale**2))
-    k_inv = _k_y_inverse(factor)
-    w = np.outer(alpha, alpha) - k_inv
+    k = np.multiply(d2, -0.5 / h.length_scale**2)
+    np.exp(k, out=k)
+    k *= h.sigma_f2
+    # length-scale derivative times ell^3; the noise diagonal drops out of
+    # it because diag(d2) is zero, so it can be taken from K_f or K_y
+    m = k * d2
+    k.flat[:: n + 1] += h.sigma_n2
+    # k is symmetric, so its transpose is the Fortran-ordered view LAPACK factors in place
+    factor = cholesky(k.T, lower=False, overwrite_a=True, check_finite=False)
+    beta = solve_triangular(factor, yc, trans="T", lower=False, check_finite=False)
+    alpha = solve_triangular(factor, beta, lower=False, check_finite=False)
+    b2 = float(beta @ beta)  # = alpha^T yc
+    value = -0.5 * b2 - float(np.log(np.diag(factor)).sum()) - 0.5 * n * LOG_2PI
+    # upper triangle of K_y^-1 over a zero lower triangle; m is symmetric
+    # with a zero diagonal, so the full sum of K_y^-1 * m is twice this one
+    inv_upper, info = dpotri(factor, lower=0, overwrite_c=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dpotri failed with info={info}")
+    tr_inv = float(np.trace(inv_upper))
+    a2 = float(alpha @ alpha)
     grad = np.array(
         [
-            0.5 * float(np.sum(w * k_noiseless)) / h.sigma_f2,
-            0.5 * float(np.trace(w)),
-            0.5 * float(np.sum(w * (k_noiseless * d2))) / h.length_scale**3,
+            0.5 * ((b2 - h.sigma_n2 * a2) - (n - h.sigma_n2 * tr_inv)) / h.sigma_f2,
+            0.5 * (a2 - tr_inv),
+            0.5 * (float(alpha @ (m @ alpha)) - 2.0 * float(np.einsum("ij,ij->", inv_upper, m))) / h.length_scale**3,
         ]
     )
     return value, grad
@@ -524,21 +559,15 @@ def optimize_hypers(model, initial: HyperParams | None = None, bounds=None, max_
     yc = st.y_centered.copy()
     d2 = cdist(x, x, "sqeuclidean")
     n = len(yc)
-    eye = np.eye(n)
     best = {"lml": -np.inf, "theta": None, "evals": 0}
 
     def objective(log_theta):
         best["evals"] += 1
         theta = np.exp(log_theta)
-        sf2, sn2, ell = theta
-        k = sf2 * np.exp(-d2 / (2.0 * ell * ell)) + sn2 * eye
         try:
-            fac = cholesky(k, lower=False, check_finite=False)
+            value, grad = _lml_and_grad(HyperParams.from_array(theta), yc, d2)
         except np.linalg.LinAlgError:
             return 1e25, np.zeros(3)
-        beta = solve_triangular(fac, yc, trans="T", lower=False, check_finite=False)
-        alpha = solve_triangular(fac, beta, lower=False, check_finite=False)
-        value, grad = _lml_and_grad(HyperParams(sf2, sn2, ell), yc, d2, fac, beta, alpha)
         if value > best["lml"]:
             best["lml"] = value
             best["theta"] = theta.copy()

@@ -4,7 +4,9 @@ The mission loop is single threaded and fully deterministic for a fixed
 seed and configuration: sonar noise is the only stochastic input, hyper
 refits run inline against the model snapshot at the scheduled tick and
 their result is applied at the next tick boundary, and planning happens
-once, between two ticks, when the traced contour closes.
+once, between two ticks, when the traced contour closes. Scheduled
+refits run only while the follower steers by the model; those that fall
+due during coverage collapse into one refit at mission end.
 """
 
 from __future__ import annotations
@@ -463,10 +465,16 @@ def run_mission(cfg: MissionConfig, field, poly: Polygon) -> MissionLog:
     Phases: a turn-rate-limited init circle while sonar accumulates, a
     first hyper fit, the contour/boundary follower until the traced loop
     closes, trace simplification and coverage planning between two
-    ticks, then waypoint following to the end of the plan. Refits run at
-    init end plus multiples of the refit period on the then-current data
-    and apply at the next tick. Any survey error ends the mission with
-    the partial log and the reason recorded.
+    ticks, then waypoint following to the end of the plan. Hypers are
+    fitted at init end, then refitted at init end plus multiples of the
+    refit period while the follower steers by the model, each refit on
+    the then-current data and applied at the next tick. Refits that fall
+    due after the loop closes would steer nothing, so they are replaced
+    by one refit on all the data once the plan is done, applied to the
+    delivered model and logged as the last hyper_history row; a mission
+    with no refit due after the loop closes gets none. Any survey
+    error ends the mission with the partial log and the reason recorded
+    (an aborted mission keeps the hypers it had).
     """
     start = np.asarray(cfg.start, dtype=float)
     if not point_in_polygon(start, poly):
@@ -494,6 +502,7 @@ def run_mission(cfg: MissionConfig, field, poly: Polygon) -> MissionLog:
     phase = "init"
     pending_hypers = None
     next_refit = cfg.init_duration
+    final_refit = False
     next_sonar = 0.0
     z_last = math.nan
     waypoints = np.zeros((0, 2))
@@ -576,14 +585,24 @@ def run_mission(cfg: MissionConfig, field, poly: Polygon) -> MissionLog:
                 break
 
             if t >= next_refit - eps_t:
-                # warm-started from the current hypers; capped iterations keep
-                # the O(n^3)-per-evaluation refit cost bounded as data grows
-                fit = optimize_hypers(model, max_iter=25)
-                log.hyper_history.append((t, fit.hypers, fit.lml, fit.converged, model.n))
-                pending_hypers = fit.hypers
+                if phase == "contour":
+                    # warm-started from the current hypers; capped iterations keep
+                    # the O(n^3)-per-evaluation refit cost bounded as data grows
+                    fit = optimize_hypers(model, max_iter=25)
+                    log.hyper_history.append((t, fit.hypers, fit.lml, fit.converged, model.n))
+                    pending_hypers = fit.hypers
+                else:
+                    # coverage follows fixed waypoints, so no refit there steers
+                    # the vessel; one fit at mission end stands in for them all
+                    final_refit = True
                 next_refit += cfg.refit_period
 
             state = step_vessel(state, psi_d, dt, cfg.max_turn_rate)
+
+        if final_refit:
+            fit = optimize_hypers(model, max_iter=25)
+            log.hyper_history.append((t, fit.hypers, fit.lml, fit.converged, model.n))
+            model.set_hypers(fit.hypers)
     except MissionAbort as exc:
         log.aborted = str(exc)
     except SurveyError as exc:

@@ -2,7 +2,8 @@
 
 The model promises readers a complete state: a prediction made during a
 concurrent append must equal the prediction of some fully appended
-prefix of the data, never a half-extended factor.
+prefix of the data, never a half-extended factor, and a snapshot held
+across later writes keeps predicting exactly as when it was taken.
 """
 
 import threading
@@ -101,3 +102,53 @@ def test_refit_during_appends_stays_consistent():
     want = fresh.predict(q)
     np.testing.assert_allclose(got.mean, want.mean, atol=1e-8)
     np.testing.assert_allclose(got.variance, want.variance, atol=1e-8)
+
+
+def test_held_snapshot_unchanged_under_mean_subtraction():
+    # every append moves the data mean; a snapshot taken earlier must keep
+    # its own mean and weights while a writer appends and swaps hypers
+    rng = np.random.default_rng(72)
+    base_x = rng.uniform(0, 60, (20, 2))
+    base_y = rng.uniform(2, 8, 20)
+    chunks = _chunks(rng, 30)
+    queries = rng.uniform(0, 60, (6, 2))
+
+    def key(st):
+        p = st.predict(queries)
+        return p.mean.tobytes() + p.variance.tobytes() + st.predict_mean(queries).tobytes()
+
+    replica = GpModel(H, subtract_mean=True)
+    replica.append(base_x, base_y)
+    want = key(replica.snapshot())
+
+    model = GpModel(H, subtract_mean=True)
+    model.append(base_x, base_y)
+    old = model.snapshot()
+    stop = threading.Event()
+    observed = []
+    errors = []
+
+    def reader():
+        try:
+            while not stop.is_set():
+                observed.append(key(old))
+        except Exception as exc:  # pragma: no cover - surfaced in the assert
+            errors.append(exc)
+
+    threads = [threading.Thread(target=reader) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for x, y in chunks:
+        model.append(x, y)
+        time.sleep(0.001)
+    model.set_hypers(HyperParams(1.0, 0.02, 15.0))
+    stop.set()
+    for t in threads:
+        t.join(timeout=10.0)
+        assert not t.is_alive()
+
+    assert not errors
+    assert observed
+    assert set(observed) == {want}
+    assert key(old) == want
+    assert model.n == 20 + sum(len(y) for _, y in chunks)

@@ -94,6 +94,23 @@ def test_lml_and_gradient_match_oracles():
         assert rel.max() < 1e-4
 
 
+def test_lml_gradient_in_mission_regime():
+    # centred soundings 1 m apart along a circular track, with the noise
+    # and length scale that mission fits settle at: K_y is ill-conditioned
+    # and the sigma_f2 gradient is a difference of two large scalars
+    rng = np.random.default_rng(14)
+    s = np.arange(300.0)
+    x = np.column_stack([250.0 + 50.0 * np.cos(s / 50.0), 200.0 + 50.0 * np.sin(s / 50.0)])
+    mound = 1.5 * np.exp(-((x[:, 0] - 230.0) ** 2 + (x[:, 1] - 170.0) ** 2) / 800.0)
+    y = 4.5 + 0.01 * x[:, 0] - 0.005 * x[:, 1] + mound + 0.05 * rng.standard_normal(300)
+    h = HyperParams(1.0, 0.0025, 70.0)
+    model = GpModel(h, subtract_mean=True)
+    model.append(x, y)
+    rep = model.log_marginal_likelihood()
+    fd = oracles.fd_gradient(x, y - y.mean(), h.as_array())
+    assert (np.abs(rep.gradient - fd) / np.abs(fd)).max() < 1e-4
+
+
 def test_fit_never_degrades_lml_and_respects_bounds():
     rng = np.random.default_rng(6)
     model, _, _ = _random_model(rng, 60)

@@ -345,3 +345,36 @@ def test_plane_mission_tracks_and_walls():
     # the planner covered every cell of the intersection
     mowed = [s.cell_index for s in log.plan.segments if s.kind == "lawnmower"]
     assert sorted(mowed) == [c.index for c in log.plan.cells if c.index not in log.plan.skipped_cells]
+
+
+def test_refits_stop_when_the_loop_closes(canonical_run):
+    log, _ = canonical_run
+    closure_t = max(row[0] for row in log.trace if row[4] != "coverage")
+    *steering, final = log.hyper_history
+    assert len(steering) >= 2
+    assert all(row[0] <= closure_t for row in steering)
+    t, hypers, _, _, n = final
+    assert t == log.trace[-1][0]
+    assert n == len(log.measurements)
+    assert log.model.hypers == hypers
+
+
+def test_refit_period_past_mission_end_keeps_init_fit_only():
+    field = PlaneField(offset=7.0, gradient_y=-1.0 / 12.0)
+    cfg = MissionConfig(
+        target_depth=4.5,
+        search_radius=5.0,
+        track_spacing=8.0,
+        start=(30.0, 48.0),
+        refit_period=2000.0,
+        init_duration=40.0,
+        noise_std=0.01,
+        seed=3,
+        max_sim_time=1500.0,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        log = run_mission(cfg, field, SQUARE)
+    assert log.aborted is None and log.closed
+    assert [row[0] for row in log.hyper_history] == [cfg.init_duration]
+    assert log.model.hypers == log.hyper_history[0][1]
