@@ -25,6 +25,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +45,8 @@ from .geometry import (
 _VERTEX_NUDGE = 1e-9
 #: relative slack when snapping trackline positions onto the sweep grid
 _GRID_SNAP = 1e-7
+#: transit-grid edges whose samples go through one containment call
+_EDGE_CHUNK = 256
 
 
 def sweep_frame(sweep_dir: float) -> tuple[np.ndarray, np.ndarray]:
@@ -449,13 +452,8 @@ def _clamp_to_cell(points: list, outline: Polygon) -> list:
     stray point hugs the outline instead, which lies on or inside the
     survey polygon.
     """
-    out = []
-    for p in points:
-        if point_in_polygon(p, outline):
-            out.append(p)
-        else:
-            out.append(nearest_boundary_point(p, outline))
-    return out
+    inside = points_in_polygon(np.asarray(points, dtype=float).reshape(-1, 2), outline)
+    return [p if ok else nearest_boundary_point(p, outline) for p, ok in zip(points, inside)]
 
 
 def lawnmower_cell(cell: Cell, entry_corner: int, delta: float, sweep_dir: float) -> np.ndarray:
@@ -507,7 +505,14 @@ def lawnmower_cell(cell: Cell, entry_corner: int, delta: float, sweep_dir: float
 
 
 class _TransitGrid:
-    """Lazy A* workspace on a delta grid aligned with the sweep frame."""
+    """A* workspace on a delta grid aligned with the sweep frame.
+
+    Construction fixes only the frame and the grid shape. The nodes that
+    fall inside the polygon, their world coordinates and the clearance of
+    every edge between them are built on first need, so a plan whose
+    transits are all straight never builds them; the edge clearances come
+    from one batched containment pass.
+    """
 
     def __init__(self, poly: Polygon, delta: float, sweep_dir: float):
         self.poly = poly
@@ -518,11 +523,7 @@ class _TransitGrid:
         self.t0, self.s0 = float(vt.min()), float(vs.min())
         nt = int(math.floor((float(vt.max()) - self.t0) / delta)) + 1
         ns = int(math.floor((float(vs.max()) - self.s0) / delta)) + 1
-        ij = np.stack(np.meshgrid(np.arange(nt), np.arange(ns), indexing="ij"), axis=-1).reshape(-1, 2)
-        inside = points_in_polygon(self.to_world(ij), poly)
-        self._node_list = [tuple(int(c) for c in p) for p in ij[inside]]
-        self.nodes = set(self._node_list)
-        self._edge_ok: dict = {}
+        self.shape = (nt, ns)
 
     def to_world(self, ij) -> np.ndarray:
         ij = np.asarray(ij, dtype=float)
@@ -530,13 +531,59 @@ class _TransitGrid:
         s = self.s0 + ij[..., 1] * self.delta
         return t[..., None] * self.u + s[..., None] * self.v
 
-    def nearest_node(self, point) -> tuple:
-        if not self._node_list:
-            raise GeometryError("no transit grid nodes fall inside the polygon")
-        p = np.asarray(point, dtype=float)
-        arr = np.asarray(self._node_list, dtype=float)
-        d = np.hypot(*(self.to_world(arr) - p).T)
-        return self._node_list[int(np.argmin(d))]
+    @cached_property
+    def _node_list(self) -> list:
+        """Grid index pairs inside the polygon, in ascending order."""
+        nt, ns = self.shape
+        ij = np.stack(np.meshgrid(np.arange(nt), np.arange(ns), indexing="ij"), axis=-1).reshape(-1, 2)
+        inside = points_in_polygon(self.to_world(ij), self.poly)
+        return [tuple(int(c) for c in p) for p in ij[inside]]
+
+    @cached_property
+    def nodes(self) -> dict:
+        """Each inside node mapped to its position in _node_list."""
+        return {n: k for k, n in enumerate(self._node_list)}
+
+    @cached_property
+    def _world(self) -> np.ndarray:
+        """World coordinates of the nodes, row k for _node_list[k]."""
+        return self.to_world(np.asarray(self._node_list, dtype=float).reshape(-1, 2))
+
+    @cached_property
+    def edges(self) -> dict:
+        """Clearance of every edge between neighbouring inside nodes.
+
+        Keyed (low, high) in tuple order. Each edge is sampled from its low
+        node exactly as segment_in_polygon samples it at step delta/3, but
+        all edges go through points_in_polygon together, grouped by sample
+        count and in chunks of _EDGE_CHUNK edges.
+        """
+        nt, ns = self.shape
+        ij = np.asarray(self._node_list, dtype=int).reshape(-1, 2)
+        row = np.full(self.shape, -1)
+        row[ij[:, 0], ij[:, 1]] = np.arange(len(ij))
+        lows, highs = [], []
+        for di, dj in ((0, 1), (1, -1), (1, 0), (1, 1)):  # the neighbours above a node in tuple order
+            ni, nj = ij[:, 0] + di, ij[:, 1] + dj
+            on_grid = np.flatnonzero((ni < nt) & (nj >= 0) & (nj < ns))
+            nb = row[ni[on_grid], nj[on_grid]]
+            lows.append(on_grid[nb >= 0])
+            highs.append(nb[nb >= 0])
+        lo, hi = np.concatenate(lows), np.concatenate(highs)
+        p = self._world[lo]
+        d = self._world[hi] - p
+        step = max(self.delta / 3.0, 1e-9)
+        k = np.maximum(2, np.ceil(np.hypot(d[:, 0], d[:, 1]) / step).astype(int) + 1)
+        clear = np.empty(len(lo), dtype=bool)
+        for kk in np.unique(k):
+            ts = np.linspace(0.0, 1.0, int(kk))
+            group = np.flatnonzero(k == kk)
+            for c in range(0, len(group), _EDGE_CHUNK):
+                e = group[c : c + _EDGE_CHUNK]
+                pts = p[e, None, :] + ts[None, :, None] * d[e, None, :]
+                clear[e] = points_in_polygon(pts.reshape(-1, 2), self.poly).reshape(len(e), -1).all(axis=1)
+        node_at = self._node_list
+        return {(node_at[a], node_at[b]): ok for a, b, ok in zip(lo.tolist(), hi.tolist(), clear.tolist())}
 
     def reachable_node(self, point) -> tuple | None:
         """Closest node whose straight segment from `point` stays inside.
@@ -548,20 +595,12 @@ class _TransitGrid:
         if not self._node_list:
             raise GeometryError("no transit grid nodes fall inside the polygon")
         p = np.asarray(point, dtype=float)
-        world = self.to_world(np.asarray(self._node_list, dtype=float))
+        world = self._world
         order = np.argsort(np.hypot(*(world - p).T), kind="stable")
         for k in order:
             if segment_in_polygon(p, world[int(k)], self.poly, step=self.delta / 3.0):
                 return self._node_list[int(k)]
         return None
-
-    def _edge_clear(self, a: tuple, b: tuple) -> bool:
-        key = (a, b) if a <= b else (b, a)
-        ok = self._edge_ok.get(key)
-        if ok is None:
-            ok = segment_in_polygon(self.to_world(a), self.to_world(b), self.poly, step=self.delta / 3.0)
-            self._edge_ok[key] = ok
-        return ok
 
     def astar(self, start: tuple, goal: tuple):
         """Shortest 8-connected path between grid nodes, or None.
@@ -572,12 +611,16 @@ class _TransitGrid:
         """
         if start not in self.nodes or goal not in self.nodes:
             return None
-        gxy = self.to_world(goal)
+        nodes, edges, world = self.nodes, self.edges, self._world
+        h = np.hypot(*(world - world[nodes[goal]]).T).tolist()
+        moves = [
+            (di, dj, self.delta * (math.sqrt(2.0) if di and dj else 1.0))
+            for di in (-1, 0, 1)
+            for dj in (-1, 0, 1)
+            if di or dj
+        ]
 
-        def h(n):
-            return float(np.hypot(*(self.to_world(n) - gxy)))
-
-        open_q = [(h(start), start)]
+        open_q = [(h[nodes[start]], start)]
         g_cost = {start: 0.0}
         came: dict = {}
         closed = set()
@@ -593,21 +636,17 @@ class _TransitGrid:
                 return path[::-1]
             closed.add(node)
             ni, nj = node
-            for di in (-1, 0, 1):
-                for dj in (-1, 0, 1):
-                    if di == 0 and dj == 0:
-                        continue
-                    nb = (ni + di, nj + dj)
-                    if nb not in self.nodes or nb in closed:
-                        continue
-                    if not self._edge_clear(node, nb):
-                        continue
-                    step = self.delta * (math.sqrt(2.0) if di and dj else 1.0)
-                    cand = g_cost[node] + step
-                    if cand < g_cost.get(nb, math.inf) - 1e-12:
-                        g_cost[nb] = cand
-                        came[nb] = node
-                        heapq.heappush(open_q, (cand + h(nb), nb))
+            for di, dj, step in moves:
+                nb = (ni + di, nj + dj)
+                if nb not in nodes or nb in closed:
+                    continue
+                if not edges[(node, nb) if node < nb else (nb, node)]:
+                    continue
+                cand = g_cost[node] + step
+                if cand < g_cost.get(nb, math.inf) - 1e-12:
+                    g_cost[nb] = cand
+                    came[nb] = node
+                    heapq.heappush(open_q, (cand + h[nodes[nb]], nb))
         return None
 
 
@@ -625,6 +664,11 @@ def plan_transit(position, targets, poly: Polygon, delta: float, grid: _TransitG
     every target and the shortest realized path wins, ties broken by
     target order. Returns (waypoints, chosen target index); waypoint
     spacing never exceeds delta.
+
+    `grid` is shared by the transits of one plan. Its nodes and edge
+    clearances are built on the first transit that is not straight, the
+    clearances of all edges in one pass, and reused by later ones; a
+    plan whose transits are all straight never builds them.
     """
     pos = np.asarray(position, dtype=float)
     targets = [np.asarray(t, dtype=float) for t in targets]

@@ -8,6 +8,9 @@ point-in-polygon through winding angles, and ray crossings through
 exact per-edge parameter solves.
 """
 
+import heapq
+import math
+
 import numpy as np
 
 
@@ -118,6 +121,36 @@ def ray_hits(origin, bearing, verts):
             pts.append((t, o + t * d))
     pts.sort(key=lambda h: h[0])
     return [p for _, p in pts]
+
+
+def grid_dijkstra(nodes, start, goal, spacing, clear):
+    """Length of the shortest 8-connected path between grid nodes, or None.
+
+    Plain Dijkstra without a heuristic: a move to any of the eight
+    neighbouring index pairs costs `spacing` times its euclidean length
+    in index units, and is allowed when the neighbour is in `nodes` and
+    `clear(a, b)` says the edge between them is free.
+    """
+    dist = {start: 0.0}
+    heap = [(0.0, start)]
+    done = set()
+    while heap:
+        d, node = heapq.heappop(heap)
+        if node in done:
+            continue
+        if node == goal:
+            return d
+        done.add(node)
+        for di in (-1, 0, 1):
+            for dj in (-1, 0, 1):
+                nb = (node[0] + di, node[1] + dj)
+                if nb == node or nb not in nodes or nb in done or not clear(node, nb):
+                    continue
+                nd = d + spacing * math.hypot(di, dj)
+                if nd < dist.get(nb, math.inf):
+                    dist[nb] = nd
+                    heapq.heappush(heap, (nd, nb))
+    return None
 
 
 def shoelace_area(verts):

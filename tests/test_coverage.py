@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
+from bathysurvey import coverage
 from bathysurvey.coverage import (
     PathPlan,
     cells_to_geojson,
@@ -20,7 +21,7 @@ from bathysurvey.coverage import (
     sweep_polygon,
 )
 from bathysurvey.errors import ConfigError, GeometryError
-from bathysurvey.geometry import Polygon, point_in_polygon, points_in_polygon
+from bathysurvey.geometry import Polygon, point_in_polygon, points_in_polygon, segment_in_polygon
 
 RECT = Polygon([(0, 0), (20, 0), (20, 10), (0, 10)])
 U_SHAPE = Polygon([(0, 0), (30, 0), (30, 40), (20, 40), (20, 10), (10, 10), (10, 40), (0, 40)])
@@ -207,6 +208,73 @@ def test_plan_transit_routes_around_notch():
     assert np.hypot(*np.diff(way, axis=0).T).max() <= 2.0 + 1e-9
     with pytest.raises(ConfigError):
         plan_transit((5.0, 35.0), [], U_SHAPE, 2.0)
+
+
+#: index offsets from a transit-grid node to its neighbours above it in tuple order
+FORWARD = ((0, 1), (1, -1), (1, 0), (1, 1))
+#: a nonconvex star whose notches block a few grid edges at delta = 4
+STAR = Polygon(oracles.star_polygon(np.random.default_rng(0), 16, r_lo=10.0))
+
+
+@pytest.mark.parametrize("poly, delta, sweep_dir", [(U_SHAPE, 2.0, 0.0), (STAR, 4.0, 0.7)], ids=["u_shape", "star"])
+def test_transit_grid_edge_table_matches_segment_checks(poly, delta, sweep_dir):
+    grid = coverage._TransitGrid(poly, delta, sweep_dir)
+    nodes = grid.nodes
+    expected = {(a, (a[0] + di, a[1] + dj)) for a in nodes for di, dj in FORWARD if (a[0] + di, a[1] + dj) in nodes}
+    assert set(grid.edges) == expected
+    for a, b in expected:
+        assert grid.edges[(a, b)] == segment_in_polygon(grid.to_world(a), grid.to_world(b), poly, step=delta / 3.0)
+    # both outcomes occur, so the comparison above can tell them apart
+    assert set(grid.edges.values()) == {True, False}
+
+
+#: a corridor that winds inward: heading straight for the goal leads into dead ends
+SPIRAL = Polygon(
+    [(0, 0), (40, 0), (40, 40), (0, 40), (0, 22), (30, 22), (30, 26), (6, 26), (6, 34), (34, 34), (34, 14), (0, 14)]
+)
+
+
+@pytest.mark.parametrize("poly", [U_SHAPE, SPIRAL], ids=["u_shape", "spiral"])
+def test_astar_path_lengths_match_dijkstra_oracle(poly):
+    delta = 2.0
+    grid = coverage._TransitGrid(poly, delta, 0.0)
+    checked = {}
+
+    def clear(a, b):
+        if (a, b) not in checked:
+            checked[a, b] = segment_in_polygon(grid.to_world(a), grid.to_world(b), poly, step=delta / 3.0)
+        return checked[a, b]
+
+    nodes = sorted(grid.nodes)
+    pairs = [tuple(nodes[i] for i in ij) for ij in np.random.default_rng(3).integers(len(nodes), size=(16, 2))]
+    if poly is U_SHAPE:  # across the notch
+        pairs.append((grid.reachable_node((5.0, 35.0)), grid.reachable_node((25.0, 35.0))))
+    for start, goal in pairs:
+        path = grid.astar(start, goal)
+        assert path[0] == start and path[-1] == goal
+        steps = np.diff(np.asarray(path), axis=0)
+        assert np.abs(steps).max(initial=0) <= 1
+        assert all(clear(a, b) for a, b in zip(path[:-1], path[1:]))
+        length = delta * float(np.hypot(*steps.T).sum())
+        assert length == pytest.approx(oracles.grid_dijkstra(grid.nodes, start, goal, delta, clear), abs=1e-9)
+    assert grid.astar(nodes[0], (-1, -1)) is None
+
+
+def test_transit_grid_built_only_when_a_transit_needs_it(monkeypatch):
+    grids = []
+
+    class Recorded(coverage._TransitGrid):
+        def __init__(self, *args):
+            super().__init__(*args)
+            grids.append(self)
+
+    monkeypatch.setattr(coverage, "_TransitGrid", Recorded)
+    plan_coverage(RECT, (1.0, 1.0), 2.0, 0.0)  # every transit is straight
+    assert len(grids) == 1
+    assert "_node_list" not in grids[0].__dict__
+    plan_transit((5.0, 35.0), [(25.0, 35.0)], U_SHAPE, 2.0)  # blocked by the notch
+    assert len(grids) == 2
+    assert {"_node_list", "edges"} <= set(grids[1].__dict__)
 
 
 def test_plan_coverage_rectangle():
