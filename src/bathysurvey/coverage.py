@@ -660,10 +660,14 @@ def plan_transit(position, targets, poly: Polygon, delta: float, grid: _TransitG
     """Route from `position` to the best of `targets` inside the polygon.
 
     Tries the straight segment to the euclidean-nearest target first;
-    when that leaves the polygon, an A* search on the delta grid runs to
-    every target and the shortest realized path wins, ties broken by
-    target order. Returns (waypoints, chosen target index); waypoint
-    spacing never exceeds delta.
+    when that leaves the polygon, targets are routed by A* on the delta
+    grid in order of straight-line distance, and the shortest realized
+    path wins, ties within 1e-12 m broken by target order. A route is
+    never shorter than its straight line, so routing stops at the first
+    target whose straight-line distance exceeds the best route so far:
+    neither it nor any later target can win, and the result is that of
+    routing to every target. Returns (waypoints, chosen target index);
+    waypoint spacing never exceeds delta.
 
     `grid` is shared by the transits of one plan. Its nodes and edge
     clearances are built on the first transit that is not straight, the
@@ -687,8 +691,13 @@ def plan_transit(position, targets, poly: Polygon, delta: float, grid: _TransitG
     start = grid.reachable_node(pos)
     if start is None:
         raise GeometryError("transit start has no straight line to any grid node inside the polygon")
-    best = None
-    for i in range(len(targets)):
+    routes = {}
+    shortest = math.inf
+    for i in sorted(range(len(targets)), key=lambda i: (dists[i], i)):
+        # no route is shorter than its straight line (1e-9 m covers the
+        # rounding of its summed legs): this target and all after it lose
+        if dists[i] > shortest + 1e-9:
+            break
         goal = grid.reachable_node(targets[i])
         if goal is None:
             continue
@@ -704,6 +713,11 @@ def plan_transit(position, targets, poly: Polygon, delta: float, grid: _TransitG
         if not bool(points_in_polygon(way, poly).all()):
             continue  # a grazing leg slipped outside between samples
         length = _path_length(way)
+        routes[i] = (length, way)
+        shortest = min(shortest, length)
+    best = None
+    for i in sorted(routes):  # in target order, as if every target were routed
+        length, way = routes[i]
         if best is None or length < best[0] - 1e-12:
             best = (length, way, i)
     if best is None:

@@ -107,6 +107,8 @@ class Polygon:
             v = v[::-1].copy()
         self.vertices = v
         self.vertices.setflags(write=False)
+        self._edge_ends = np.roll(v, -1, axis=0)  # end of edge i is vertex i + 1
+        self._edge_ends.setflags(write=False)
         self._check_simple()
 
     def _check_simple(self):
@@ -142,8 +144,7 @@ class Polygon:
         return v[i % len(v)], v[(i + 1) % len(v)]
 
     def edges(self):
-        v = self.vertices
-        return zip(v, np.roll(v, -1, axis=0))
+        return zip(self.vertices, self._edge_ends)
 
     def contains(self, p, tol: float = BOUNDARY_TOL) -> bool:
         return point_in_polygon(p, self, tol)
@@ -182,8 +183,7 @@ def _on_segment_bbox(a, b, c, eps: float) -> bool:
 
 
 def _edge_arrays(poly: Polygon):
-    v = poly.vertices
-    return v, np.roll(v, -1, axis=0)
+    return poly.vertices, poly._edge_ends
 
 
 def distance_to_boundary(p, poly: Polygon) -> float:
@@ -214,27 +214,30 @@ def nearest_boundary_point(p, poly: Polygon) -> np.ndarray:
 
 
 def point_in_polygon(p, poly: Polygon, tol: float = BOUNDARY_TOL) -> bool:
-    """Boundary-inclusive containment test (crossing parity plus edge tolerance)."""
-    p = np.asarray(p, dtype=float)
-    a, b = _edge_arrays(poly)
-    if _point_segment_distances(p, a, b).min() <= tol:
-        return True
-    return _crossing_parity(p[None, :], a, b)[0]
+    """Boundary-inclusive containment test for one point (see points_in_polygon)."""
+    return bool(points_in_polygon(np.asarray(p, dtype=float)[None, :], poly, tol)[0])
 
 
 def points_in_polygon(points, poly: Polygon, tol: float = BOUNDARY_TOL) -> np.ndarray:
-    """Vectorized boundary-inclusive containment for an (m, 2) array."""
+    """Vectorized boundary-inclusive containment for an (m, 2) array.
+
+    A point is inside when crossing parity says so or when it lies within
+    `tol` of an edge. The tolerance can only turn outside into inside, so
+    the edge distances are computed only for the points parity rejects.
+    """
     pts = np.asarray(points, dtype=float)
     a, b = _edge_arrays(poly)
     inside = _crossing_parity(pts, a, b)
-    if tol > 0.0:
+    if tol > 0.0 and not inside.all():
+        out = ~inside
+        q = pts[out]
         e = b - a
         lens2 = np.einsum("ij,ij->i", e, e)
-        w = pts[:, None, :] - a[None, :, :]
+        w = q[:, None, :] - a[None, :, :]
         t = np.clip(np.einsum("mij,ij->mi", w, e) / np.where(lens2 > 0, lens2, 1.0), 0.0, 1.0)
         closest = a[None, :, :] + t[..., None] * e[None, :, :]
-        d2 = ((pts[:, None, :] - closest) ** 2).sum(axis=2)
-        inside |= (d2.min(axis=1) <= tol * tol)
+        d2 = ((q[:, None, :] - closest) ** 2).sum(axis=2)
+        inside[out] = d2.min(axis=1) <= tol * tol
     return inside
 
 

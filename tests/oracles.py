@@ -5,7 +5,9 @@ a deliberate brute-force computation, sharing no code path with the
 package: factorizations go through numpy.linalg.cholesky, GP equations
 through explicit matrix inverses, log-likelihoods through slogdet,
 point-in-polygon through winding angles, and ray crossings through
-exact per-edge parameter solves.
+exact per-edge parameter solves. The one exception is transit_all_targets,
+the planner's exhaustive transit search kept as the reference for its
+pruned one: it runs the package's own grid and A* on purpose.
 """
 
 import heapq
@@ -151,6 +153,59 @@ def grid_dijkstra(nodes, start, goal, spacing, clear):
                     dist[nb] = nd
                     heapq.heappush(heap, (nd, nb))
     return None
+
+
+def transit_all_targets(position, targets, poly, delta, grid=None):
+    """plan_transit as it was before its target pruning: A* to every target.
+
+    Same contract as coverage.plan_transit, on the same transit grid: the
+    straight leg to the nearest target when it stays inside, otherwise
+    an A* route to every target, the shortest realized route winning
+    and ties within 1e-12 m going to the lower target index.
+    """
+    from bathysurvey.coverage import _TransitGrid, _densify, _path_length
+    from bathysurvey.errors import ConfigError, GeometryError
+    from bathysurvey.geometry import points_in_polygon, segment_in_polygon
+
+    pos = np.asarray(position, dtype=float)
+    targets = [np.asarray(t, dtype=float) for t in targets]
+    if not targets:
+        raise ConfigError("plan_transit needs at least one target")
+    dists = [float(np.hypot(*(t - pos))) for t in targets]
+    nearest = min(range(len(targets)), key=lambda i: (dists[i], i))
+    direct = _densify(pos, targets[nearest], delta)
+    if segment_in_polygon(pos, targets[nearest], poly, step=delta / 4.0) and bool(
+        points_in_polygon(direct, poly).all()
+    ):
+        return direct, nearest
+
+    if grid is None:
+        grid = _TransitGrid(poly, delta, 0.0)
+    start = grid.reachable_node(pos)
+    if start is None:
+        raise GeometryError("transit start has no straight line to any grid node inside the polygon")
+    best = None
+    for i in range(len(targets)):
+        goal = grid.reachable_node(targets[i])
+        if goal is None:
+            continue
+        node_path = grid.astar(start, goal)
+        if node_path is None:
+            continue
+        stations = [pos] + [grid.to_world(n) for n in node_path] + [targets[i]]
+        way = [pos]
+        for nxt in stations[1:]:
+            leg = _densify(way[-1], nxt, delta)
+            way.extend(leg[1:])
+        way = np.asarray(way, dtype=float).reshape(-1, 2)
+        if not bool(points_in_polygon(way, poly).all()):
+            continue  # a grazing leg slipped outside between samples
+        length = _path_length(way)
+        if best is None or length < best[0] - 1e-12:
+            best = (length, way, i)
+    if best is None:
+        raise GeometryError("no transit route reaches any target inside the polygon")
+    return best[1], best[2]
 
 
 def shoelace_area(verts):

@@ -1,6 +1,7 @@
 """Partitioner and coverage planner against geometric oracles."""
 
 import csv
+import hashlib
 import json
 import math
 
@@ -11,6 +12,7 @@ import oracles
 from bathysurvey import coverage
 from bathysurvey.coverage import (
     PathPlan,
+    _path_length,
     cells_to_geojson,
     lawnmower_cell,
     partition_monotone,
@@ -275,6 +277,149 @@ def test_transit_grid_built_only_when_a_transit_needs_it(monkeypatch):
     plan_transit((5.0, 35.0), [(25.0, 35.0)], U_SHAPE, 2.0)  # blocked by the notch
     assert len(grids) == 2
     assert {"_node_list", "edges"} <= set(grids[1].__dict__)
+
+
+def _blocked_starts(rng, poly, delta, targets, count):
+    """Up to `count` random points inside the polygon whose straight leg
+    to the nearest target leaves it, so plan_transit has to search."""
+    x_lo, y_lo, x_hi, y_hi = poly.bounds
+    out = []
+    for p in rng.uniform((x_lo, y_lo), (x_hi, y_hi), (400, 2)):
+        if len(out) == count:
+            break
+        if not point_in_polygon(p, poly):
+            continue
+        nearest = min(targets, key=lambda t: math.dist(p, t))
+        if not segment_in_polygon(p, nearest, poly, step=delta / 4.0):
+            out.append(tuple(p))
+    return out
+
+
+def _transit_cases():
+    """(polygon, delta, starts, targets): every shrunk corner of every cell
+    as a target, from starts whose nearest target is out of sight."""
+    rng = np.random.default_rng(8)
+    shapes = [(U_SHAPE, 2.0, 0.0), (STAR, 4.0, 0.7)]
+    shapes += [
+        (Polygon(oracles.star_polygon(rng, int(rng.integers(10, 20)), r_lo=8.0)), 4.0, float(rng.uniform(-1.5, 1.5)))
+        for _ in range(24)
+    ]
+    for poly, delta, sweep_dir in shapes:
+        cells, _ = partition_monotone(poly, delta, sweep_dir)
+        targets = []
+        for cell in cells:
+            try:
+                targets.extend(shrink_corners(cell, delta, sweep_dir))
+            except GeometryError:
+                continue  # sliver cell, skipped by the planner too
+        yield poly, delta, _blocked_starts(rng, poly, delta, targets, 3), targets
+
+
+def test_pruned_transit_matches_all_targets_oracle():
+    searched = 0
+    for poly, delta, starts, targets in _transit_cases():
+        for start in starts:
+            try:
+                expected = oracles.transit_all_targets(start, targets, poly, delta)
+            except GeometryError as exc:
+                with pytest.raises(GeometryError, match=str(exc)):
+                    plan_transit(start, targets, poly, delta)
+                continue
+            way, idx = plan_transit(start, targets, poly, delta)
+            assert idx == expected[1]
+            assert way.tobytes() == expected[0].tobytes()
+            searched += 1
+    assert searched >= 50  # every start searches, so this counts A* comparisons
+
+
+def test_blocked_transit_skips_targets_that_cannot_win(monkeypatch):
+    # a slot from the top wall blocks the way to the nearest target; the
+    # far targets lie beyond the detour's length
+    poly = Polygon([(0, 0), (100, 0), (100, 20), (12, 20), (12, 5), (10, 5), (10, 20), (0, 20)])
+    targets = [(17.0, 15.0), (90.0, 10.0), (95.0, 15.0), (80.0, 5.0), (60.0, 18.0), (70.0, 2.0)]
+    calls = []
+    astar = coverage._TransitGrid.astar
+
+    def counted(self, start, goal):
+        calls.append(goal)
+        return astar(self, start, goal)
+
+    monkeypatch.setattr(coverage._TransitGrid, "astar", counted)
+    way, idx = plan_transit((5.0, 15.0), targets, poly, 2.0)
+    assert 0 < len(calls) < len(targets)
+    expected = oracles.transit_all_targets((5.0, 15.0), targets, poly, 2.0)
+    assert idx == expected[1] == 0
+    assert way.tobytes() == expected[0].tobytes()
+
+
+def test_blocked_transit_tie_goes_to_the_lower_target_index():
+    # around the inner corner of an L, both targets lie 8 diagonal and 17
+    # straight grid steps away; the farther one in a straight line comes first
+    poly = Polygon([(0, 0), (60, 0), (60, 20), (20, 20), (20, 60), (0, 60)])
+    start, targets = (10.0, 50.0), [(26.0, 0.0), (40.0, 14.0)]
+    way, idx = plan_transit(start, targets, poly, 2.0)
+    assert idx == 0
+    assert _path_length(way) == pytest.approx(2.0 * (17.0 + 8.0 * math.sqrt(2.0)), abs=1e-9)
+    expected = oracles.transit_all_targets(start, targets, poly, 2.0)
+    assert way.tobytes() == expected[0].tobytes() and idx == expected[1]
+
+
+def test_blocked_transit_routes_a_target_just_inside_the_bound():
+    # the target round the corner is nearer in a straight line, but its
+    # route is 0.14 m longer than the straight run down to the other
+    poly = Polygon([(0, 0), (60, 0), (60, 20), (20, 20), (20, 80), (0, 80)])
+    start, targets = (10.0, 60.0), [(36.0, 20.0), (10.0, 0.0)]
+    way, idx = plan_transit(start, targets, poly, 2.0)
+    assert idx == 1 and _path_length(way) == pytest.approx(60.0, abs=1e-9)
+    expected = oracles.transit_all_targets(start, targets, poly, 2.0)
+    assert way.tobytes() == expected[0].tobytes() and idx == expected[1]
+
+
+#: sha256 of plan_coverage(...).waypoints.tobytes(), or the error a plan
+#: raises, for 12 notched stars (rng 2, 10 + k vertices, r_lo 8 m) at sweep
+#: directions 0 and 1.1, delta 4 m, from the origin. Pinned from the
+#: exhaustive transit search; a change that moves any plan must say why.
+PLAN_DIGESTS = {
+    (0, 0.0): "1d974f7992c84fc89a16b21bcc4be9f56a658b8cb0fd820eeda2a9a575fadf60",
+    (0, 1.1): "1b19bbdfcb13dcc3cf1fa7a103eaf1065f1ff8a3b9c12251709fe174d98163b7",
+    (1, 0.0): "7ac23b69b93ef4318b9857af5b1a2107071b906381e98c5ae88d401ae7f4779c",
+    (1, 1.1): "ca1484384f972398fdad9e7e44528ae66f7400c279d469007d39c7ea34f0e293",
+    (2, 0.0): "f2ff10c522b4ee570cd4a40d453275f2b29e9a4b26179a186457a15fc6e1671d",
+    (2, 1.1): "225ab3fc57fc7d9e90823f5c6303f4a879792dfe7242b27caac3fa1219eb55f6",
+    (3, 0.0): "c37641b2ac6015fbe4038f8b5e0e23c16a4bf1baa40e9ab761f36135ec5ea87f",
+    (3, 1.1): "6c0782b19ba6afdd58f24abe98800416bed940c7d0ef662d7006c37cb397b7f1",
+    (4, 0.0): "a5961971929949e038e798860d232083d46bb5d3f513f9cc1d021e787d9499e8",
+    (4, 1.1): "9782218e2d3dbf1584b43abca7fe0a1266b806c7fee1c563cf403255026aeb72",
+    (5, 0.0): "23c49327ae970d4183fc8870766681c84101e7df056fd23cc2e17c342620437a",
+    (5, 1.1): "531722d4af49347fdf3d59deeb61ee70807c98497db7f729100eb3bc900b1aab",
+    (6, 0.0): "79dd23e0bcb5f9e43a3f17a42844650febd18a08eddce6f40b738c73ce0b51e5",
+    (6, 1.1): "5031ccc6f8423c455ff6815ab90a604812c87e65b2546b28b94ef109f09b0db6",
+    (7, 0.0): "86aa2b3eaad3f136f601272730d183be98db41a9a346517926fba4f36735a9e2",
+    (7, 1.1): "48f2d5a8a4ba87b84780b8bf6f16fad80efa8e1e80d2b47fc33c086686477e25",
+    (8, 0.0): "4ee5b86bd753abb530e86ef7f0cbba75e28aa080c8ebfa21b6dc282e48797cce",
+    (8, 1.1): "f66ea58a31cfcd560f2ace6a06b591c185ba95b89c1f8fd95213463e09d9e9e9",
+    (9, 0.0): "GeometryError: no transit route reaches any target inside the polygon",
+    (9, 1.1): "94dafbff07d36524b317e2c412ae45fed419b1e95b6b6777dc8c0440fc5cb608",
+    (10, 0.0): "8e5c345771ddb0f7b6cb6960ac39f1c715545a9c70b5658af547acf6fbc56203",
+    (10, 1.1): "2751998aa6343cb0fa16d8217221915782b823092c7caeccd2e1df04760478bd",
+    (11, 0.0): "7eb1b9945fc676e821aa3f83a13152dd89f7cbfd85b5e45d25b55990e7f71b5b",
+    (11, 1.1): "8cae37f02e6e1dfc821b2d270b93276724472d21572f943f4ce40390e6228bdc",
+}
+
+
+@pytest.mark.filterwarnings("ignore:skipping cell")
+def test_plans_match_pinned_digests():
+    rng = np.random.default_rng(2)
+    got = {}
+    for k in range(12):
+        poly = Polygon(oracles.star_polygon(rng, 10 + k, r_lo=8.0, r_hi=60.0))
+        for sweep_dir in (0.0, 1.1):
+            try:
+                waypoints = plan_coverage(poly, (0.0, 0.0), 4.0, sweep_dir).waypoints
+                got[k, sweep_dir] = hashlib.sha256(waypoints.tobytes()).hexdigest()
+            except GeometryError as exc:
+                got[k, sweep_dir] = f"{type(exc).__name__}: {exc}"
+    assert got == PLAN_DIGESTS
 
 
 def test_plan_coverage_rectangle():

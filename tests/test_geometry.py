@@ -96,6 +96,29 @@ def test_point_in_polygon_matches_winding_oracle():
         assert np.array_equal(np.array(singles), got)
 
 
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+def test_containment_in_the_boundary_band(tol):
+    """Points on and within a few tol of the boundary, where the
+    tolerance decides: inside exactly when parity says so or an edge
+    lies within tol."""
+    rng = np.random.default_rng(21)
+    polys = [SQUARE, U_SHAPE] + [Polygon(oracles.star_polygon(rng, int(rng.integers(5, 14)))) for _ in range(6)]
+    for poly in polys:
+        a = poly.vertices
+        e = np.roll(a, -1, axis=0) - a
+        outward = np.column_stack([e[:, 1], -e[:, 0]]) / np.hypot(e[:, 0], e[:, 1])[:, None]
+        on_edges = [a + f * e for f in (0.25, 0.5)]
+        band = [q + k * tol * outward for q in on_edges for k in (-2.0, -0.5, 0.5, 2.0)]
+        pts = np.vstack([a, *on_edges, *band, rng.uniform(-80.0, 80.0, (40, 2))])
+        ring = np.vstack([a, a[:1]])
+        near = oracles.min_distance_to_polylines(pts, [ring]) <= tol
+        parity = np.array([oracles.winding_inside(p, a, tol=0.0) for p in pts])
+        expected = parity | near
+        assert (near & ~parity).any() and (~expected).any()  # the band holds both outcomes
+        assert np.array_equal(points_in_polygon(pts, poly, tol), expected)
+        assert [point_in_polygon(p, poly, tol) for p in pts] == expected.tolist()
+
+
 def test_point_on_boundary_counts_inside():
     assert point_in_polygon((5.0, 0.0), SQUARE)
     assert point_in_polygon((10.0, 10.0), SQUARE)
