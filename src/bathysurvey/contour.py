@@ -139,15 +139,22 @@ def solve_arc_heading(model, target_depth, heading, position, radius, psi_start,
     return np.asarray(position, dtype=float) + radius * bearing_to_unit(float(cand_psi[best]))
 
 
-def loop_closed(trace, position, loop_buffer: int, closure_radius: float) -> bool:
-    """True when `position` comes within closure_radius of the trace,
-    ignoring the most recent loop_buffer entries."""
+def closure_index(trace, position, loop_buffer: int, closure_radius: float) -> int | None:
+    """Traced index where `position` reconnects with its own early trail.
+
+    Ignores the most recent loop_buffer entries and returns the index of
+    the eligible point closest to `position` if it lies within
+    closure_radius, else None. The closest point, not the first one
+    inside the radius: the first hit can sit a full radius back along the
+    approach tail, leaving a shallow-side spur on the extracted loop.
+    """
     m = len(trace) - int(loop_buffer)
     if m <= 0:
-        return False
+        return None
     pts = np.asarray(trace[:m], dtype=float)
     d = np.hypot(pts[:, 0] - position[0], pts[:, 1] - position[1])
-    return bool((d < closure_radius).any())
+    i = int(np.argmin(d))
+    return i if d[i] < closure_radius else None
 
 
 class ContourFollower:
@@ -221,6 +228,6 @@ class ContourFollower:
 
     def complete(self, pose: Pose) -> bool:
         st = self.state
-        return st.found_contour and loop_closed(
-            st.trace, pose.position, self.cfg.loop_buffer, self.cfg.closure_radius
+        return st.found_contour and (
+            closure_index(st.trace, pose.position, self.cfg.loop_buffer, self.cfg.closure_radius) is not None
         )

@@ -519,14 +519,18 @@ def _lml_and_grad(h: HyperParams, yc: np.ndarray, d2: np.ndarray):
     return value, grad
 
 
+def _data_extent(x: np.ndarray) -> float:
+    """Largest coordinate range of the inputs, 1 for a single point."""
+    return float(np.ptp(x, axis=0).max()) if len(x) > 1 else 1.0
+
+
 def _moment_start(x: np.ndarray, yc: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Data-moment starting point: signal variance from the sample variance,
     a tenth of it as noise, a quarter of the data extent as length scale."""
     v = float(np.var(yc))
     if not v > 0.0:
         v = 1.0
-    span = float(np.ptp(x, axis=0).max()) if len(x) > 1 else 1.0
-    guess = np.array([v, 0.1 * v, max(span / 4.0, 1e-3)])
+    guess = np.array([v, 0.1 * v, max(_data_extent(x) / 4.0, 1e-3)])
     return np.clip(guess, lo, hi)
 
 
@@ -541,8 +545,14 @@ def optimize_hypers(model, initial: HyperParams | None = None, bounds=None, max_
 
     The likelihood has a pure-noise local optimum (tiny signal variance,
     arbitrary length scale) that can trap a warm start when early data
-    carried no structure; a second data-moment start is tried on small
-    problems and whenever the first run lands there.
+    carried no structure. A length scale beyond the data's extent is a
+    trend the data cannot pin down: sigma_f2 and the length scale trade
+    off along a ridge, and a warm start that once entered it can stay
+    there while a shorter-scale optimum lies several nats higher. The
+    warm start runs alone; a second data-moment start is tried only when
+    it gives no usable answer: it found no finite point, it landed in
+    the pure-noise optimum or on the trend ridge, or L-BFGS-B did not
+    converge.
     """
     st = model.snapshot() if isinstance(model, GpModel) else model
     if st.n == 0:
@@ -558,7 +568,6 @@ def optimize_hypers(model, initial: HyperParams | None = None, bounds=None, max_
     x = st.X.copy()
     yc = st.y_centered.copy()
     d2 = cdist(x, x, "sqeuclidean")
-    n = len(yc)
     best = {"lml": -np.inf, "theta": None, "evals": 0}
 
     def objective(log_theta):
@@ -581,8 +590,10 @@ def optimize_hypers(model, initial: HyperParams | None = None, bounds=None, max_
 
     results = [run(initial.as_array())]
     var_y = float(np.var(yc))
-    degenerate = best["theta"] is not None and best["theta"][0] < 1e-3 * max(var_y, 1e-12)
-    if n <= 400 or degenerate:
+    found = best["theta"] is not None
+    degenerate = found and best["theta"][0] < 1e-3 * max(var_y, 1e-12)
+    trend = found and best["theta"][2] > _data_extent(x)
+    if not found or degenerate or trend or not results[0].success:
         results.append(run(_moment_start(x, yc, lo, hi)))
     converged = any(bool(r.success) for r in results)
     if best["theta"] is None:

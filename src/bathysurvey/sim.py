@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .contour import ContourFollower, FollowerConfig, Pose
+from .contour import ContourFollower, FollowerConfig, Pose, closure_index
 from .coverage import PathPlan, cells_to_geojson, plan_coverage
 from .errors import ConfigError, GeometryError, MissionAbort, SurveyError
 from .geometry import (
@@ -418,23 +418,6 @@ class MissionLog:
 # -- mission orchestration -------------------------------------------------
 
 
-def _closure_index(trace: list, position, loop_buffer: int, closure_radius: float) -> int:
-    """Traced index where the pose reconnects with its own early trail.
-
-    Picks the eligible point closest to the pose rather than the first
-    one inside the closure radius: the first hit can sit a full radius
-    back along the approach tail, leaving a shallow-side spur on the
-    extracted loop.
-    """
-    m = len(trace) - loop_buffer
-    pts = np.asarray(trace[:m], dtype=float)
-    d = np.hypot(pts[:, 0] - position[0], pts[:, 1] - position[1])
-    i = int(np.argmin(d))
-    if d[i] >= closure_radius:
-        raise GeometryError("closure index requested but no traced point is within the closure radius")
-    return i
-
-
 def _trace_to_polygon(loop_points: np.ndarray, tolerance: float, max_drop: int) -> Polygon:
     """Simplify a closed trace into a simple polygon.
 
@@ -557,7 +540,7 @@ def run_mission(cfg: MissionConfig, field, poly: Polygon) -> MissionLog:
                 mode = follower.state.mode.value
                 found = follower.state.found_contour
                 if follower.complete(pose):
-                    idx = _closure_index(follower.state.trace, pos, cfg.loop_buffer, closure_radius)
+                    idx = closure_index(follower.state.trace, pos, cfg.loop_buffer, closure_radius)
                     loop = np.asarray(follower.state.trace[idx:], dtype=float)
                     log.intersection = _trace_to_polygon(loop, cfg.track_spacing / 4.0, cfg.loop_buffer)
                     log.closed = True

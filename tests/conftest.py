@@ -1,8 +1,16 @@
 """Shared fixtures; the canonical missions are expensive and run once."""
 
+import os
 import sys
 import time
 from pathlib import Path
+
+# One BLAS thread, set before numpy loads, as benchmarks/run.py does: the
+# timing checks compare algorithms, and on a small shared 2-core host
+# OpenBLAS's threaded path (matrices of 128 and up) can stall 120-170 ms
+# on each of a process's first few calls, so a single 130x130 Cholesky
+# can outlast ten 121x121 ones.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import pytest
 

@@ -42,7 +42,10 @@ def test_run_scenario_completes(tmp_path, square_file, capsys):
     sc = tmp_path / "plane.ini"
     sc.write_text(PLANE_SCENARIO)
     out = tmp_path / "mission"
-    code = main(["run", "--scenario", str(sc), "--out", str(out)])
+    # the constant-mean model fits the sloped plane only along an unbounded
+    # ridge, so its late refits stop early
+    with pytest.warns(RuntimeWarning, match="hyper fit stopped early"):
+        code = main(["run", "--scenario", str(sc), "--out", str(out)])
     stdout = capsys.readouterr().out
     assert code == 0
     assert "contour closed: True" in stdout

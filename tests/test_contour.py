@@ -12,8 +12,8 @@ from bathysurvey.contour import (
     FollowerConfig,
     Mode,
     Pose,
+    closure_index,
     ema_heading,
-    loop_closed,
     solve_arc_heading,
 )
 from bathysurvey.errors import GeometryError
@@ -85,11 +85,17 @@ def test_loop_closed_discrete_circle_oracle():
     step = 2 * math.pi * 20.0 / 100
     buffer = 50  # half the loop
     radius = 1.5 * step
-    fired = [k for k in range(1, 140) if loop_closed(list(trace[:k]), trace[k % 100], buffer, radius)]
+    hits = {k: closure_index(list(trace[:k]), trace[k % 100], buffer, radius) for k in range(1, 140)}
+    fired = [k for k, i in hits.items() if i is not None]
     assert fired, "closure never fired on a closed circle"
     # fires only once the lap comes back around, not mid-loop
     assert min(fired) >= 95
-    assert not loop_closed(list(trace[:buffer]), trace[0], buffer, radius)
+    assert closure_index(list(trace[:buffer]), trace[0], buffer, radius) is None
+    # the returned index is the eligible point nearest the pose
+    for k in fired:
+        d = np.hypot(*(trace[: min(k, 100) - buffer] - trace[k % 100]).T)
+        assert hits[k] == int(np.argmin(d))
+        assert d[hits[k]] < radius
 
 
 def test_follower_config_validation():

@@ -1,9 +1,13 @@
 """GP engine against independent linear-algebra oracles."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 import oracles
+from bathysurvey import gp
 from bathysurvey.errors import ConfigError, EmptyModelError, FactorizationError
 from bathysurvey.gp import (
     DEFAULT_BOUNDS,
@@ -94,10 +98,9 @@ def test_lml_and_gradient_match_oracles():
         assert rel.max() < 1e-4
 
 
-def test_lml_gradient_in_mission_regime():
-    # centred soundings 1 m apart along a circular track, with the noise
-    # and length scale that mission fits settle at: K_y is ill-conditioned
-    # and the sigma_f2 gradient is a difference of two large scalars
+def _track_model():
+    # soundings 1 m apart along a circular track, with the noise and length
+    # scale that mission fits settle at, centred by the model
     rng = np.random.default_rng(14)
     s = np.arange(300.0)
     x = np.column_stack([250.0 + 50.0 * np.cos(s / 50.0), 200.0 + 50.0 * np.sin(s / 50.0)])
@@ -106,9 +109,83 @@ def test_lml_gradient_in_mission_regime():
     h = HyperParams(1.0, 0.0025, 70.0)
     model = GpModel(h, subtract_mean=True)
     model.append(x, y)
+    return model, x, y, h
+
+
+def _count_starts(monkeypatch):
+    """Record the objective values of every L-BFGS-B run optimize_hypers makes."""
+    runs = []
+
+    def counting(fun, x0, **kwargs):
+        values = []
+        runs.append(values)
+
+        def recorded(log_theta):
+            value, grad = fun(log_theta)
+            values.append(value)
+            return value, grad
+
+        return minimize(recorded, x0, **kwargs)
+
+    monkeypatch.setattr(gp, "minimize", counting)
+    return runs
+
+
+def test_lml_gradient_in_mission_regime():
+    # K_y is ill-conditioned in this regime and the sigma_f2 gradient is a
+    # difference of two large scalars
+    model, x, y, h = _track_model()
     rep = model.log_marginal_likelihood()
     fd = oracles.fd_gradient(x, y - y.mean(), h.as_array())
     assert (np.abs(rep.gradient - fd) / np.abs(fd)).max() < 1e-4
+
+
+def _moment_fit(model, x, y):
+    lo, hi = np.array(DEFAULT_BOUNDS, dtype=float).T
+    start = gp._moment_start(x, y - y.mean(), lo, hi)
+    return optimize_hypers(model, initial=HyperParams.from_array(start))
+
+
+def test_converged_warm_start_runs_one_start(monkeypatch):
+    model, x, y, _ = _track_model()
+    moment = _moment_fit(model, x, y)
+    runs = _count_starts(monkeypatch)
+    fit = optimize_hypers(model)
+    assert fit.converged
+    assert len(runs) == 1
+    assert fit.n_evals == len(runs[0])
+    # the one start reaches what the data-moment start would have
+    assert fit.lml >= moment.lml - 1e-6 * abs(moment.lml)
+
+
+def test_cut_off_warm_start_also_runs_the_moment_start(monkeypatch):
+    model, _, _, _ = _track_model()
+    runs = _count_starts(monkeypatch)
+    with pytest.warns(RuntimeWarning, match="hyper fit stopped early"):
+        fit = optimize_hypers(model, max_iter=1)
+    assert len(runs) == 2
+    # the objective is the negated likelihood
+    assert fit.lml >= -min(runs[0])
+    assert fit.lml == -min(runs[0] + runs[1])
+
+
+def test_warm_start_on_the_trend_ridge_also_runs_the_moment_start(monkeypatch):
+    # a contour-phase snapshot whose previous fit put the length scale far
+    # beyond the data's extent; from there L-BFGS-B converges on the ridge
+    # about 11.7 nats below the optimum the data-moment start reaches
+    path = Path(__file__).parent / "data" / "trend_ridge_track.csv"
+    data = np.loadtxt(path, delimiter=",")
+    x, y = data[:, :2], data[:, 2]
+    model = GpModel(HyperParams(53.8683, 0.00043214, 909.8566), subtract_mean=True)
+    model.append(x, y)
+    moment = _moment_fit(model, x, y)
+    runs = _count_starts(monkeypatch)
+    fit = optimize_hypers(model)
+    assert fit.converged
+    assert len(runs) == 2
+    assert -min(runs[0]) < moment.lml - 10.0
+    assert fit.lml >= moment.lml - 1e-6 * abs(moment.lml)
+    assert fit.hypers.length_scale < np.ptp(x, axis=0).max()
 
 
 def test_fit_never_degrades_lml_and_respects_bounds():
