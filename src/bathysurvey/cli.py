@@ -4,15 +4,15 @@ Subcommands run full missions, individual pipeline stages, and the
 prediction benchmark. All computation lives in the library modules;
 this file parses arguments, wires files, and maps errors to exit codes
 (0 success, 2 config error, 3 geometry error, 4 numerical failure,
-5 mission abort). Every subcommand writes a manifest.json describing
-its inputs before doing any work; the default output root comes from
-the BATHYSURVEY_OUT environment variable.
+5 mission abort); an unreadable input or an unwritable output exits 2.
+Every subcommand writes a manifest.json describing its inputs before
+doing any work; the default output root comes from the BATHYSURVEY_OUT
+environment variable.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import files
 from .coverage import cells_to_geojson, partition_monotone, plan_coverage
 from .errors import ConfigError, GeometryError, NumericalError, SurveyError
 from .geometry import load_polygon
@@ -42,9 +43,7 @@ def _out_dir(args, default_name: str) -> Path:
 
 
 def _write_manifest(out: Path, doc: dict) -> None:
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+    files.write_json(files.make_dir(out) / "manifest.json", doc, sort_keys=True)
 
 
 def _overrides(pairs) -> dict:
@@ -57,34 +56,22 @@ def _overrides(pairs) -> dict:
     return out
 
 
-def _parse_point(raw: str):
-    try:
-        x, y = (float(tok) for tok in raw.replace(";", ",").split(","))
-    except ValueError as exc:
-        raise ConfigError(f"expected a point as x,y; got {raw!r}") from exc
-    return (x, y)
-
-
 def _load_points(path):
-    """Read survey points from a CSV with columns x,y,depth or t,x,y,depth."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
-    if lines and any(ch.isalpha() for ch in lines[0]):
-        lines = lines[1:]
-    if not lines:
+    """Read survey points from a CSV with columns x,y,depth or t,x,y,depth,
+    after an optional header line whose first token is not a number."""
+    rows = files.read_rows(path)
+    if rows:
+        try:
+            float(rows[0][1][0])
+        except ValueError:  # a header
+            rows = rows[1:]
+    if not rows:
         raise ConfigError(f"{path} contains no data rows")
-    try:
-        rows = np.array([[float(tok) for tok in ln.split(",")] for ln in lines])
-    except ValueError as exc:
-        raise ConfigError(f"bad number in {path}: {exc}") from exc
-    if rows.ndim != 2 or rows.shape[1] not in (3, 4):
+    width = len(rows[0][1])
+    if width not in (3, 4):
         raise ConfigError(f"{path} must have 3 columns (x,y,depth) or 4 (t,x,y,depth)")
-    if rows.shape[1] == 4:
-        rows = rows[:, 1:]
-    return rows[:, :2], rows[:, 2]
+    data = np.array([files.numbers(path, row, width) for row in rows])[:, width - 3 :]
+    return data[:, :2], data[:, 2]
 
 
 # -- subcommands ----------------------------------------------------------
@@ -151,7 +138,7 @@ def cmd_partition(args) -> int:
 
 def cmd_plan(args) -> int:
     poly = load_polygon(args.polygon)
-    start = _parse_point(args.start) if args.start else tuple(poly.vertices[0])
+    start = files.parse_point(args.start) if args.start else tuple(poly.vertices[0])
     out = _out_dir(args, "plan")
     _write_manifest(
         out,

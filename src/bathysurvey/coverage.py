@@ -21,7 +21,6 @@ the hull sideways.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -29,6 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import files
 from .errors import ConfigError, GeometryError
 from .geometry import (
     Polygon,
@@ -151,13 +151,8 @@ class PathPlan:
 
     def save_csv(self, path) -> None:
         pts, labels = self._flat()
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write("index,x,y,label\n")
-                for i, (p, lab) in enumerate(zip(pts, labels)):
-                    fh.write(f"{i},{float(p[0])!r},{float(p[1])!r},{lab}\n")
-        except OSError as exc:
-            raise ConfigError(f"cannot write plan CSV {path}: {exc}") from exc
+        rows = ((i, x, y, lab) for i, ((x, y), lab) in enumerate(zip(pts, labels)))
+        files.write_text(path, files.csv_text("index,x,y,label", rows, "iffs"))
 
     def save_geojson(self, path) -> None:
         doc = {
@@ -173,11 +168,7 @@ class PathPlan:
                 "transit_length": self.transit_length,
             },
         }
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2)
-        except OSError as exc:
-            raise ConfigError(f"cannot write plan GeoJSON {path}: {exc}") from exc
+        files.write_json(path, doc)
 
 
 def cells_to_geojson(cells, path) -> None:
@@ -199,12 +190,7 @@ def cells_to_geojson(cells, path) -> None:
                 },
             }
         )
-    doc = {"type": "FeatureCollection", "features": features}
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-    except OSError as exc:
-        raise ConfigError(f"cannot write cells GeoJSON {path}: {exc}") from exc
+    files.write_json(path, {"type": "FeatureCollection", "features": features})
 
 
 def _check_sweep_args(delta: float, sweep_dir: float) -> None:

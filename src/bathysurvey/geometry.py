@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import files
 from .errors import ConfigError, GeometryError
 
 TWO_PI = 2.0 * math.pi
@@ -472,30 +473,12 @@ def simplify_closed_curve(points: np.ndarray, tol: float) -> np.ndarray:
 
 def load_polygon(path) -> Polygon:
     """Read a polygon file: one 'x,y' vertex per line, '#' starts a comment."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read polygon file {path}: {exc}") from exc
-    verts = []
-    for ln, raw in enumerate(lines, start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
-        parts = text.replace(",", " ").split()
-        if len(parts) != 2:
-            raise ConfigError(f"{path}:{ln}: expected 'x,y', got {raw.strip()!r}")
-        try:
-            verts.append((float(parts[0]), float(parts[1])))
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{ln}: bad number in {raw.strip()!r}") from exc
+    verts = [files.numbers(path, row, 2) for row in files.read_rows(path)]
     if not verts:
         raise ConfigError(f"polygon file {path} contains no vertices")
     return Polygon(verts)
 
 
 def save_polygon(poly: Polygon, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# polygon vertices, one 'x,y' per line, counter-clockwise\n")
-        for x, y in poly.vertices:
-            fh.write(f"{float(x)!r},{float(y)!r}\n")
+    header = "# polygon vertices, one 'x,y' per line, counter-clockwise"
+    files.write_text(path, files.csv_text(header, poly.vertices, "ff"))

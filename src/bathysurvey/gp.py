@@ -29,6 +29,7 @@ from scipy.linalg.lapack import dpotri
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
+from . import files
 from .errors import ConfigError, EmptyModelError, FactorizationError
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -188,7 +189,14 @@ class _Buffers:
         self.L = np.zeros((cap, cap))
         self.solved = np.zeros((cap, 2))
 
-    def grown(self, n: int, new_cap: int) -> "_Buffers":
+    def with_room(self, n: int, need: int) -> "_Buffers":
+        """These buffers if `need` rows fit, else a copy of the first n
+        rows with the capacity doubled until they fit."""
+        if need <= self.cap:
+            return self
+        new_cap = self.cap
+        while new_cap < need:
+            new_cap *= 2
         out = _Buffers(new_cap)
         out.x[:n] = self.x[:n]
         out.y[:n] = self.y[:n]
@@ -379,27 +387,7 @@ class GpModel:
         if len(ys) == 0:
             return
         with self._lock:
-            st = self._state
-            n, m = st.n, len(ys)
-            h = st.hypers
-            k12 = kernel_matrix(st.X, xs, h)
-            k22 = kernel_matrix(xs, xs, h) + h.sigma_n2 * np.eye(m)
-            try:
-                s12, s22 = _extend_blocks(st.L, k12, k22)
-            except FactorizationError:
-                k22 = k22 + JITTER_SCALE * h.sigma_f2 * np.eye(m)
-                s12, s22 = _extend_blocks(st.L, k12, k22)
-            bufs = self._bufs_for(n + m)
-            rhs = np.column_stack([ys, np.ones(m)])
-            if n:
-                rhs -= s12.T @ bufs.solved[:n]
-            bufs.x[n : n + m] = xs
-            bufs.y[n : n + m] = ys
-            bufs.L[:n, n : n + m] = s12
-            bufs.L[n : n + m, n : n + m] = s22
-            bufs.solved[n : n + m] = solve_triangular(s22, rhs, trans="T", lower=False, check_finite=False)
-            y_mean = float(bufs.y[: n + m].mean()) if st.subtract_mean else 0.0
-            self._state = GpState(bufs, n + m, h, st.subtract_mean, y_mean)
+            self._state = _extended(self._state, xs, ys)
 
     def set_hypers(self, hypers: HyperParams) -> None:
         """Swap hyper-parameters, refactoring K_y from scratch."""
@@ -407,72 +395,57 @@ class GpModel:
             hypers = HyperParams.from_array(np.asarray(hypers, dtype=float))
         with self._lock:
             st = self._state
-            n = st.n
-            bufs = _Buffers(max(self._state._bufs.cap, n))
-            if n:
-                bufs.x[:n] = st.X
-                bufs.y[:n] = st.y
-                k = kernel_matrix(bufs.x[:n], bufs.x[:n], hypers) + hypers.sigma_n2 * np.eye(n)
-                try:
-                    fac = cholesky(k, lower=False, check_finite=False)
-                except np.linalg.LinAlgError:
-                    k = k + JITTER_SCALE * hypers.sigma_f2 * np.eye(n)
-                    try:
-                        fac = cholesky(k, lower=False, check_finite=False)
-                    except np.linalg.LinAlgError as exc:
-                        raise FactorizationError(f"rebuild with new hypers failed: {exc}") from exc
-                bufs.L[:n, :n] = fac
-                bufs.solved[:n] = solve_triangular(
-                    fac, np.column_stack([bufs.y[:n], np.ones(n)]), trans="T", lower=False, check_finite=False
-                )
-                y_mean = float(bufs.y[:n].mean()) if st.subtract_mean else 0.0
-            else:
-                y_mean = 0.0
-            self._state = GpState(bufs, n, hypers, st.subtract_mean, y_mean)
-
-    def _bufs_for(self, need: int) -> _Buffers:
-        bufs = self._state._bufs
-        if need > bufs.cap:
-            new_cap = bufs.cap
-            while new_cap < need:
-                new_cap *= 2
-            bufs = bufs.grown(self._state.n, new_cap)
-        return bufs
+            empty = GpState(_Buffers(st._bufs.cap), 0, hypers, st.subtract_mean, 0.0)
+            self._state = _extended(empty, st.X, st.y) if st.n else empty
 
     # -- persistence -----------------------------------------------------
 
     def save_checkpoint(self, path) -> None:
         """Write hypers plus training rows as columnar text."""
         st = self._state
-        h = st.hypers
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("sigma_f2,sigma_n2,length_scale\n")
-            fh.write(f"{h.sigma_f2!r},{h.sigma_n2!r},{h.length_scale!r}\n")
-            fh.write("x,y,depth\n")
-            for (x, y), z in zip(st.X, st.y):
-                fh.write(f"{float(x)!r},{float(y)!r},{float(z)!r}\n")
+        text = files.csv_text("sigma_f2,sigma_n2,length_scale", [st.hypers.as_array()], "fff")
+        files.write_text(path, text + files.csv_text("x,y,depth", np.column_stack([st.X, st.y]), "fff"))
 
     @classmethod
-    def load_checkpoint(cls, path, subtract_mean: bool = False) -> "GpModel":
-        """Rebuild a model from a checkpoint with one deterministic batch append."""
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                lines = [ln.strip() for ln in fh if ln.strip()]
-        except OSError as exc:
-            raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
-        if len(lines) < 3 or lines[0] != "sigma_f2,sigma_n2,length_scale" or lines[2] != "x,y,depth":
+    def load_checkpoint(cls, path, subtract_mean: bool = True) -> "GpModel":
+        """Rebuild a model from a checkpoint with one deterministic batch append.
+
+        Missions and `gp-fit` save centred models, so the model comes
+        back centred unless subtract_mean=False.
+        """
+        rows = files.read_rows(path)
+        if len(rows) < 3 or rows[0][1] != ["sigma_f2", "sigma_n2", "length_scale"] or rows[2][1] != ["x", "y", "depth"]:
             raise ConfigError(f"{path} is not a model checkpoint")
-        try:
-            hypers = HyperParams.from_array([float(tok) for tok in lines[1].split(",")])
-            rows = np.array([[float(tok) for tok in ln.split(",")] for ln in lines[3:]])
-        except ValueError as exc:
-            raise ConfigError(f"bad number in checkpoint {path}: {exc}") from exc
-        model = cls(hypers, subtract_mean=subtract_mean)
-        if len(rows):
-            if rows.shape[1] != 3:
-                raise ConfigError(f"{path}: data rows must be x,y,depth")
-            model.append(rows[:, :2], rows[:, 2])
+        model = cls(HyperParams.from_array(files.numbers(path, rows[1], 3)), subtract_mean=subtract_mean)
+        if len(rows) > 3:
+            data = np.array([files.numbers(path, row, 3) for row in rows[3:]])
+            model.append(data[:, :2], data[:, 2])
         return model
+
+
+def _extended(st: GpState, xs: np.ndarray, ys: np.ndarray) -> GpState:
+    """The state `st` plus observations, with the factor extended and
+    the jitter retry as `append` describes; `st` itself stays valid."""
+    n, m = st.n, len(ys)
+    h = st.hypers
+    k12 = kernel_matrix(st.X, xs, h)
+    k22 = kernel_matrix(xs, xs, h) + h.sigma_n2 * np.eye(m)
+    try:
+        s12, s22 = _extend_blocks(st.L, k12, k22)
+    except FactorizationError:
+        k22 = k22 + JITTER_SCALE * h.sigma_f2 * np.eye(m)
+        s12, s22 = _extend_blocks(st.L, k12, k22)
+    bufs = st._bufs.with_room(n, n + m)
+    rhs = np.column_stack([ys, np.ones(m)])
+    if n:
+        rhs -= s12.T @ bufs.solved[:n]
+    bufs.x[n : n + m] = xs
+    bufs.y[n : n + m] = ys
+    bufs.L[:n, n : n + m] = s12
+    bufs.L[n : n + m, n : n + m] = s22
+    bufs.solved[n : n + m] = solve_triangular(s22, rhs, trans="T", lower=False, check_finite=False)
+    y_mean = float(bufs.y[: n + m].mean()) if st.subtract_mean else 0.0
+    return GpState(bufs, n + m, h, st.subtract_mean, y_mean)
 
 
 def _lml_and_grad(h: HyperParams, yc: np.ndarray, d2: np.ndarray):

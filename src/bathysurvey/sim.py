@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import files
 from .contour import ContourFollower, FollowerConfig, Pose, closure_index
 from .coverage import PathPlan, cells_to_geojson, plan_coverage
 from .errors import ConfigError, GeometryError, MissionAbort, SurveyError
@@ -293,8 +294,7 @@ def _parse_setting(key: str, raw: str):
         if key in ("loop_buffer", "seed"):
             return int(raw)
         if key == "start":
-            x, y = (float(tok) for tok in raw.replace(";", ",").split(","))
-            return (x, y)
+            return files.parse_point(raw)
         if key in ("closure_radius", "max_turn_rate"):
             if raw.lower() in ("none", "inf", "infinity", ""):
                 return None
@@ -347,28 +347,13 @@ class MissionLog:
         An existing manifest.json (written before execution by the CLI)
         is left untouched; otherwise one is created here.
         """
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        written = []
-
-        with open(out / "trace.csv", "w", encoding="utf-8") as fh:
-            fh.write(",".join(TRACE_COLUMNS) + "\n")
-            for t, x, y, psi, mode, z, zp, found in self.trace:
-                row = [repr(float(v)) for v in (t, x, y, psi)] + [mode, repr(float(z)), repr(float(zp)), str(int(found))]
-                fh.write(",".join(row) + "\n")
-        written.append("trace.csv")
-
-        with open(out / "measurements.csv", "w", encoding="utf-8") as fh:
-            fh.write("t,x,y,depth\n")
-            for t, x, y, z in self.measurements:
-                fh.write(",".join(repr(float(v)) for v in (t, x, y, z)) + "\n")
-        written.append("measurements.csv")
-
-        with open(out / "hypers.csv", "w", encoding="utf-8") as fh:
-            fh.write("t,sigma_f2,sigma_n2,length_scale,lml,converged,n\n")
-            for t, h, lml, converged, n in self.hyper_history:
-                fh.write(f"{t!r},{h.sigma_f2!r},{h.sigma_n2!r},{h.length_scale!r},{lml!r},{int(converged)},{n}\n")
-        written.append("hypers.csv")
+        out = files.make_dir(out_dir)
+        files.write_text(out / "trace.csv", files.csv_text(",".join(TRACE_COLUMNS), self.trace, "ffffsffi"))
+        files.write_text(out / "measurements.csv", files.csv_text("t,x,y,depth", self.measurements, "ffff"))
+        header = "t,sigma_f2,sigma_n2,length_scale,lml,converged,n"
+        hypers = [(t, *h.as_array(), lml, converged, n) for t, h, lml, converged, n in self.hyper_history]
+        files.write_text(out / "hypers.csv", files.csv_text(header, hypers, "fffffii"))
+        written = ["trace.csv", "measurements.csv", "hypers.csv"]
 
         if len(self.boundary_trace):
             doc = {
@@ -379,8 +364,7 @@ class MissionLog:
                 },
                 "properties": {"closed": self.closed},
             }
-            with open(out / "boundary.geojson", "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2)
+            files.write_json(out / "boundary.geojson", doc)
             written.append("boundary.geojson")
 
         if self.cells:
@@ -409,8 +393,7 @@ class MissionLog:
                 "sim_time": self.sim_time,
                 "files": written,
             }
-            with open(manifest, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
+            files.write_json(manifest, doc, sort_keys=True)
             written.append("manifest.json")
         return written
 
@@ -642,18 +625,11 @@ def _field_from_section(items: dict, base_dir: Path):
 def load_grid_field(path) -> GridField:
     """Read a grid field file: header 'x0,y0,dx,dy' then one CSV row of
     depths per grid row (south to north)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
-    except OSError as exc:
-        raise ConfigError(f"cannot read grid field {path}: {exc}") from exc
-    if len(lines) < 3:
+    rows = files.read_rows(path)
+    if len(rows) < 3:
         raise ConfigError(f"grid field {path} needs a header and at least two rows")
-    try:
-        x0, y0, dx, dy = (float(tok) for tok in lines[0].split(","))
-        values = np.array([[float(tok) for tok in ln.split(",")] for ln in lines[1:]])
-    except ValueError as exc:
-        raise ConfigError(f"bad number in grid field {path}: {exc}") from exc
+    x0, y0, dx, dy = files.numbers(path, rows[0], 4)
+    values = np.array([files.numbers(path, row, len(rows[1][1])) for row in rows[1:]])
     return GridField(x0, y0, dx, dy, values)
 
 

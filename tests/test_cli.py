@@ -150,6 +150,24 @@ def test_gp_fit_checkpoint(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_gp_fit_reads_a_first_row_in_exponent_form(tmp_path, capsys):
+    data = tmp_path / "soundings.csv"
+    data.write_text("1e-3,0,5.0\n10,0,5.2\n0,10,4.9\n10,10,5.1\n")
+    assert main(["gp-fit", str(data), "--out", str(tmp_path / "fit")]) == 0
+    assert "fitted 4 points" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["run", "plan", "gp-fit"])
+def test_unwritable_output_exits_2(tmp_path, square_file, capsys, command):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    data = tmp_path / "soundings.csv"
+    data.write_text("x,y,depth\n0,0,5.0\n10,0,5.2\n0,10,4.9\n")
+    args = {"run": ["run"], "plan": ["plan", "--polygon", str(square_file)], "gp-fit": ["gp-fit", str(data)]}[command]
+    assert main([*args, "--out", str(blocker / "sub")]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_bench_ops_prints_model_ratio(tmp_path, capsys):
     code = main(["bench-ops", "500", "50", "--out", str(tmp_path / "bench")])
     stdout = capsys.readouterr().out

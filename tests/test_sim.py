@@ -10,6 +10,7 @@ import pytest
 from bathysurvey.contour import Pose
 from bathysurvey.errors import ConfigError, GeometryError
 from bathysurvey.geometry import Polygon
+from bathysurvey.gp import GpModel
 from bathysurvey.sim import (
     GaussianSumField,
     GridField,
@@ -283,6 +284,15 @@ def test_mission_log_save(tmp_path):
     written2 = log.save(out2)
     assert "manifest.json" not in written2
     assert json.loads((out2 / "manifest.json").read_text()) == {"sentinel": True}
+
+
+def test_saved_mission_model_reloads_as_the_mission_model(tmp_path, canonical_run):
+    log, _ = canonical_run
+    path = tmp_path / "gp_checkpoint.csv"
+    log.model.save_checkpoint(path)
+    clone = GpModel.load_checkpoint(path)
+    q = np.array([[400.0, 100.0], [250.0, 350.0], [600.0, 500.0]])
+    assert np.abs(clone.predict_mean(q) - log.model.predict_mean(q)).max() < 1e-6
 
 
 def test_plane_mission_tracks_and_walls():
