@@ -6,8 +6,9 @@ this file parses arguments, wires files, and maps errors to exit codes
 (0 success, 2 config error, 3 geometry error, 4 numerical failure,
 5 mission abort); an unreadable input or an unwritable output exits 2.
 Every subcommand writes a manifest.json describing its inputs before
-doing any work; the default output root comes from the BATHYSURVEY_OUT
-environment variable.
+doing any work, and `run` adds the mission's outcome and the files it
+wrote once the mission ends; the default output root comes from the
+BATHYSURVEY_OUT environment variable.
 """
 
 from __future__ import annotations

@@ -28,6 +28,7 @@ from .geometry import (
     bearing_to_unit,
     crossed_edge,
     edge_vertex_ahead,
+    nearest_boundary_point,
     next_edge,
     normalize_bearing,
     point_in_polygon,
@@ -177,8 +178,6 @@ class ContourFollower:
         pos = pose.position
         if not point_in_polygon(pos, poly):
             warnings.warn(f"pose {tuple(pos)} outside the survey polygon; computing from the nearest boundary point")
-            from .geometry import nearest_boundary_point
-
             pos = nearest_boundary_point(pos, poly)
         st.heading_ema = ema_heading(st.heading_ema, pose.psi, dt, cfg.ema_half_life)
 

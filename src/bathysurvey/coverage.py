@@ -38,6 +38,7 @@ from .geometry import (
     points_in_polygon,
     ray_cross_polygon,
     segment_in_polygon,
+    segments_in_polygon,
     trace_boundary,
 )
 
@@ -45,8 +46,6 @@ from .geometry import (
 _VERTEX_NUDGE = 1e-9
 #: relative slack when snapping trackline positions onto the sweep grid
 _GRID_SNAP = 1e-7
-#: transit-grid edges whose samples go through one containment call
-_EDGE_CHUNK = 256
 
 
 def sweep_frame(sweep_dir: float) -> tuple[np.ndarray, np.ndarray]:
@@ -117,10 +116,6 @@ class PathPlan:
         """All plan waypoints in visit order, consecutive duplicates removed."""
         return self._flat()[0]
 
-    @property
-    def labels(self) -> list:
-        return self._flat()[1]
-
     def _flat(self):
         pts, labels = [], []
         for seg in self.segments:
@@ -133,21 +128,12 @@ class PathPlan:
 
     @property
     def total_length(self) -> float:
-        pts = self.waypoints
-        if len(pts) < 2:
-            return 0.0
-        return float(np.hypot(*np.diff(pts, axis=0).T).sum())
+        return _path_length(self.waypoints)
 
     @property
     def transit_length(self) -> float:
-        total = 0.0
-        for seg in self.segments:
-            if seg.kind != "transit":
-                continue
-            pts = np.asarray(seg.points, dtype=float)
-            if len(pts) >= 2:
-                total += float(np.hypot(*np.diff(pts, axis=0).T).sum())
-        return total
+        transits = (seg.points for seg in self.segments if seg.kind == "transit")
+        return sum((_path_length(np.asarray(pts, dtype=float)) for pts in transits), 0.0)
 
     def save_csv(self, path) -> None:
         pts, labels = self._flat()
@@ -407,6 +393,21 @@ def _densify(a, b, delta: float) -> np.ndarray:
     return a + frac * (b - a)
 
 
+def _densify_path(start, stations, delta: float) -> np.ndarray:
+    """Polyline from start through each station in turn, spacing at most
+    delta; each leg starts at the point where the previous one ended."""
+    way = [np.asarray(start, dtype=float)]
+    for station in stations:
+        way.extend(_densify(way[-1], station, delta)[1:])
+    return np.asarray(way, dtype=float).reshape(-1, 2)
+
+
+def _path_length(pts: np.ndarray) -> float:
+    if len(pts) < 2:
+        return 0.0
+    return float(np.hypot(*np.diff(pts, axis=0).T).sum())
+
+
 def _hop_stations(chains, t_from: float, t_to: float, high_side: bool, delta: float, u, v) -> list:
     """Intermediate hop waypoints on the shrunk boundary between tracks.
 
@@ -469,15 +470,10 @@ def lawnmower_cell(cell: Cell, entry_corner: int, delta: float, sweep_dir: float
         track = _densify(t * u + s_from * v, t * u + s_to * v, delta)
         if pts:
             high_side = ((i - 1) % 2 == 0) == low_first  # side the last track ended on
-            hop: list = []
-            for station in _hop_stations(chains, float(ts[i - 1]), float(t), high_side, delta, u, v):
-                leg = _densify(hop[-1] if hop else pts[-1], station, delta)
-                hop.extend(leg[1:])
-            leg = _densify(hop[-1] if hop else pts[-1], track[0], delta)
-            hop.extend(leg[1:])
+            stations = _hop_stations(chains, float(ts[i - 1]), float(t), high_side, delta, u, v)
             if outline is None:
                 outline = cell.outline()
-            hop = _clamp_to_cell(hop, outline)
+            hop = _clamp_to_cell(_densify_path(pts[-1], [*stations, track[0]], delta)[1:], outline)
             # clamping can collapse neighbours onto one outline vertex;
             # a duplicated waypoint would read as a zero-length trackline
             for q in hop[:-1]:
@@ -539,10 +535,9 @@ class _TransitGrid:
     def edges(self) -> dict:
         """Clearance of every edge between neighbouring inside nodes.
 
-        Keyed (low, high) in tuple order. Each edge is sampled from its low
-        node exactly as segment_in_polygon samples it at step delta/3, but
-        all edges go through points_in_polygon together, grouped by sample
-        count and in chunks of _EDGE_CHUNK edges.
+        Keyed (low, high) in tuple order: each edge from its low node
+        through segments_in_polygon at step delta/3, as reachable_node
+        tests its lines of sight.
         """
         nt, ns = self.shape
         ij = np.asarray(self._node_list, dtype=int).reshape(-1, 2)
@@ -556,18 +551,7 @@ class _TransitGrid:
             lows.append(on_grid[nb >= 0])
             highs.append(nb[nb >= 0])
         lo, hi = np.concatenate(lows), np.concatenate(highs)
-        p = self._world[lo]
-        d = self._world[hi] - p
-        step = max(self.delta / 3.0, 1e-9)
-        k = np.maximum(2, np.ceil(np.hypot(d[:, 0], d[:, 1]) / step).astype(int) + 1)
-        clear = np.empty(len(lo), dtype=bool)
-        for kk in np.unique(k):
-            ts = np.linspace(0.0, 1.0, int(kk))
-            group = np.flatnonzero(k == kk)
-            for c in range(0, len(group), _EDGE_CHUNK):
-                e = group[c : c + _EDGE_CHUNK]
-                pts = p[e, None, :] + ts[None, :, None] * d[e, None, :]
-                clear[e] = points_in_polygon(pts.reshape(-1, 2), self.poly).reshape(len(e), -1).all(axis=1)
+        clear = segments_in_polygon(self._world[lo], self._world[hi], self.poly, self.delta / 3.0)
         node_at = self._node_list
         return {(node_at[a], node_at[b]): ok for a, b, ok in zip(lo.tolist(), hi.tolist(), clear.tolist())}
 
@@ -636,12 +620,6 @@ class _TransitGrid:
         return None
 
 
-def _path_length(pts: np.ndarray) -> float:
-    if len(pts) < 2:
-        return 0.0
-    return float(np.hypot(*np.diff(pts, axis=0).T).sum())
-
-
 def plan_transit(position, targets, poly: Polygon, delta: float, grid: _TransitGrid | None = None):
     """Route from `position` to the best of `targets` inside the polygon.
 
@@ -690,12 +668,7 @@ def plan_transit(position, targets, poly: Polygon, delta: float, grid: _TransitG
         node_path = grid.astar(start, goal)
         if node_path is None:
             continue
-        stations = [pos] + [grid.to_world(n) for n in node_path] + [targets[i]]
-        way = [pos]
-        for nxt in stations[1:]:
-            leg = _densify(way[-1], nxt, delta)
-            way.extend(leg[1:])
-        way = np.asarray(way, dtype=float).reshape(-1, 2)
+        way = _densify_path(pos, [*(grid.to_world(n) for n in node_path), targets[i]], delta)
         if not bool(points_in_polygon(way, poly).all()):
             continue  # a grazing leg slipped outside between samples
         length = _path_length(way)

@@ -40,6 +40,14 @@ def write_json(path, doc, sort_keys: bool = False) -> None:
     write_text(path, json.dumps(doc, indent=2, sort_keys=sort_keys))
 
 
+def read_json(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {path} as JSON: {exc}") from exc
+
+
 def make_dir(path) -> Path:
     path = Path(path)
     try:

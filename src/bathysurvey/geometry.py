@@ -7,6 +7,11 @@ zero pointing along +y (north), positive clockwise, normalized to
 Polygons are simple (non self-intersecting), stored counter-clockwise,
 with no consecutive duplicate vertices. Containment tests are
 boundary-inclusive within a 1e-9 tolerance.
+
+Each polygon question has one routine, which every caller shares:
+points_in_polygon (containment), _closest_on_edges (closest point of
+each edge), _edge_crossings (where a line meets each edge) and
+segments_in_polygon (whether sampled straight segments stay inside).
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ from .errors import ConfigError, GeometryError
 
 TWO_PI = 2.0 * math.pi
 BOUNDARY_TOL = 1e-9
+#: segments whose samples go through one containment call
+_SEGMENT_CHUNK = 256
 
 
 def normalize_bearing(psi: float) -> float:
@@ -41,11 +48,6 @@ def bearing_between(p_from, p_to) -> float:
 def bearing_to_unit(psi: float) -> np.ndarray:
     """Unit vector (dx, dy) for a compass bearing."""
     return np.array([math.sin(psi), math.cos(psi)])
-
-
-def angular_difference(a: float, b: float) -> float:
-    """Absolute wrapped difference between two bearings, in [0, pi]."""
-    return abs(normalize_bearing(a - b))
 
 
 @dataclass(frozen=True)
@@ -140,16 +142,6 @@ class Polygon:
         v = self.vertices
         return (v[:, 0].min(), v[:, 1].min(), v[:, 0].max(), v[:, 1].max())
 
-    def edge(self, i: int):
-        v = self.vertices
-        return v[i % len(v)], v[(i + 1) % len(v)]
-
-    def edges(self):
-        return zip(self.vertices, self._edge_ends)
-
-    def contains(self, p, tol: float = BOUNDARY_TOL) -> bool:
-        return point_in_polygon(p, self, tol)
-
 
 def _signed_area2(v: np.ndarray) -> float:
     x, y = v[:, 0], v[:, 1]
@@ -183,35 +175,21 @@ def _on_segment_bbox(a, b, c, eps: float) -> bool:
     )
 
 
-def _edge_arrays(poly: Polygon):
-    return poly.vertices, poly._edge_ends
-
-
-def distance_to_boundary(p, poly: Polygon) -> float:
-    """Euclidean distance from p to the polygon boundary."""
-    a, b = _edge_arrays(poly)
-    return float(_point_segment_distances(np.asarray(p, dtype=float), a, b).min())
-
-
-def _point_segment_distances(p, a, b):
-    e = b - a
-    w = p - a
+def _closest_on_edges(pts: np.ndarray, poly: Polygon):
+    """Closest point of every edge to each of the (m, 2) points, (m, n, 2),
+    and its parameter in [0, 1] along the edge, (m, n)."""
+    a = poly.vertices
+    e = poly._edge_ends - a
     lens2 = np.einsum("ij,ij->i", e, e)
-    t = np.clip(np.einsum("ij,ij->i", w, e) / np.where(lens2 > 0, lens2, 1.0), 0.0, 1.0)
-    closest = a + t[:, None] * e
-    return np.hypot(*(p - closest).T)
+    t = np.clip(np.einsum("mij,ij->mi", pts[:, None, :] - a, e) / np.where(lens2 > 0, lens2, 1.0), 0.0, 1.0)
+    return a + t[..., None] * e, t
 
 
 def nearest_boundary_point(p, poly: Polygon) -> np.ndarray:
     """Closest point on the polygon boundary to p."""
     p = np.asarray(p, dtype=float)
-    a, b = _edge_arrays(poly)
-    e = b - a
-    lens2 = np.einsum("ij,ij->i", e, e)
-    t = np.clip(np.einsum("ij,ij->i", p - a, e) / np.where(lens2 > 0, lens2, 1.0), 0.0, 1.0)
-    closest = a + t[:, None] * e
-    d = np.hypot(*(p - closest).T)
-    return closest[int(np.argmin(d))]
+    closest = _closest_on_edges(p[None, :], poly)[0][0]
+    return closest[int(np.argmin(np.hypot(*(p - closest).T)))]
 
 
 def point_in_polygon(p, poly: Polygon, tol: float = BOUNDARY_TOL) -> bool:
@@ -227,17 +205,11 @@ def points_in_polygon(points, poly: Polygon, tol: float = BOUNDARY_TOL) -> np.nd
     the edge distances are computed only for the points parity rejects.
     """
     pts = np.asarray(points, dtype=float)
-    a, b = _edge_arrays(poly)
-    inside = _crossing_parity(pts, a, b)
+    inside = _crossing_parity(pts, poly.vertices, poly._edge_ends)
     if tol > 0.0 and not inside.all():
         out = ~inside
         q = pts[out]
-        e = b - a
-        lens2 = np.einsum("ij,ij->i", e, e)
-        w = q[:, None, :] - a[None, :, :]
-        t = np.clip(np.einsum("mij,ij->mi", w, e) / np.where(lens2 > 0, lens2, 1.0), 0.0, 1.0)
-        closest = a[None, :, :] + t[..., None] * e[None, :, :]
-        d2 = ((q[:, None, :] - closest) ** 2).sum(axis=2)
+        d2 = ((q[:, None, :] - _closest_on_edges(q, poly)[0]) ** 2).sum(axis=2)
         inside[out] = d2.min(axis=1) <= tol * tol
     return inside
 
@@ -255,6 +227,19 @@ def _crossing_parity(pts, a, b):
     return hits.sum(axis=1) % 2 == 1
 
 
+def _edge_crossings(o: np.ndarray, d: np.ndarray, poly: Polygon):
+    """t and s where the line o + t d meets each edge's line a + s (b - a),
+    and the mask of edges not parallel to d; callers apply their own tolerances."""
+    a = poly.vertices
+    e = poly._edge_ends - a
+    denom = d[0] * e[:, 1] - d[1] * e[:, 0]
+    w = a - o
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (w[:, 0] * e[:, 1] - w[:, 1] * e[:, 0]) / denom
+        s = (w[:, 0] * d[1] - w[:, 1] * d[0]) / denom
+    return t, s, np.abs(denom) > 1e-15
+
+
 def ray_cross_polygon(origin, bearing: float, poly: Polygon) -> np.ndarray:
     """Points where a ray from origin crosses the polygon boundary.
 
@@ -264,31 +249,16 @@ def ray_cross_polygon(origin, bearing: float, poly: Polygon) -> np.ndarray:
     """
     o = np.asarray(origin, dtype=float)
     d = bearing_to_unit(bearing)
-    a, b = _edge_arrays(poly)
-    e = b - a
-    denom = d[0] * e[:, 1] - d[1] * e[:, 0]
-    w = a - o
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (w[:, 0] * e[:, 1] - w[:, 1] * e[:, 0]) / denom
-        s = (w[:, 0] * d[1] - w[:, 1] * d[0]) / denom
-    ok = (np.abs(denom) > 1e-15) & (s >= -1e-12) & (s < 1.0 - 1e-12) & (t >= -1e-12)
-    ts = np.sort(t[ok])
+    t, s, ok = _edge_crossings(o, d, poly)
+    ts = np.sort(t[ok & (s >= -1e-12) & (s < 1.0 - 1e-12) & (t >= -1e-12)])
     return o + ts[:, None] * d[None, :]
 
 
 def crossed_edge(poly: Polygon, p_from, p_to) -> int:
     """Index of the polygon edge crossed first by the segment p_from -> p_to."""
     p = np.asarray(p_from, dtype=float)
-    q = np.asarray(p_to, dtype=float)
-    d = q - p
-    a, b = _edge_arrays(poly)
-    e = b - a
-    denom = d[0] * e[:, 1] - d[1] * e[:, 0]
-    w = a - p
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (w[:, 0] * e[:, 1] - w[:, 1] * e[:, 0]) / denom
-        s = (w[:, 0] * d[1] - w[:, 1] * d[0]) / denom
-    ok = (np.abs(denom) > 1e-15) & (s >= -1e-9) & (s <= 1.0 + 1e-9) & (t >= -1e-9) & (t <= 1.0 + 1e-9)
+    t, s, ok = _edge_crossings(p, np.asarray(p_to, dtype=float) - p, poly)
+    ok &= (s >= -1e-9) & (s <= 1.0 + 1e-9) & (t >= -1e-9) & (t <= 1.0 + 1e-9)
     if not ok.any():
         raise GeometryError("segment does not cross the polygon boundary")
     idx = np.where(ok)[0]
@@ -311,30 +281,32 @@ def edge_vertex_ahead(poly: Polygon, edge: int, direction: int) -> np.ndarray:
     return v[(edge + 1) % n] if direction == 1 else v[edge % n]
 
 
-def _locate_on_boundary(p, poly: Polygon, snap: float):
-    """(edge index, param in [0,1)) of a point on the boundary, vertex -> (edge, 0)."""
-    p = np.asarray(p, dtype=float)
-    a, b = _edge_arrays(poly)
-    e = b - a
-    lens = np.hypot(e[:, 0], e[:, 1])
-    t = np.clip(np.einsum("ij,ij->i", p - a, e) / lens**2, 0.0, 1.0)
-    d = np.hypot(*(p - (a + t[:, None] * e)).T)
-    cands = np.where(d <= snap)[0]
-    if len(cands) == 0:
-        raise GeometryError(f"point {tuple(p)} is not on the polygon boundary (snap {snap})")
+def _locate_on_boundary(points, poly: Polygon, snap: float) -> list:
+    """(edge index, param in [0,1)) of each boundary point of an (m, 2) array, vertex -> (edge, 0)."""
+    pts = np.asarray(points, dtype=float)
+    closest, t = _closest_on_edges(pts, poly)
+    diff = pts[:, None, :] - closest
+    dist = np.hypot(diff[..., 0], diff[..., 1])
+    lens = np.hypot(*(poly._edge_ends - poly.vertices).T)
     n = len(poly)
-    best = None
-    for i in cands:
-        ti = t[i]
-        ei = int(i)
-        if ti * lens[i] >= lens[i] - snap:  # at the far vertex: belongs to the next edge
-            ei, ti = (ei + 1) % n, 0.0
-        elif ti * lens[i] <= snap:
-            ti = 0.0
-        key = (d[i], ti)
-        if best is None or key < best[0]:
-            best = (key, ei, ti)
-    return best[1], best[2]
+    out = []
+    for p, d, tp in zip(pts, dist, t):
+        cands = np.where(d <= snap)[0]
+        if len(cands) == 0:
+            raise GeometryError(f"point {tuple(p)} is not on the polygon boundary (snap {snap})")
+        best = None
+        for i in cands:
+            ti = tp[i]
+            ei = int(i)
+            if ti * lens[i] >= lens[i] - snap:  # at the far vertex: belongs to the next edge
+                ei, ti = (ei + 1) % n, 0.0
+            elif ti * lens[i] <= snap:
+                ti = 0.0
+            key = (d[i], ti)
+            if best is None or key < best[0]:
+                best = (key, ei, ti)
+        out.append(best[1:])
+    return out
 
 
 def trace_boundary(p_from, p_to, poly: Polygon, snap: float = 1e-6) -> list:
@@ -343,8 +315,7 @@ def trace_boundary(p_from, p_to, poly: Polygon, snap: float = 1e-6) -> list:
     Endpoints are excluded. Both points must lie on the boundary within
     `snap`. Same-edge points with p_to ahead of p_from give [].
     """
-    e_from, s_from = _locate_on_boundary(p_from, poly, snap)
-    e_to, s_to = _locate_on_boundary(p_to, poly, snap)
+    (e_from, s_from), (e_to, s_to) = _locate_on_boundary([p_from, p_to], poly, snap)
     n = len(poly)
     v = poly.vertices
     if e_from == e_to and s_to >= s_from - 1e-12:
@@ -372,7 +343,7 @@ def arc_within_polygon(p, poly: Polygon, radius: float) -> tuple:
     if radius <= 0.0:
         raise GeometryError(f"radius must be positive, got {radius}")
     hits = []
-    for a, b in poly.edges():
+    for a, b in zip(poly.vertices, poly._edge_ends):
         e = b - a
         w = a - p
         qa = float(e @ e)
@@ -421,13 +392,26 @@ def arc_within_polygon(p, poly: Polygon, radius: float) -> tuple:
 
 def segment_in_polygon(p, q, poly: Polygon, step: float) -> bool:
     """True if the straight segment p->q stays inside poly, sampled every `step`."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    length = float(np.hypot(*(q - p)))
-    k = max(2, int(math.ceil(length / max(step, 1e-9))) + 1)
-    ts = np.linspace(0.0, 1.0, k)
-    pts = p[None, :] + ts[:, None] * (q - p)[None, :]
-    return bool(points_in_polygon(pts, poly).all())
+    return bool(segments_in_polygon(p, q, poly, step)[0])
+
+
+def segments_in_polygon(p, q, poly: Polygon, step: float) -> np.ndarray:
+    """Per row of the (m, 2) arrays p and q, True if the segment p->q stays
+    inside poly at max(2, ceil(length / step) + 1) evenly spaced samples,
+    ends included; segments with equal sample counts share containment
+    calls, _SEGMENT_CHUNK segments at a time."""
+    p = np.atleast_2d(np.asarray(p, dtype=float))
+    d = np.atleast_2d(np.asarray(q, dtype=float)) - p
+    k = np.maximum(2, np.ceil(np.hypot(d[:, 0], d[:, 1]) / max(step, 1e-9)).astype(int) + 1)
+    clear = np.empty(len(p), dtype=bool)
+    for kk in sorted(set(k.tolist())):
+        ts = np.linspace(0.0, 1.0, kk)
+        group = np.nonzero(k == kk)[0]
+        for c in range(0, len(group), _SEGMENT_CHUNK):
+            g = group[c : c + _SEGMENT_CHUNK]
+            pts = p[g, None, :] + ts[None, :, None] * d[g, None, :]
+            clear[g] = points_in_polygon(pts.reshape(-1, 2), poly).reshape(len(g), -1).all(axis=1)
+    return clear
 
 
 def douglas_peucker(points: np.ndarray, tol: float) -> np.ndarray:

@@ -75,6 +75,8 @@ class HyperParams:
 
 #: first-fit starting point when nothing better is known
 DEFAULT_HYPERS = HyperParams(1.0, 0.01, 10.0)
+#: hyper row columns of a checkpoint; a file without the last one predates it
+_CHECKPOINT_COLUMNS = ["sigma_f2", "sigma_n2", "length_scale", "subtract_mean"]
 
 
 @dataclass(frozen=True)
@@ -401,22 +403,28 @@ class GpModel:
     # -- persistence -----------------------------------------------------
 
     def save_checkpoint(self, path) -> None:
-        """Write hypers plus training rows as columnar text."""
+        """Write hypers, the mean flag and the training rows as columnar text."""
         st = self._state
-        text = files.csv_text("sigma_f2,sigma_n2,length_scale", [st.hypers.as_array()], "fff")
+        text = files.csv_text(",".join(_CHECKPOINT_COLUMNS), [(*st.hypers.as_array(), st.subtract_mean)], "fffi")
         files.write_text(path, text + files.csv_text("x,y,depth", np.column_stack([st.X, st.y]), "fff"))
 
     @classmethod
-    def load_checkpoint(cls, path, subtract_mean: bool = True) -> "GpModel":
+    def load_checkpoint(cls, path) -> "GpModel":
         """Rebuild a model from a checkpoint with one deterministic batch append.
 
-        Missions and `gp-fit` save centred models, so the model comes
-        back centred unless subtract_mean=False.
+        A checkpoint without the subtract_mean column, as written before
+        the column existed, comes back centred: missions and `gp-fit`
+        saved centred models.
         """
         rows = files.read_rows(path)
-        if len(rows) < 3 or rows[0][1] != ["sigma_f2", "sigma_n2", "length_scale"] or rows[2][1] != ["x", "y", "depth"]:
+        heads = (_CHECKPOINT_COLUMNS, _CHECKPOINT_COLUMNS[:3])
+        if len(rows) < 3 or rows[0][1] not in heads or rows[2][1] != ["x", "y", "depth"]:
             raise ConfigError(f"{path} is not a model checkpoint")
-        model = cls(HyperParams.from_array(files.numbers(path, rows[1], 3)), subtract_mean=subtract_mean)
+        values = files.numbers(path, rows[1], len(rows[0][1]))
+        centred = values[3] if len(values) > 3 else 1.0
+        if centred not in (0.0, 1.0):
+            raise ConfigError(f"{path}:{rows[1][0]}: subtract_mean must be 0 or 1, got {centred}")
+        model = cls(HyperParams.from_array(values[:3]), subtract_mean=bool(centred))
         if len(rows) > 3:
             data = np.array([files.numbers(path, row, 3) for row in rows[3:]])
             model.append(data[:, :2], data[:, 2])

@@ -344,8 +344,10 @@ class MissionLog:
     def save(self, out_dir) -> list:
         """Write all artifacts; returns the list of file names written.
 
-        An existing manifest.json (written before execution by the CLI)
-        is left untouched; otherwise one is created here.
+        The manifest records the outcome (aborted, closed, sim_time) and
+        the other files written. An existing manifest.json, written before
+        execution by the CLI, keeps its keys and gains those four;
+        otherwise one is created here.
         """
         out = files.make_dir(out_dir)
         files.write_text(out / "trace.csv", files.csv_text(",".join(TRACE_COLUMNS), self.trace, "ffffsffi"))
@@ -382,19 +384,20 @@ class MissionLog:
             written.append("gp_checkpoint.csv")
 
         manifest = out / "manifest.json"
-        if not manifest.exists():
+        if manifest.exists():
+            doc = files.read_json(manifest)
+            if not isinstance(doc, dict):
+                raise ConfigError(f"{manifest} does not hold a JSON object")
+        else:
             doc = {
                 "seed": self.config.seed,
                 "config_hash": self.config_hash,
                 "config": self.config.as_dict(),
                 "field": self.field_summary,
-                "aborted": self.aborted,
-                "closed": self.closed,
-                "sim_time": self.sim_time,
-                "files": written,
             }
-            files.write_json(manifest, doc, sort_keys=True)
-            written.append("manifest.json")
+        doc.update(aborted=self.aborted, closed=self.closed, sim_time=self.sim_time, files=list(written))
+        files.write_json(manifest, doc, sort_keys=True)
+        written.append("manifest.json")
         return written
 
 
@@ -460,7 +463,6 @@ def run_mission(cfg: MissionConfig, field, poly: Polygon) -> MissionLog:
     dt = 1.0 / cfg.control_rate
     eps_t = 1e-9 * dt
     sonar_period = 1.0 / cfg.sonar_rate
-    closure_radius = cfg.closure_radius if cfg.closure_radius is not None else 1.5 * cfg.search_radius
     reach = min(cfg.track_spacing / 2.0, 2.0 * cfg.speed / cfg.control_rate)
 
     state = VesselState(Pose(start[0], start[1], 0.0), cfg.speed, 0.0)
@@ -506,7 +508,7 @@ def run_mission(cfg: MissionConfig, field, poly: Polygon) -> MissionLog:
                         depth_tolerance=cfg.depth_tolerance,
                         ema_half_life=cfg.ema_half_life,
                         loop_buffer=cfg.loop_buffer,
-                        closure_radius=closure_radius,
+                        closure_radius=cfg.closure_radius,
                     ),
                     poly,
                     model,
@@ -523,7 +525,7 @@ def run_mission(cfg: MissionConfig, field, poly: Polygon) -> MissionLog:
                 mode = follower.state.mode.value
                 found = follower.state.found_contour
                 if follower.complete(pose):
-                    idx = closure_index(follower.state.trace, pos, cfg.loop_buffer, closure_radius)
+                    idx = closure_index(follower.state.trace, pos, cfg.loop_buffer, follower.cfg.closure_radius)
                     loop = np.asarray(follower.state.trace[idx:], dtype=float)
                     log.intersection = _trace_to_polygon(loop, cfg.track_spacing / 4.0, cfg.loop_buffer)
                     log.closed = True

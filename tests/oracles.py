@@ -163,7 +163,7 @@ def transit_all_targets(position, targets, poly, delta, grid=None):
     an A* route to every target, the shortest realized route winning
     and ties within 1e-12 m going to the lower target index.
     """
-    from bathysurvey.coverage import _TransitGrid, _densify, _path_length
+    from bathysurvey.coverage import _TransitGrid, _densify, _densify_path, _path_length
     from bathysurvey.errors import ConfigError, GeometryError
     from bathysurvey.geometry import points_in_polygon, segment_in_polygon
 
@@ -192,12 +192,7 @@ def transit_all_targets(position, targets, poly, delta, grid=None):
         node_path = grid.astar(start, goal)
         if node_path is None:
             continue
-        stations = [pos] + [grid.to_world(n) for n in node_path] + [targets[i]]
-        way = [pos]
-        for nxt in stations[1:]:
-            leg = _densify(way[-1], nxt, delta)
-            way.extend(leg[1:])
-        way = np.asarray(way, dtype=float).reshape(-1, 2)
+        way = _densify_path(pos, [*(grid.to_world(n) for n in node_path), targets[i]], delta)
         if not bool(points_in_polygon(way, poly).all()):
             continue  # a grazing leg slipped outside between samples
         length = _path_length(way)

@@ -71,6 +71,19 @@ def test_run_timeout_exits_5_after_manifest(tmp_path, capsys):
     assert (out / "trace.csv").exists()
 
 
+def test_run_manifest_records_the_outcome(tmp_path, capsys):
+    out = tmp_path / "mission"
+    code = main(["run", "--set", "max_sim_time=10", "--out", str(out)])
+    capsys.readouterr()
+    assert code == 5
+    with open(out / "manifest.json") as fh:
+        doc = json.load(fh)
+    assert doc["command"] == "run" and doc["overrides"] == {"max_sim_time": "10"}
+    assert "max_sim_time=10" in doc["aborted"]
+    assert doc["closed"] is False and doc["sim_time"] == pytest.approx(11.0)
+    assert sorted(doc["files"]) == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+
+
 def test_run_seed_flag_overrides(tmp_path, capsys):
     out = tmp_path / "mission"
     code = main(["run", "--set", "max_sim_time=10", "--seed", "99", "--out", str(out)])

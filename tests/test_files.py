@@ -39,7 +39,7 @@ EXPECTED_TEXT = {
         "# polygon vertices, one 'x,y' per line, counter-clockwise\n0.0,0.0\n20.0,0.0\n20.0,10.0\n0.0,10.0\n"
     ),
     "gp_checkpoint.csv": (
-        "sigma_f2,sigma_n2,length_scale\n2.0,0.01,8.0\nx,y,depth\n1.0,2.0,5.0\n3.5,2.0,5.5\n1.0,4.25,4.75\n"
+        "sigma_f2,sigma_n2,length_scale,subtract_mean\n2.0,0.01,8.0,1\nx,y,depth\n1.0,2.0,5.0\n3.5,2.0,5.5\n1.0,4.25,4.75\n"
     ),
 }
 
@@ -162,3 +162,12 @@ def test_readers_share_one_grammar(tmp_path, kind):
     path.write_text(bad_text)
     with pytest.raises(ConfigError, match=re.escape(f"{path}:{bad_line}:")):
         read(path)
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+def test_unreadable_manifest_is_a_config_error(tmp_path, text):
+    out = tmp_path / "log"
+    out.mkdir()
+    (out / "manifest.json").write_text(text)
+    with pytest.raises(ConfigError, match="manifest.json"):
+        _hand_built_log().save(out)

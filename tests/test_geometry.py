@@ -10,12 +10,10 @@ from bathysurvey.errors import ConfigError, GeometryError
 from bathysurvey.geometry import (
     Arc,
     Polygon,
-    angular_difference,
     arc_within_polygon,
     bearing_between,
     bearing_to_unit,
     crossed_edge,
-    distance_to_boundary,
     douglas_peucker,
     edge_vertex_ahead,
     load_polygon,
@@ -27,6 +25,7 @@ from bathysurvey.geometry import (
     ray_cross_polygon,
     save_polygon,
     segment_in_polygon,
+    segments_in_polygon,
     simplify_closed_curve,
     trace_boundary,
 )
@@ -48,8 +47,6 @@ def test_bearing_conventions():
     for psi in (-2.0, 0.0, 0.7, 3.0):
         u = bearing_to_unit(psi)
         assert math.atan2(u[0], u[1]) == pytest.approx(normalize_bearing(psi))
-    assert angular_difference(0.1, -0.1) == pytest.approx(0.2)
-    assert angular_difference(math.pi - 0.05, -math.pi + 0.05) == pytest.approx(0.1)
 
 
 def test_arc_sampling():
@@ -179,8 +176,18 @@ def test_trace_boundary_vertex_walks():
 def test_nearest_boundary_point_and_distance():
     np.testing.assert_allclose(nearest_boundary_point((5.0, 4.0), SQUARE), [5.0, 0.0])
     np.testing.assert_allclose(nearest_boundary_point((-3.0, -4.0), SQUARE), [0.0, 0.0])
-    assert distance_to_boundary((5.0, 4.0), SQUARE) == pytest.approx(4.0)
-    assert distance_to_boundary((13.0, 14.0), SQUARE) == pytest.approx(5.0)
+    for p, dist in (((5.0, 4.0), 4.0), ((13.0, 14.0), 5.0)):
+        assert np.hypot(*(np.asarray(p) - nearest_boundary_point(p, SQUARE))) == pytest.approx(dist)
+
+
+def test_nearest_boundary_point_matches_distance_oracle():
+    rng = np.random.default_rng(22)
+    for _ in range(20):
+        poly = Polygon(oracles.star_polygon(rng, int(rng.integers(4, 15))))
+        pts = rng.uniform(-80.0, 80.0, (30, 2))
+        got = np.array([np.hypot(*(p - nearest_boundary_point(p, poly))) for p in pts])
+        ring = np.vstack([poly.vertices, poly.vertices[:1]])
+        np.testing.assert_allclose(got, oracles.min_distance_to_polylines(pts, [ring]), rtol=0.0, atol=1e-9)
 
 
 def test_arc_within_polygon_bounds():
@@ -207,6 +214,30 @@ def test_segment_in_polygon_sampling():
     # crossing the U notch fails, hugging one prong passes
     assert not segment_in_polygon((5, 35), (25, 35), U_SHAPE, step=0.5)
     assert segment_in_polygon((5, 35), (5, 5), U_SHAPE, step=0.5)
+
+
+def test_segments_in_polygon_matches_winding_oracle():
+    """Over 256 segments of one sample count (two containment chunks)
+    plus segments of mixed counts, each against the winding oracle at
+    every one of its samples."""
+    rng = np.random.default_rng(23)
+    step = 6.0
+    for _ in range(3):
+        poly = Polygon(oracles.star_polygon(rng, int(rng.integers(6, 14))))
+        p = rng.uniform(-70.0, 70.0, (420, 2))
+        ang = rng.uniform(-math.pi, math.pi, 420)
+        length = np.concatenate([rng.uniform(0.5, step, 300), rng.uniform(step, 90.0, 120)])
+        q = p + length[:, None] * np.column_stack([np.sin(ang), np.cos(ang)])
+        counts = np.maximum(2, np.ceil(length / step).astype(int) + 1)
+        assert (counts == 2).sum() > 256 and len(np.unique(counts)) > 5
+        expected = [
+            all(oracles.winding_inside(a + f * (b - a), poly.vertices) for f in np.linspace(0.0, 1.0, k))
+            for a, b, k in zip(p, q, counts)
+        ]
+        got = segments_in_polygon(p, q, poly, step)
+        assert got.tolist() == expected
+        assert any(expected) and not all(expected)
+        assert [segment_in_polygon(a, b, poly, step) for a, b in zip(p[:40], q[:40])] == expected[:40]
 
 
 def test_douglas_peucker_known_shape():

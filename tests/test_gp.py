@@ -329,12 +329,23 @@ def test_checkpoint_roundtrip(tmp_path):
     model, _, _ = _random_model(rng, 25)
     path = tmp_path / "model.csv"
     model.save_checkpoint(path)
-    clone = GpModel.load_checkpoint(path, subtract_mean=False)
+    clone = GpModel.load_checkpoint(path)
     q = rng.uniform(-20, 20, (6, 2))
     assert np.abs(clone.predict(q).mean - model.predict(q).mean).max() < 1e-9
     assert clone.hypers == model.hypers
     with pytest.raises(ConfigError):
         GpModel.load_checkpoint(tmp_path / "missing.csv")
+
+
+def test_checkpoint_without_the_mean_flag_loads_centred(tmp_path):
+    path = tmp_path / "model.csv"
+    path.write_text("sigma_f2,sigma_n2,length_scale\n2.0,0.01,8.0\nx,y,depth\n0,0,4.0\n1,0,6.0\n")
+    model = GpModel.load_checkpoint(path)
+    assert model.snapshot().subtract_mean
+    assert model.predict_mean(np.array([[1e4, 1e4]]))[0] == pytest.approx(5.0)  # far from data: the data mean
+    path.write_text("sigma_f2,sigma_n2,length_scale,subtract_mean\n2.0,0.01,8.0,2\nx,y,depth\n0,0,4.0\n")
+    with pytest.raises(ConfigError, match=r"model.csv:2: subtract_mean must be 0 or 1"):
+        GpModel.load_checkpoint(path)
 
 
 def test_op_count_model():

@@ -277,13 +277,19 @@ def test_mission_log_save(tmp_path):
     assert doc["config_hash"] == log.config_hash
     assert doc["aborted"] == log.aborted
 
-    # a pre-seeded manifest survives the save untouched
+    # a pre-seeded manifest keeps its keys and gains the outcome
     out2 = tmp_path / "preseeded"
     out2.mkdir()
     (out2 / "manifest.json").write_text('{"sentinel": true}')
     written2 = log.save(out2)
-    assert "manifest.json" not in written2
-    assert json.loads((out2 / "manifest.json").read_text()) == {"sentinel": True}
+    assert written2 == written
+    assert json.loads((out2 / "manifest.json").read_text()) == {
+        "sentinel": True,
+        "aborted": log.aborted,
+        "closed": log.closed,
+        "sim_time": log.sim_time,
+        "files": written[:-1],
+    }
 
 
 def test_saved_mission_model_reloads_as_the_mission_model(tmp_path, canonical_run):
