@@ -8,6 +8,15 @@ hyper-parameter change. Alongside the factor it extends L^-T y and
 L^-T 1, from which each snapshot builds its own (optionally centred)
 weights, so an append writes only new rows and columns.
 
+The factor is stored in LAPACK's upper packed, column-major layout:
+column j (rows 0..j) occupies P[j(j+1)/2 : (j+1)(j+2)/2]. A model of n
+points reads the contiguous prefix P[:n(n+1)/2], which the packed BLAS
+routine dtpsv solves against without a copy, and appending columns
+n, n+1, ... writes only past that prefix. One sounding thus takes two
+O(n^2) triangular solves that read the factor in place (its own column
+and the new snapshot's weights) and allocates O(n); the factor takes
+cap(cap+1)/2 doubles. The square factor `L` is unpacked only on demand.
+
 Thread contract: one writer (append / set_hypers), any number of
 readers. Readers operate on an immutable snapshot grabbed once per
 call, so a prediction reflects either the pre-append or the post-append
@@ -25,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
-from scipy.linalg.lapack import dpotri
+from scipy.linalg.blas import dtpsv
+from scipy.linalg.lapack import dpotri, dtpttr, dtrttp
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
@@ -159,13 +169,20 @@ def extend_cholesky(factor: np.ndarray, k12: np.ndarray, k22: np.ndarray) -> np.
 
 
 def _extend_blocks(factor, k12, k22):
+    """S12 and S22 of extend_cholesky. For one new column (m = 1) the
+    factor may be packed (1-D, see _Buffers), and S22 is a square root."""
     n, m = k12.shape
     if n == 0:
         s12 = np.zeros((0, m))
-        schur = k22
+    elif factor.ndim == 1:
+        s12 = dtpsv(n, factor, k12[:, 0], trans=1)[:, None]
     else:
         s12 = solve_triangular(factor, k12, trans="T", lower=False, check_finite=False)
-        schur = k22 - s12.T @ s12
+    schur = k22 - s12.T @ s12 if n else k22
+    if m == 1:
+        if not schur[0, 0] > 0.0:
+            raise FactorizationError(f"covariance extension not positive definite: Schur complement {schur[0, 0]}")
+        return s12, np.sqrt(schur)
     try:
         s22 = cholesky(schur, lower=False, check_finite=False)
     except np.linalg.LinAlgError as exc:
@@ -173,22 +190,30 @@ def _extend_blocks(factor, k12, k22):
     return s12, s22
 
 
+def _tri(n: int) -> int:
+    """Length of the packed upper triangle of an n x n factor."""
+    return n * (n + 1) // 2
+
+
 class _Buffers:
     """Preallocated storage shared by successive snapshots.
 
-    Appends only ever write rows/columns at indices >= n of the current
-    snapshot, so earlier snapshots keep seeing consistent data. Column 0
-    of `solved` holds L^-T y and column 1 holds L^-T 1.
+    `P` holds the upper factor packed by columns: column j, rows 0..j,
+    at P[_tri(j) : _tri(j + 1)]. A snapshot of n points reads only
+    P[:_tri(n)] and rows < n of x, y and `solved`; an append writes only
+    columns and rows >= n, so it never writes under a held snapshot, and
+    one that outgrows the capacity copies into new buffers instead.
+    Column 0 of `solved` holds L^-T y and column 1 holds L^-T 1.
     """
 
-    __slots__ = ("x", "y", "L", "solved", "cap")
+    __slots__ = ("x", "y", "P", "solved", "cap")
 
     def __init__(self, cap: int):
         cap = max(int(cap), 16)
         self.cap = cap
         self.x = np.zeros((cap, 2))
         self.y = np.zeros(cap)
-        self.L = np.zeros((cap, cap))
+        self.P = np.zeros(_tri(cap))
         self.solved = np.zeros((cap, 2))
 
     def with_room(self, n: int, need: int) -> "_Buffers":
@@ -202,7 +227,7 @@ class _Buffers:
         out = _Buffers(new_cap)
         out.x[:n] = self.x[:n]
         out.y[:n] = self.y[:n]
-        out.L[:n, :n] = self.L[:n, :n]
+        out.P[: _tri(n)] = self.P[: _tri(n)]
         out.solved[:n] = self.solved[:n]
         return out
 
@@ -223,7 +248,7 @@ class GpState:
     snapshot was taken.
     """
 
-    __slots__ = ("_bufs", "n", "hypers", "subtract_mean", "y_mean", "_beta", "_alpha")
+    __slots__ = ("_bufs", "n", "hypers", "subtract_mean", "y_mean", "_beta", "_alpha", "_L")
 
     def __init__(self, bufs, n, hypers, subtract_mean, y_mean):
         self._bufs = bufs
@@ -233,6 +258,7 @@ class GpState:
         self.y_mean = y_mean
         self._beta = None
         self._alpha = None
+        self._L = None
 
     @property
     def X(self) -> np.ndarray:
@@ -252,8 +278,19 @@ class GpState:
         return kernel_matrix(self.X, self.X, self.hypers) + self.hypers.sigma_n2 * np.eye(self.n)
 
     @property
+    def _packed(self) -> np.ndarray:
+        """The upper factor packed by columns, a view of the shared buffer."""
+        return self._bufs.P[: _tri(self.n)]
+
+    @property
     def L(self) -> np.ndarray:
-        return self._bufs.L[: self.n, : self.n]
+        """Cached square upper factor, unpacked once per snapshot with
+        zeros below the diagonal."""
+        fac = self._L
+        if fac is None:
+            fac = dtpttr(self.n, self._packed)[0]
+            self._L = fac
+        return fac
 
     @property
     def beta(self) -> np.ndarray:
@@ -270,7 +307,7 @@ class GpState:
         """Cached solve of K_y @ alpha = y (centered when mean subtraction is on)."""
         a = self._alpha
         if a is None:
-            a = solve_triangular(self.L, self.beta, lower=False, check_finite=False)
+            a = dtpsv(self.n, self._packed, self.beta) if self.n else np.zeros(0)
             self._alpha = a
         return a
 
@@ -438,20 +475,28 @@ def _extended(st: GpState, xs: np.ndarray, ys: np.ndarray) -> GpState:
     h = st.hypers
     k12 = kernel_matrix(st.X, xs, h)
     k22 = kernel_matrix(xs, xs, h) + h.sigma_n2 * np.eye(m)
+    # one sounding solves against the packed prefix; a block keeps the
+    # BLAS-3 solve on the snapshot's unpacked factor
+    factor = st._packed if m == 1 else st.L
     try:
-        s12, s22 = _extend_blocks(st.L, k12, k22)
+        s12, s22 = _extend_blocks(factor, k12, k22)
     except FactorizationError:
         k22 = k22 + JITTER_SCALE * h.sigma_f2 * np.eye(m)
-        s12, s22 = _extend_blocks(st.L, k12, k22)
+        s12, s22 = _extend_blocks(factor, k12, k22)
     bufs = st._bufs.with_room(n, n + m)
     rhs = np.column_stack([ys, np.ones(m)])
     if n:
         rhs -= s12.T @ bufs.solved[:n]
     bufs.x[n : n + m] = xs
     bufs.y[n : n + m] = ys
-    bufs.L[:n, n : n + m] = s12
-    bufs.L[n : n + m, n : n + m] = s22
-    bufs.solved[n : n + m] = solve_triangular(s22, rhs, trans="T", lower=False, check_finite=False)
+    if n == 0:  # a whole factor, as set_hypers and load_checkpoint build
+        bufs.P[: _tri(m)] = dtrttp(s22)[0]
+    else:
+        for j in range(m):  # column n + j of the factor, down to its diagonal
+            at = _tri(n + j) + n
+            bufs.P[at - n : at] = s12[:, j]
+            bufs.P[at : at + j + 1] = s22[: j + 1, j]
+    bufs.solved[n : n + m] = rhs / s22 if m == 1 else solve_triangular(s22, rhs, trans="T", lower=False, check_finite=False)
     y_mean = float(bufs.y[: n + m].mean()) if st.subtract_mean else 0.0
     return GpState(bufs, n + m, h, st.subtract_mean, y_mean)
 

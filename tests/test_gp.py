@@ -1,5 +1,6 @@
 """GP engine against independent linear-algebra oracles."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,7 @@ def test_kernel_matches_pointwise_formula():
 
 
 def test_incremental_factor_matches_scratch():
+    assert GpModel().L.shape == (0, 0)
     rng = np.random.default_rng(1)
     for _ in range(10):
         model, x, y = _random_model(rng, int(rng.integers(20, 80)))
@@ -57,6 +59,7 @@ def test_incremental_factor_matches_scratch():
         l_ref = oracles.upper_cholesky(k_ref)
         assert np.abs(model.K_y - k_ref).max() < 1e-12
         assert np.abs(model.L - l_ref).max() < 1e-10
+        assert np.all(np.tril(model.L, -1) == 0.0)
 
 
 def test_predictions_match_explicit_inverse():
@@ -238,6 +241,61 @@ def test_snapshot_isolated_from_later_appends():
     assert model.n == n0 + 5
 
 
+def _probe(st, q):
+    return st.L.copy(), st.alpha.copy(), st.predict_mean(q), st.predict(q)
+
+
+def test_snapshot_isolated_across_capacity_growth():
+    # snapshots held at the initial capacity of 64, just before each of the
+    # two doublings (64 -> 128 -> 256) and between them, read only after
+    # the model has grown past both; each must match a twin model stopped
+    # at its n
+    rng = np.random.default_rng(15)
+    x = rng.uniform(-40.0, 40.0, (256, 2))
+    y = 3.0 + oracles.sample_gp(rng, x, H.sigma_f2, H.sigma_n2, H.length_scale)
+    q = rng.uniform(-50.0, 50.0, (12, 2))
+    model = GpModel(H, subtract_mean=True)
+    held = {}
+    for i in range(len(y)):
+        model.append(x[i : i + 1], y[i : i + 1])
+        if model.n in (64, 100, 128):
+            held[model.n] = model.snapshot()
+    assert model.snapshot()._bufs.cap == 256
+    for n, st in held.items():
+        twin = GpModel(H, subtract_mean=True)
+        for i in range(n):
+            twin.append(x[i : i + 1], y[i : i + 1])
+        got, want = _probe(st, q), _probe(twin.snapshot(), q)
+        assert st.n == n
+        for a, b in zip(got[:3], want[:3]):
+            assert np.array_equal(a, b)
+        assert np.array_equal(got[3].mean, want[3].mean)
+        assert np.array_equal(got[3].variance, want[3].variance)
+
+
+def test_tick_copies_no_square_factor():
+    # one sounding plus the mean query that follows it, at n = 1500: the
+    # packed prefix is read in place, so the tick allocates O(n), far below
+    # the n^2 doubles one copy of the square factor would take
+    n = 1500
+    rng = np.random.default_rng(17)
+    x = rng.uniform(0.0, 300.0, (n + 1, 2))
+    y = rng.normal(5.0, 1.0, n + 1)
+    model = GpModel(HyperParams(1.0, 0.01, 30.0), subtract_mean=True)
+    for i in range(n):
+        model.append(x[i : i + 1], y[i : i + 1])
+    model.predict_mean(x[:1])
+    tracemalloc.start()
+    try:
+        model.append(x[n:], y[n:])
+        model.predict_mean(x[n:])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.n == n + 1
+    assert peak < n * n * 8 / 10
+
+
 def test_subtract_mean_extrapolates_to_data_mean():
     rng = np.random.default_rng(9)
     x = rng.uniform(0.0, 10.0, (30, 2))
@@ -311,6 +369,39 @@ def test_jitter_retry_on_near_duplicate_points(monkeypatch):
     q = np.array([[1.0, 1.0], [0.0, 3.0]])
     assert np.array_equal(model.L, fresh.L)
     assert np.array_equal(model.predict(q).mean, fresh.predict(q).mean)
+
+
+def test_single_append_retries_once_then_rejects(monkeypatch):
+    # a sounding co-located with a stored one under a noise floor below
+    # rounding has a Schur complement of exactly zero
+    extend, failures = gp._extend_blocks, []
+
+    def counted(*args):
+        try:
+            return extend(*args)
+        except FactorizationError:
+            failures.append(args[1].shape)
+            raise
+
+    monkeypatch.setattr(gp, "_extend_blocks", counted)
+    h = HyperParams(1.0, 1e-17, 10.0)
+    model = GpModel(h)
+    model.append(np.array([[3.0, 4.0], [20.0, 0.0]]), np.array([2.0, 1.0]))
+    model.append(np.array([[3.0, 4.0]]), np.array([2.5]))
+    assert model.n == 3 and failures == [(2, 1)]
+    assert model.L[2, 2] == pytest.approx(np.sqrt(gp.JITTER_SCALE * h.sigma_f2), rel=1e-3)
+
+    # without the jitter the retry fails as well, and the model is untouched
+    monkeypatch.setattr(gp, "JITTER_SCALE", 0.0)
+    q = np.array([[1.0, 1.0], [20.0, 1.0]])
+    l0, mean0 = model.L.copy(), model.predict_mean(q)
+    failures.clear()
+    with pytest.raises(FactorizationError):
+        model.append(np.array([[20.0, 0.0]]), np.array([1.0]))
+    assert failures == [(3, 1), (3, 1)]
+    assert model.n == 3
+    assert np.array_equal(model.L, l0)
+    assert np.array_equal(model.predict_mean(q), mean0)
 
 
 def test_extend_cholesky_standalone():
