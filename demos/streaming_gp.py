@@ -3,11 +3,12 @@ Stream sonar soundings into the online depth model and watch it learn.
 
 A synthetic seabed (plane plus one mound) is sampled along a lawnmower
 track. Soundings arrive in small chunks, the way a survey vessel
-delivers them, and each chunk extends the existing Cholesky factor
-instead of refactorizing. After every few chunks the script prints the
-prediction at a fixed probe point, the factor reconstruction error
-against a from-scratch build, and the cost of the append. Halfway
-through, the hyper-parameters are re-estimated from the data.
+delivers them, and each chunk extends the existing Cholesky factor one
+sounding at a time instead of refactorizing. After every few chunks the
+script prints the prediction at a fixed probe point, the factor
+reconstruction error against a from-scratch build, and the cost of the
+append. Halfway through, the hyper-parameters are re-estimated from the
+data.
 
 Run:  python3 demos/streaming_gp.py
 """

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GeometryError
+from .errors import ConfigError
 from .geometry import (
     Arc,
     Polygon,
@@ -71,13 +71,13 @@ class FollowerConfig:
 
     def __post_init__(self):
         if self.search_radius <= 0.0:
-            raise GeometryError(f"search radius must be positive, got {self.search_radius}")
+            raise ConfigError(f"search radius must be positive, got {self.search_radius}")
         if not 0.0 < self.arc_half_width <= math.pi:
-            raise GeometryError(f"arc half width must be in (0, pi], got {self.arc_half_width}")
+            raise ConfigError(f"arc half width must be in (0, pi], got {self.arc_half_width}")
         if self.depth_tolerance <= 0.0:
-            raise GeometryError(f"depth tolerance must be positive, got {self.depth_tolerance}")
+            raise ConfigError(f"depth tolerance must be positive, got {self.depth_tolerance}")
         if self.loop_buffer < 0:
-            raise GeometryError(f"loop buffer must be >= 0, got {self.loop_buffer}")
+            raise ConfigError(f"loop buffer must be >= 0, got {self.loop_buffer}")
         if self.closure_radius is None:
             self.closure_radius = 1.5 * self.search_radius
 

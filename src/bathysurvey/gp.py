@@ -2,11 +2,13 @@
 
 The model regresses depth on horizontal position with a squared
 exponential kernel and maintains an upper-triangular Cholesky factor
-of the noisy covariance (L.T @ L = K_y) that is extended in place when
-observations arrive, never refactored from scratch except on a
-hyper-parameter change. Alongside the factor it extends L^-T y and
-L^-T 1, from which each snapshot builds its own (optionally centred)
-weights, so an append writes only new rows and columns.
+of the noisy covariance (L.T @ L = K_y). The factor grows one way: a
+batch appended to an empty model is factored in one block, and every
+other sounding extends it in place by one column, so it is refactored
+from scratch only on a hyper-parameter change. Alongside the factor it
+extends L^-T y and L^-T 1, from which each snapshot builds its own
+(optionally centred) weights, so an append writes only new rows and
+columns.
 
 The factor is stored in LAPACK's upper packed, column-major layout:
 column j (rows 0..j) occupies P[j(j+1)/2 : (j+1)(j+2)/2]. A model of n
@@ -80,7 +82,14 @@ class HyperParams:
 
     @classmethod
     def from_array(cls, arr) -> "HyperParams":
-        return cls(float(arr[0]), float(arr[1]), float(arr[2]))
+        """Parameters from exactly three numbers in field order."""
+        try:
+            values = np.asarray(arr, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"hyper-parameters must be three numbers, got {arr!r}") from exc
+        if values.shape != (3,):
+            raise ConfigError(f"hyper-parameters must be three numbers, got {arr!r}")
+        return cls(*values.tolist())
 
 
 #: first-fit starting point when nothing better is known
@@ -125,14 +134,6 @@ class HyperFit:
     n_evals: int
 
 
-def kernel(xi, xj, hypers: HyperParams) -> float:
-    """Squared-exponential covariance between two points."""
-    dx = xi[0] - xj[0]
-    dy = xi[1] - xj[1]
-    d2 = dx * dx + dy * dy
-    return hypers.sigma_f2 * math.exp(-d2 / (2.0 * hypers.length_scale**2))
-
-
 def kernel_matrix(a, b, hypers: HyperParams) -> np.ndarray:
     """Cross-covariance matrix between two point sets, no noise term."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
@@ -141,53 +142,6 @@ def kernel_matrix(a, b, hypers: HyperParams) -> np.ndarray:
         return np.zeros((len(a), len(b)))
     d2 = cdist(a, b, "sqeuclidean")
     return hypers.sigma_f2 * np.exp(-d2 / (2.0 * hypers.length_scale**2))
-
-
-def extend_cholesky(factor: np.ndarray, k12: np.ndarray, k22: np.ndarray) -> np.ndarray:
-    """Extend an upper-triangular factor with new rows and columns.
-
-    Given L with L.T @ L = K11, the cross block K12 (n x m) and the new
-    block K22 (m x m, noise included), returns the (n+m) upper factor of
-    the bordered matrix without touching the existing n x n block:
-
-        S12 = solve(L.T, K12)
-        S22 = chol(K22 - S12.T @ S12)
-
-    Raises FactorizationError if the trailing block is not positive
-    definite (no jitter is applied here; the model layer retries).
-    """
-    factor = np.asarray(factor, dtype=float)
-    k12 = np.asarray(k12, dtype=float)
-    k22 = np.atleast_2d(np.asarray(k22, dtype=float))
-    n, m = k12.shape if k12.ndim == 2 else (len(factor), 1)
-    s12, s22 = _extend_blocks(factor, k12.reshape(n, m), k22)
-    out = np.zeros((n + m, n + m))
-    out[:n, :n] = factor
-    out[:n, n:] = s12
-    out[n:, n:] = s22
-    return out
-
-
-def _extend_blocks(factor, k12, k22):
-    """S12 and S22 of extend_cholesky. For one new column (m = 1) the
-    factor may be packed (1-D, see _Buffers), and S22 is a square root."""
-    n, m = k12.shape
-    if n == 0:
-        s12 = np.zeros((0, m))
-    elif factor.ndim == 1:
-        s12 = dtpsv(n, factor, k12[:, 0], trans=1)[:, None]
-    else:
-        s12 = solve_triangular(factor, k12, trans="T", lower=False, check_finite=False)
-    schur = k22 - s12.T @ s12 if n else k22
-    if m == 1:
-        if not schur[0, 0] > 0.0:
-            raise FactorizationError(f"covariance extension not positive definite: Schur complement {schur[0, 0]}")
-        return s12, np.sqrt(schur)
-    try:
-        s22 = cholesky(schur, lower=False, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError(f"covariance extension not positive definite: {exc}") from exc
-    return s12, s22
 
 
 def _tri(n: int) -> int:
@@ -271,11 +225,6 @@ class GpState:
     @property
     def y_centered(self) -> np.ndarray:
         return self.y - self.y_mean if self.subtract_mean else self.y
-
-    @property
-    def K_y(self) -> np.ndarray:
-        """Noisy covariance of the stored points, built on demand."""
-        return kernel_matrix(self.X, self.X, self.hypers) + self.hypers.sigma_n2 * np.eye(self.n)
 
     @property
     def _packed(self) -> np.ndarray:
@@ -373,10 +322,6 @@ class GpModel:
         return self._state.y
 
     @property
-    def K_y(self) -> np.ndarray:
-        return self._state.K_y
-
-    @property
     def L(self) -> np.ndarray:
         return self._state.L
 
@@ -412,9 +357,11 @@ class GpModel:
     def append(self, xs, ys) -> None:
         """Add observations, extending the stored factor in place.
 
-        On a non-positive-definite extension the trailing diagonal gets
-        one jitter retry (1e-10 * sigma_f2); if that also fails the
-        points are rejected with FactorizationError and the model is
+        A batch onto an empty model is factored in one block; otherwise
+        each sounding extends the factor by one column. A block or
+        column that is not positive definite gets one jitter retry,
+        1e-10 * sigma_f2 on its new diagonal; if that also fails the
+        whole batch is rejected with FactorizationError and the model is
         unchanged.
         """
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -431,7 +378,7 @@ class GpModel:
     def set_hypers(self, hypers: HyperParams) -> None:
         """Swap hyper-parameters, refactoring K_y from scratch."""
         if not isinstance(hypers, HyperParams):
-            hypers = HyperParams.from_array(np.asarray(hypers, dtype=float))
+            hypers = HyperParams.from_array(hypers)
         with self._lock:
             st = self._state
             empty = GpState(_Buffers(st._bufs.cap), 0, hypers, st.subtract_mean, 0.0)
@@ -469,36 +416,67 @@ class GpModel:
 
 
 def _extended(st: GpState, xs: np.ndarray, ys: np.ndarray) -> GpState:
-    """The state `st` plus observations, with the factor extended and
-    the jitter retry as `append` describes; `st` itself stays valid."""
-    n, m = st.n, len(ys)
-    h = st.hypers
-    k12 = kernel_matrix(st.X, xs, h)
-    k22 = kernel_matrix(xs, xs, h) + h.sigma_n2 * np.eye(m)
-    # one sounding solves against the packed prefix; a block keeps the
-    # BLAS-3 solve on the snapshot's unpacked factor
-    factor = st._packed if m == 1 else st.L
+    """The state `st` plus observations, with the jitter retry as
+    `append` describes; `st` itself stays valid. A batch onto an empty
+    state is factored in one block; every other sounding extends the
+    factor by one column, so a batch onto a non-empty state grows
+    through states nothing else sees and is committed whole. A lone
+    sounding, even the first, takes the column route, which makes no
+    LAPACK call."""
+    if st.n == 0 and len(ys) > 1:
+        return _retried(_factored, st, xs, ys)
+    for x, y in zip(xs, ys):
+        st = _retried(_with_sounding, st, x, y)
+    return st
+
+
+def _retried(grow, st: GpState, *obs) -> GpState:
+    """grow(st, *obs, jitter) as it is, then once more with
+    JITTER_SCALE * sigma_f2 added to the new diagonal."""
     try:
-        s12, s22 = _extend_blocks(factor, k12, k22)
+        return grow(st, *obs, 0.0)
     except FactorizationError:
-        k22 = k22 + JITTER_SCALE * h.sigma_f2 * np.eye(m)
-        s12, s22 = _extend_blocks(factor, k12, k22)
-    bufs = st._bufs.with_room(n, n + m)
+        return grow(st, *obs, JITTER_SCALE * st.hypers.sigma_f2)
+
+
+def _factored(st: GpState, xs: np.ndarray, ys: np.ndarray, jitter: float) -> GpState:
+    """The empty state `st` with its factor built from scratch:
+    one Cholesky factorization of K_y, packed into the buffers."""
+    m, h = len(ys), st.hypers
+    k = kernel_matrix(xs, xs, h) + h.sigma_n2 * np.eye(m)
+    k.flat[:: m + 1] += jitter
+    try:
+        factor = cholesky(k, lower=False, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise FactorizationError(f"covariance not positive definite: {exc}") from exc
+    bufs = st._bufs.with_room(0, m)
+    bufs.x[:m] = xs
+    bufs.y[:m] = ys
+    bufs.P[: _tri(m)] = dtrttp(factor)[0]
     rhs = np.column_stack([ys, np.ones(m)])
-    if n:
-        rhs -= s12.T @ bufs.solved[:n]
-    bufs.x[n : n + m] = xs
-    bufs.y[n : n + m] = ys
-    if n == 0:  # a whole factor, as set_hypers and load_checkpoint build
-        bufs.P[: _tri(m)] = dtrttp(s22)[0]
-    else:
-        for j in range(m):  # column n + j of the factor, down to its diagonal
-            at = _tri(n + j) + n
-            bufs.P[at - n : at] = s12[:, j]
-            bufs.P[at : at + j + 1] = s22[: j + 1, j]
-    bufs.solved[n : n + m] = rhs / s22 if m == 1 else solve_triangular(s22, rhs, trans="T", lower=False, check_finite=False)
-    y_mean = float(bufs.y[: n + m].mean()) if st.subtract_mean else 0.0
-    return GpState(bufs, n + m, h, st.subtract_mean, y_mean)
+    bufs.solved[:m] = solve_triangular(factor, rhs, trans="T", lower=False, check_finite=False)
+    y_mean = float(bufs.y[:m].mean()) if st.subtract_mean else 0.0
+    return GpState(bufs, m, h, st.subtract_mean, y_mean)
+
+
+def _with_sounding(st: GpState, x: np.ndarray, y: float, jitter: float) -> GpState:
+    """The state `st` plus one sounding. Its factor column is L^-T k,
+    solved on the packed prefix in place, over the square root of the
+    Schur complement; only rows and columns past n are written."""
+    n, h = st.n, st.hypers
+    k12 = kernel_matrix(st.X, x, h)[:, 0]
+    s12 = dtpsv(n, st._packed, k12, trans=1) if n else k12  # dtpsv rejects n = 0
+    schur = (h.sigma_f2 + h.sigma_n2 + jitter) - s12 @ s12  # k(x, x) = sigma_f2
+    if not schur > 0.0:
+        raise FactorizationError(f"covariance extension not positive definite: Schur complement {schur}")
+    s22 = math.sqrt(schur)
+    bufs = st._bufs.with_room(n, n + 1)
+    bufs.x[n] = x
+    bufs.y[n] = y
+    bufs.P[_tri(n) : _tri(n + 1)] = np.append(s12, s22)
+    bufs.solved[n] = (np.array([y, 1.0]) - s12 @ bufs.solved[:n]) / s22
+    y_mean = float(bufs.y[: n + 1].mean()) if st.subtract_mean else 0.0
+    return GpState(bufs, n + 1, h, st.subtract_mean, y_mean)
 
 
 def _lml_and_grad(h: HyperParams, yc: np.ndarray, d2: np.ndarray):

@@ -16,7 +16,7 @@ from bathysurvey.contour import (
     ema_heading,
     solve_arc_heading,
 )
-from bathysurvey.errors import GeometryError
+from bathysurvey.errors import ConfigError
 from bathysurvey.geometry import Polygon, bearing_between, point_in_polygon
 
 
@@ -101,13 +101,13 @@ def test_loop_closed_discrete_circle_oracle():
 def test_follower_config_validation():
     assert FollowerConfig(4.5, 5.0).closure_radius == pytest.approx(7.5)
     assert FollowerConfig(4.5, 5.0, closure_radius=3.0).closure_radius == 3.0
-    with pytest.raises(GeometryError):
+    with pytest.raises(ConfigError):
         FollowerConfig(4.5, -1.0)
-    with pytest.raises(GeometryError):
+    with pytest.raises(ConfigError):
         FollowerConfig(4.5, 5.0, arc_half_width=4.0)
-    with pytest.raises(GeometryError):
+    with pytest.raises(ConfigError):
         FollowerConfig(4.5, 5.0, depth_tolerance=0.0)
-    with pytest.raises(GeometryError):
+    with pytest.raises(ConfigError):
         FollowerConfig(4.5, 5.0, loop_buffer=-1)
 
 

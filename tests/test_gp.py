@@ -15,8 +15,6 @@ from bathysurvey.gp import (
     GpModel,
     HyperParams,
     benchmark_prediction,
-    extend_cholesky,
-    kernel,
     kernel_matrix,
     op_count,
     optimize_hypers,
@@ -47,7 +45,6 @@ def test_kernel_matches_pointwise_formula():
     k = kernel_matrix(a, b, H)
     ref = oracles.se_matrix(a, b, H.sigma_f2, H.length_scale)
     assert np.allclose(k, ref, atol=1e-14)
-    assert kernel(a[0], b[0], H) == pytest.approx(ref[0, 0], abs=1e-14)
 
 
 def test_incremental_factor_matches_scratch():
@@ -57,7 +54,6 @@ def test_incremental_factor_matches_scratch():
         model, x, y = _random_model(rng, int(rng.integers(20, 80)))
         k_ref = oracles.noisy_kernel(x, H.sigma_f2, H.sigma_n2, H.length_scale)
         l_ref = oracles.upper_cholesky(k_ref)
-        assert np.abs(model.K_y - k_ref).max() < 1e-12
         assert np.abs(model.L - l_ref).max() < 1e-10
         assert np.all(np.tril(model.L, -1) == 0.0)
 
@@ -273,6 +269,31 @@ def test_snapshot_isolated_across_capacity_growth():
         assert np.array_equal(got[3].variance, want[3].variance)
 
 
+def test_batch_append_matches_one_at_a_time():
+    # a batch onto a non-empty model grows the factor one sounding at a
+    # time, so batches of mixed sizes equal single appends bit for bit,
+    # also when the buffers double (64 -> 128) inside the last batch
+    rng = np.random.default_rng(18)
+    x = rng.uniform(-40.0, 40.0, (100, 2))
+    y = 3.0 + oracles.sample_gp(rng, x, H.sigma_f2, H.sigma_n2, H.length_scale)
+    q = rng.uniform(-50.0, 50.0, (12, 2))
+    batched = GpModel(H, subtract_mean=True)
+    single = GpModel(H, subtract_mean=True)
+    batched.append(x[:40], y[:40])
+    single.append(x[:40], y[:40])
+    for i in range(40, 100):
+        single.append(x[i : i + 1], y[i : i + 1])
+    for lo, hi in ((40, 41), (41, 47), (47, 100)):
+        assert batched.snapshot()._bufs.cap == 64
+        batched.append(x[lo:hi], y[lo:hi])
+    assert batched.snapshot()._bufs.cap == 128
+    got, want = _probe(batched.snapshot(), q), _probe(single.snapshot(), q)
+    for a, b in zip(got[:3], want[:3]):
+        assert np.array_equal(a, b)
+    assert np.array_equal(got[3].mean, want[3].mean)
+    assert np.array_equal(got[3].variance, want[3].variance)
+
+
 def test_tick_copies_no_square_factor():
     # one sounding plus the mean query that follows it, at n = 1500: the
     # packed prefix is read in place, so the tick allocates O(n), far below
@@ -322,6 +343,14 @@ def test_set_hypers_matches_fresh_model():
     assert np.abs(model.predict(q).variance - fresh.predict(q).variance).max() < 1e-9
 
 
+@pytest.mark.parametrize("values", [[1.0, 0.1], [1.0, 0.1, 5.0, 99.0]])
+def test_set_hypers_takes_exactly_three_numbers(values):
+    model = GpModel()
+    with pytest.raises(ConfigError, match="three numbers"):
+        model.set_hypers(values)
+    assert model.hypers == gp.DEFAULT_HYPERS
+
+
 def test_input_validation():
     model = GpModel()
     with pytest.raises(EmptyModelError):
@@ -341,31 +370,41 @@ def test_input_validation():
         model.predict(np.zeros((1, 3)))
 
 
+def _count_failures(monkeypatch):
+    """Record (n, m) for every failed attempt to grow the factor: the
+    size n of the state grown and the number m of soundings added."""
+    failures = []
+    for name in ("_factored", "_with_sounding"):
+
+        def counted(st, xs, ys, jitter, grow=getattr(gp, name)):
+            try:
+                return grow(st, xs, ys, jitter)
+            except FactorizationError:
+                failures.append((st.n, np.size(ys)))
+                raise
+
+        monkeypatch.setattr(gp, name, counted)
+    return failures
+
+
 def test_jitter_retry_on_near_duplicate_points(monkeypatch):
     # three co-located points with noise below rounding make K_y exactly
     # singular, so every factorization of them needs the jitter retry
-    extend, failures = gp._extend_blocks, []
-
-    def counted(*args):
-        try:
-            return extend(*args)
-        except FactorizationError:
-            failures.append(args[1].shape)
-            raise
-
-    monkeypatch.setattr(gp, "_extend_blocks", counted)
+    failures = _count_failures(monkeypatch)
     model = GpModel(HyperParams(1.0, 1e-17, 10.0))
     pts = np.zeros((3, 2))
     model.append(pts[:1], np.array([2.0]))
+    # a batch onto a non-empty model grows one sounding at a time, each
+    # with its own retry
     model.append(pts[1:], np.array([2.0, 2.0]))
-    assert model.n == 3 and failures == [(1, 2)]
+    assert model.n == 3 and failures == [(1, 1), (2, 1)]
     assert np.isfinite(model.predict(np.array([[1.0, 1.0]])).mean).all()
     # a hyper swap refactors the same points through the same retry
     h2 = HyperParams(1.0, 1e-17, 5.0)
     model.set_hypers(h2)
     fresh = GpModel(h2)
     fresh.append(pts, np.array([2.0, 2.0, 2.0]))
-    assert failures == [(1, 2), (0, 3), (0, 3)]
+    assert failures == [(1, 1), (2, 1), (0, 3), (0, 3)]
     q = np.array([[1.0, 1.0], [0.0, 3.0]])
     assert np.array_equal(model.L, fresh.L)
     assert np.array_equal(model.predict(q).mean, fresh.predict(q).mean)
@@ -374,16 +413,7 @@ def test_jitter_retry_on_near_duplicate_points(monkeypatch):
 def test_single_append_retries_once_then_rejects(monkeypatch):
     # a sounding co-located with a stored one under a noise floor below
     # rounding has a Schur complement of exactly zero
-    extend, failures = gp._extend_blocks, []
-
-    def counted(*args):
-        try:
-            return extend(*args)
-        except FactorizationError:
-            failures.append(args[1].shape)
-            raise
-
-    monkeypatch.setattr(gp, "_extend_blocks", counted)
+    failures = _count_failures(monkeypatch)
     h = HyperParams(1.0, 1e-17, 10.0)
     model = GpModel(h)
     model.append(np.array([[3.0, 4.0], [20.0, 0.0]]), np.array([2.0, 1.0]))
@@ -404,15 +434,21 @@ def test_single_append_retries_once_then_rejects(monkeypatch):
     assert np.array_equal(model.predict_mean(q), mean0)
 
 
-def test_extend_cholesky_standalone():
-    rng = np.random.default_rng(12)
-    x = rng.uniform(-10, 10, (12, 2))
-    k = oracles.noisy_kernel(x, H.sigma_f2, H.sigma_n2, H.length_scale)
-    fac = oracles.upper_cholesky(k[:8, :8])
-    out = extend_cholesky(fac, k[:8, 8:], k[8:, 8:])
-    assert np.abs(out - oracles.upper_cholesky(k)).max() < 1e-10
+def test_failed_batch_leaves_the_model_unchanged(monkeypatch):
+    # without the jitter, a batch whose last sounding is co-located with a
+    # stored one fails on it twice, after its first two grew a local state
+    failures = _count_failures(monkeypatch)
+    monkeypatch.setattr(gp, "JITTER_SCALE", 0.0)
+    model = GpModel(HyperParams(1.0, 1e-17, 10.0))
+    model.append(np.array([[3.0, 4.0], [20.0, 0.0]]), np.array([2.0, 1.0]))
+    q = np.array([[1.0, 1.0], [20.0, 1.0]])
+    l0, mean0 = model.L.copy(), model.predict_mean(q)
     with pytest.raises(FactorizationError):
-        extend_cholesky(fac, k[:8, 8:], -np.eye(4))
+        model.append(np.array([[0.0, 10.0], [10.0, 10.0], [20.0, 0.0]]), np.array([1.5, 1.2, 1.0]))
+    assert failures == [(4, 1), (4, 1)]
+    assert model.n == 2
+    assert np.array_equal(model.L, l0)
+    assert np.array_equal(model.predict_mean(q), mean0)
 
 
 def test_checkpoint_roundtrip(tmp_path):
