@@ -11,7 +11,9 @@ until the loop closes.
 
 The script runs the control loop tick by tick (no mission runner),
 prints every mode transition, and finishes with a crude character map
-of the traced loop.
+of the traced loop. The follower reads its settings from a
+MissionConfig, as in a full mission; only the target depth and the
+search radius are set here, the rest keep their defaults.
 
 Run:  python3 demos/contour_trace.py
 """
@@ -26,9 +28,9 @@ warnings.filterwarnings("ignore", message="hyper fit stopped early")
 
 from bathysurvey import (
     ContourFollower,
-    FollowerConfig,
+    GaussianSumField,
     GpModel,
-    PlaneField,
+    MissionConfig,
     Polygon,
     Pose,
     VesselState,
@@ -41,7 +43,8 @@ rng = np.random.default_rng(3)
 
 SIDE = 60.0
 poly = Polygon([(0, 0), (SIDE, 0), (SIDE, SIDE), (0, SIDE)])
-field = PlaneField(offset=7.0, gradient_y=-1.0 / 12.0)  # 7 m at the south edge, 2 m at the north
+# a plane is a Gaussian sum without mounds: 7 m at the south edge, 2 m at the north
+field = GaussianSumField(offset=7.0, gradient_y=-1.0 / 12.0)
 TARGET = 4.5  # true contour: the line y = 30
 
 model = GpModel(subtract_mean=True)
@@ -59,7 +62,7 @@ print(f"init done at t={vessel.clock:.0f}s, n={model.n}, "
       f"fitted l={fit.hypers.length_scale:.1f} m")
 
 follower = ContourFollower(
-    FollowerConfig(target_depth=TARGET, search_radius=5.0),
+    MissionConfig(target_depth=TARGET, search_radius=5.0),
     poly, model, initial_heading=vessel.pose.psi,
 )
 

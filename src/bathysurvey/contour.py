@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
 from .geometry import (
     Arc,
     Polygon,
@@ -57,29 +56,6 @@ class Pose:
     @property
     def position(self) -> np.ndarray:
         return np.array([self.x, self.y])
-
-
-@dataclass
-class FollowerConfig:
-    target_depth: float
-    search_radius: float
-    arc_half_width: float = math.pi / 2
-    depth_tolerance: float = 0.25
-    ema_half_life: float = 5.0
-    loop_buffer: int = 50
-    closure_radius: float | None = None
-
-    def __post_init__(self):
-        if self.search_radius <= 0.0:
-            raise ConfigError(f"search radius must be positive, got {self.search_radius}")
-        if not 0.0 < self.arc_half_width <= math.pi:
-            raise ConfigError(f"arc half width must be in (0, pi], got {self.arc_half_width}")
-        if self.depth_tolerance <= 0.0:
-            raise ConfigError(f"depth tolerance must be positive, got {self.depth_tolerance}")
-        if self.loop_buffer < 0:
-            raise ConfigError(f"loop buffer must be >= 0, got {self.loop_buffer}")
-        if self.closure_radius is None:
-            self.closure_radius = 1.5 * self.search_radius
 
 
 @dataclass
@@ -159,10 +135,19 @@ def closure_index(trace, position, loop_buffer: int, closure_radius: float) -> i
 
 
 class ContourFollower:
-    """Stateful contour/boundary follower producing one desired heading per tick."""
+    """Stateful contour/boundary follower producing one desired heading per tick.
 
-    def __init__(self, config: FollowerConfig, poly: Polygon, model, initial_heading: float = 0.0):
+    `config` is the mission's configuration, already validated; the
+    follower reads seven of its settings: target_depth, search_radius,
+    arc_half_width, depth_tolerance, ema_half_life, loop_buffer and
+    closure_radius. A closure_radius of None means 1.5 * search_radius,
+    resolved once into self.closure_radius.
+    """
+
+    def __init__(self, config, poly: Polygon, model, initial_heading: float = 0.0):
         self.cfg = config
+        radius = config.closure_radius
+        self.closure_radius = 1.5 * config.search_radius if radius is None else radius
         self.poly = poly
         self.model = model
         self.state = FollowerState(heading_ema=normalize_bearing(initial_heading))
@@ -228,5 +213,5 @@ class ContourFollower:
     def complete(self, pose: Pose) -> bool:
         st = self.state
         return st.found_contour and (
-            closure_index(st.trace, pose.position, self.cfg.loop_buffer, self.cfg.closure_radius) is not None
+            closure_index(st.trace, pose.position, self.cfg.loop_buffer, self.closure_radius) is not None
         )

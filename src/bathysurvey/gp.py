@@ -277,8 +277,8 @@ class GpState:
         xs = _query_points(xs, self, "predict()")
         h = self.hypers
         ks = kernel_matrix(xs, self.X, h)
+        mean = ks @ self.alpha + self.y_mean
         v = solve_triangular(self.L, ks.T, trans="T", lower=False, check_finite=False)
-        mean = v.T @ self.beta + self.y_mean
         var = (h.sigma_f2 + h.sigma_n2) - np.einsum("ij,ij->j", v, v)
         return Prediction(mean, np.maximum(var, 0.0))
 
@@ -538,8 +538,8 @@ def _moment_start(x: np.ndarray, yc: np.ndarray, lo: np.ndarray, hi: np.ndarray)
     return np.clip(guess, lo, hi)
 
 
-def optimize_hypers(model, initial: HyperParams | None = None, bounds=None, max_iter: int = 60) -> HyperFit:
-    """Bounded maximum-likelihood fit with L-BFGS-B in log space.
+def optimize_hypers(model, initial: HyperParams | None = None, max_iter: int = 60) -> HyperFit:
+    """Maximum-likelihood fit within DEFAULT_BOUNDS, by L-BFGS-B in log space.
 
     Runs against a frozen snapshot of the model's data and never mutates
     the model; apply the result with model.set_hypers(fit.hypers).
@@ -563,12 +563,7 @@ def optimize_hypers(model, initial: HyperParams | None = None, bounds=None, max_
         raise EmptyModelError("cannot fit hyper-parameters without observations")
     if initial is None:
         initial = st.hypers
-    if bounds is None:
-        bounds = DEFAULT_BOUNDS
-    lo = np.array([b[0] for b in bounds], dtype=float)
-    hi = np.array([b[1] for b in bounds], dtype=float)
-    if np.any(lo <= 0.0) or np.any(hi <= lo):
-        raise ConfigError(f"bounds must be positive intervals, got {bounds}")
+    lo, hi = np.array(DEFAULT_BOUNDS, dtype=float).T
     x = st.X.copy()
     yc = st.y_centered.copy()
     d2 = cdist(x, x, "sqeuclidean")

@@ -15,14 +15,15 @@ import configparser
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field as dc_field, fields as dc_fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import files
-from .contour import ContourFollower, FollowerConfig, Pose, closure_index
-from .coverage import PathPlan, cells_to_geojson, plan_coverage
+from .contour import ContourFollower, Pose, closure_index
+from .coverage import PathPlan, _check_sweep_args, cells_to_geojson, plan_coverage
 from .errors import ConfigError, GeometryError, MissionAbort, SurveyError
 from .geometry import (
     Polygon,
@@ -41,29 +42,9 @@ from .gp import GpModel, optimize_hypers
 
 
 @dataclass(frozen=True)
-class PlaneField:
-    """Depth plane z = offset + gradient_x * x + gradient_y * y."""
-
-    offset: float
-    gradient_x: float = 0.0
-    gradient_y: float = 0.0
-
-    def depth(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        return self.offset + self.gradient_x * p[..., 0] + self.gradient_y * p[..., 1]
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "plane",
-            "offset": self.offset,
-            "gradient_x": self.gradient_x,
-            "gradient_y": self.gradient_y,
-        }
-
-
-@dataclass(frozen=True)
 class GaussianSumField:
-    """Plane base plus radial Gaussian mounds.
+    """Plane z = offset + gradient_x * x + gradient_y * y plus radial
+    Gaussian mounds; with no bumps it is the plane alone.
 
     Each bump is (center_x, center_y, amplitude, width); positive
     amplitude deepens the water, negative raises the seabed.
@@ -209,7 +190,12 @@ def step_vessel(state: VesselState, psi_d: float, dt: float, max_turn_rate: floa
 @dataclass(frozen=True)
 class MissionConfig:
     """Every knob of the simulated survey; defaults follow the canonical
-    simulation settings (1 m/s, 1 Hz, z_t 4.5 m, r 5 m, delta 10 m)."""
+    simulation settings (1 m/s, 1 Hz, z_t 4.5 m, r 5 m, delta 10 m).
+
+    The one declaration of each setting: the follower reads its settings
+    from here, apply_overrides parses by the declared field types, and
+    __post_init__ checks every value, raising ConfigError.
+    """
 
     target_depth: float = 4.5
     search_radius: float = 5.0
@@ -233,10 +219,13 @@ class MissionConfig:
     max_sim_time: float = 4000.0
 
     def __post_init__(self):
-        positive = (
+        def check(name: str, ok: bool, rule: str) -> None:
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+
+        for name in (
             "target_depth",
             "search_radius",
-            "track_spacing",
             "speed",
             "control_rate",
             "sonar_rate",
@@ -245,27 +234,25 @@ class MissionConfig:
             "depth_tolerance",
             "ema_half_life",
             "max_sim_time",
-        )
-        for name in positive:
+        ):
             val = getattr(self, name)
-            if not (math.isfinite(val) and val > 0.0):
-                raise ConfigError(f"{name} must be positive and finite, got {val}")
-        if self.init_duration < 0.0:
-            raise ConfigError(f"init_duration must be non-negative, got {self.init_duration}")
-        if self.noise_std < 0.0:
-            raise ConfigError(f"noise_std must be non-negative, got {self.noise_std}")
-        if self.loop_buffer < 0:
-            raise ConfigError(f"loop_buffer must be non-negative, got {self.loop_buffer}")
-        if not 0.0 < self.arc_half_width <= math.pi:
-            raise ConfigError(f"arc_half_width must be in (0, pi], got {self.arc_half_width}")
-        if not -math.pi / 2 <= self.sweep_dir < math.pi / 2:
-            raise ConfigError(f"sweep_dir must lie in [-pi/2, pi/2), got {self.sweep_dir}")
-        if self.closure_radius is not None and self.closure_radius <= 0.0:
-            raise ConfigError(f"closure_radius must be positive when set, got {self.closure_radius}")
-        if self.max_turn_rate is not None and self.max_turn_rate <= 0.0:
-            raise ConfigError(f"max_turn_rate must be positive when set, got {self.max_turn_rate}")
-        if len(self.start) != 2 or not all(math.isfinite(c) for c in self.start):
-            raise ConfigError(f"start must be a finite (x, y) pair, got {self.start}")
+            check(name, math.isfinite(val) and val > 0.0, "positive and finite")
+        for name in ("init_duration", "noise_std"):
+            val = getattr(self, name)
+            check(name, math.isfinite(val) and val >= 0.0, "non-negative and finite")
+        for name in ("loop_buffer", "seed"):
+            val = getattr(self, name)
+            check(name, isinstance(val, numbers.Integral) and val >= 0, "a non-negative integer")
+            object.__setattr__(self, name, int(val))
+        check("arc_half_width", 0.0 < self.arc_half_width <= math.pi, "in (0, pi]")
+        _check_sweep_args(self.track_spacing, self.sweep_dir)
+        if self.max_turn_rate == math.inf:
+            # no limit, stored as None so a manifest never holds Infinity
+            object.__setattr__(self, "max_turn_rate", None)
+        for name in ("closure_radius", "max_turn_rate"):
+            val = getattr(self, name)
+            check(name, val is None or (math.isfinite(val) and val > 0.0), "positive and finite when set")
+        check("start", len(self.start) == 2 and all(math.isfinite(c) for c in self.start), "a finite (x, y) pair")
         object.__setattr__(self, "start", (float(self.start[0]), float(self.start[1])))
 
     def as_dict(self) -> dict:
@@ -284,24 +271,23 @@ def apply_overrides(cfg: MissionConfig, overrides: dict) -> MissionConfig:
     for key, raw in overrides.items():
         if key not in by_name:
             raise ConfigError(f"unknown mission setting {key!r}")
-        parsed[key] = _parse_setting(key, raw)
+        parsed[key] = _parse_setting(by_name[key], raw)
     return replace(cfg, **parsed)
 
 
-def _parse_setting(key: str, raw: str):
+def _parse_setting(setting, raw: str):
+    """Parse one value by the type its MissionConfig field declares."""
     raw = raw.strip()
     try:
-        if key in ("loop_buffer", "seed"):
+        if setting.type == "int":
             return int(raw)
-        if key == "start":
+        if setting.type == "tuple":
             return files.parse_point(raw)
-        if key in ("closure_radius", "max_turn_rate"):
-            if raw.lower() in ("none", "inf", "infinity", ""):
-                return None
-            return float(raw)
+        if setting.type == "float | None" and raw.lower() in ("none", ""):
+            return None
         return float(raw)
     except ValueError as exc:
-        raise ConfigError(f"cannot parse {key}={raw!r}: {exc}") from exc
+        raise ConfigError(f"cannot parse {setting.name}={raw!r}: {exc}") from exc
 
 
 def mission_fingerprint(cfg: MissionConfig, field, poly: Polygon) -> str:
@@ -500,20 +486,7 @@ def run_mission(cfg: MissionConfig, field, poly: Polygon) -> MissionLog:
                 log.hyper_history.append((t, fit.hypers, fit.lml, fit.converged, model.n))
                 model.set_hypers(fit.hypers)
                 next_refit = cfg.init_duration + cfg.refit_period
-                follower = ContourFollower(
-                    FollowerConfig(
-                        target_depth=cfg.target_depth,
-                        search_radius=cfg.search_radius,
-                        arc_half_width=cfg.arc_half_width,
-                        depth_tolerance=cfg.depth_tolerance,
-                        ema_half_life=cfg.ema_half_life,
-                        loop_buffer=cfg.loop_buffer,
-                        closure_radius=cfg.closure_radius,
-                    ),
-                    poly,
-                    model,
-                    initial_heading=pose.psi,
-                )
+                follower = ContourFollower(cfg, poly, model, initial_heading=pose.psi)
                 phase = "contour"
 
             if phase == "init":
@@ -525,7 +498,7 @@ def run_mission(cfg: MissionConfig, field, poly: Polygon) -> MissionLog:
                 mode = follower.state.mode.value
                 found = follower.state.found_contour
                 if follower.complete(pose):
-                    idx = closure_index(follower.state.trace, pos, cfg.loop_buffer, follower.cfg.closure_radius)
+                    idx = closure_index(follower.state.trace, pos, cfg.loop_buffer, follower.closure_radius)
                     loop = np.asarray(follower.state.trace[idx:], dtype=float)
                     log.intersection = _trace_to_polygon(loop, cfg.track_spacing / 4.0, cfg.loop_buffer)
                     log.closed = True
@@ -592,15 +565,11 @@ def _field_from_section(items: dict, base_dir: Path):
     if kind not in _FIELD_KINDS:
         raise ConfigError(f"field kind must be one of {_FIELD_KINDS}, got {kind!r}")
     try:
-        if kind == "plane":
-            fld = PlaneField(
-                offset=float(items.pop("offset")),
-                gradient_x=float(items.pop("gradient_x", 0.0)),
-                gradient_y=float(items.pop("gradient_y", 0.0)),
-            )
-        elif kind == "gaussian_sum":
+        if kind == "grid":
+            fld = load_grid_field(base_dir / items.pop("file"))
+        else:  # a plane is a Gaussian sum without mounds
             bumps = []
-            raw = items.pop("bumps", "").strip()
+            raw = items.pop("bumps", "").strip() if kind == "gaussian_sum" else ""
             if raw:
                 for chunk in raw.split(";"):
                     parts = [float(tok) for tok in chunk.replace(",", " ").split()]
@@ -613,8 +582,6 @@ def _field_from_section(items: dict, base_dir: Path):
                 gradient_y=float(items.pop("gradient_y", 0.0)),
                 bumps=tuple(bumps),
             )
-        else:
-            fld = load_grid_field(base_dir / items.pop("file"))
     except KeyError as exc:
         raise ConfigError(f"field section is missing {exc}") from exc
     except ValueError as exc:

@@ -9,15 +9,14 @@ import pytest
 import oracles
 from bathysurvey.contour import (
     ContourFollower,
-    FollowerConfig,
     Mode,
     Pose,
     closure_index,
     ema_heading,
     solve_arc_heading,
 )
-from bathysurvey.errors import ConfigError
 from bathysurvey.geometry import Polygon, bearing_between, point_in_polygon
+from bathysurvey.sim import MissionConfig
 
 
 class StubModel:
@@ -98,21 +97,15 @@ def test_loop_closed_discrete_circle_oracle():
         assert d[hits[k]] < radius
 
 
-def test_follower_config_validation():
-    assert FollowerConfig(4.5, 5.0).closure_radius == pytest.approx(7.5)
-    assert FollowerConfig(4.5, 5.0, closure_radius=3.0).closure_radius == 3.0
-    with pytest.raises(ConfigError):
-        FollowerConfig(4.5, -1.0)
-    with pytest.raises(ConfigError):
-        FollowerConfig(4.5, 5.0, arc_half_width=4.0)
-    with pytest.raises(ConfigError):
-        FollowerConfig(4.5, 5.0, depth_tolerance=0.0)
-    with pytest.raises(ConfigError):
-        FollowerConfig(4.5, 5.0, loop_buffer=-1)
+def test_follower_closure_radius():
+    # unset, the closure radius is 1.5 search radii; set, it stands
+    assert ContourFollower(MissionConfig(search_radius=5.0), SQUARE, FLAT).closure_radius == pytest.approx(7.5)
+    assert ContourFollower(MissionConfig(search_radius=2.0), SQUARE, FLAT).closure_radius == pytest.approx(3.0)
+    assert ContourFollower(MissionConfig(closure_radius=3.0), SQUARE, FLAT).closure_radius == 3.0
 
 
 def _follower(model, **kw):
-    cfg = FollowerConfig(target_depth=3.0, search_radius=2.0, **kw)
+    cfg = MissionConfig(target_depth=3.0, search_radius=2.0, **kw)
     return ContourFollower(cfg, SQUARE, model, initial_heading=math.pi / 2)
 
 

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from bathysurvey.cli import main
 from bathysurvey.contour import Pose
 from bathysurvey.errors import ConfigError, GeometryError
 from bathysurvey.geometry import Polygon
@@ -15,7 +16,6 @@ from bathysurvey.sim import (
     GaussianSumField,
     GridField,
     MissionConfig,
-    PlaneField,
     VesselState,
     apply_overrides,
     canonical_scenario,
@@ -36,7 +36,7 @@ SQUARE = Polygon([(0, 0), (60, 0), (60, 60), (0, 60)])
 
 
 def test_plane_field_values():
-    f = PlaneField(offset=5.0, gradient_x=0.1, gradient_y=-0.2)
+    f = GaussianSumField(offset=5.0, gradient_x=0.1, gradient_y=-0.2)
     assert true_depth(f, (0, 0)) == pytest.approx(5.0)
     assert true_depth(f, (10, 5)) == pytest.approx(5.0 + 1.0 - 1.0)
     pts = np.array([[0, 0], [1, 1], [2, 0]])
@@ -75,15 +75,15 @@ def test_grid_field_bilinear():
 
 
 def test_validate_field():
-    validate_field(PlaneField(offset=2.0), ((0, 0), (10, 10)))
+    validate_field(GaussianSumField(offset=2.0), ((0, 0), (10, 10)))
     with pytest.raises(ConfigError, match="negative"):
-        validate_field(PlaneField(offset=1.0, gradient_x=-0.5), ((0, 0), (10, 10)))
+        validate_field(GaussianSumField(offset=1.0, gradient_x=-0.5), ((0, 0), (10, 10)))
     with pytest.raises(ConfigError, match="finite"):
-        validate_field(PlaneField(offset=math.nan), ((0, 0), (10, 10)))
+        validate_field(GaussianSumField(offset=math.nan), ((0, 0), (10, 10)))
 
 
 def test_sonar_sample_statistics():
-    f = PlaneField(offset=5.0)
+    f = GaussianSumField(offset=5.0)
     pose = Pose(1.0, 2.0, 0.0)
     assert sonar_sample(f, pose, 0.0, np.random.default_rng(0)) == pytest.approx(5.0)
     a = [sonar_sample(f, pose, 0.1, np.random.default_rng(51)) for _ in range(5)]
@@ -138,6 +138,8 @@ def test_mission_config_validation():
     MissionConfig()  # defaults are valid
     for bad in (
         {"target_depth": -1.0},
+        {"search_radius": -1.0},
+        {"depth_tolerance": 0.0},
         {"speed": 0.0},
         {"arc_half_width": 4.0},
         {"sweep_dir": math.pi / 2},
@@ -151,6 +153,27 @@ def test_mission_config_validation():
             MissionConfig(**bad)
 
 
+@pytest.mark.parametrize(
+    "key, value, raw",
+    [
+        ("init_duration", math.nan, "nan"),  # would circle until max_sim_time
+        ("closure_radius", math.nan, "nan"),  # the loop would never close
+        ("noise_std", math.nan, "nan"),  # would abort at t=0 on a non-finite sounding
+        ("max_turn_rate", math.nan, "nan"),  # would silently mean no limit
+        ("seed", 1.5, "1.5"),  # the noise generator takes integers only
+        ("loop_buffer", 2.5, "2.5"),  # loop closure counts points
+        ("closure_radius", math.inf, "inf"),  # would silently mean 1.5 search radii
+    ],
+)
+def test_incomplete_settings_are_config_errors(tmp_path, capsys, key, value, raw):
+    with pytest.raises(ConfigError, match=key):
+        MissionConfig(**{key: value})
+    with pytest.raises(ConfigError, match=key):
+        apply_overrides(MissionConfig(), {key: raw})
+    assert main(["run", "--set", f"{key}={raw}", "--out", str(tmp_path / "run")]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_apply_overrides():
     cfg = MissionConfig()
     out = apply_overrides(
@@ -161,6 +184,9 @@ def test_apply_overrides():
     assert out.seed == 11
     assert out.start == (10.0, 20.0)
     assert out.closure_radius is None
+    # an infinite turn rate is no limit, stored as None to keep manifests JSON
+    assert apply_overrides(cfg, {"max_turn_rate": "inf"}).max_turn_rate is None
+    assert MissionConfig(max_turn_rate=math.inf).max_turn_rate is None
     assert out.search_radius == cfg.search_radius  # untouched fields survive
     with pytest.raises(ConfigError, match="unknown mission setting"):
         apply_overrides(cfg, {"target_deepness": "3"})
@@ -172,11 +198,11 @@ def test_apply_overrides():
 
 def test_mission_fingerprint_sensitivity():
     cfg = MissionConfig()
-    field = PlaneField(offset=5.0)
+    field = GaussianSumField(offset=5.0)
     base = mission_fingerprint(cfg, field, SQUARE)
     assert base == mission_fingerprint(cfg, field, SQUARE)
     assert base != mission_fingerprint(apply_overrides(cfg, {"seed": "1"}), field, SQUARE)
-    assert base != mission_fingerprint(cfg, PlaneField(offset=5.1), SQUARE)
+    assert base != mission_fingerprint(cfg, GaussianSumField(offset=5.1), SQUARE)
     assert base != mission_fingerprint(cfg, field, Polygon([(0, 0), (61, 0), (60, 60), (0, 60)]))
 
 
@@ -197,6 +223,48 @@ def test_canonical_scenario_contents():
     assert poly.area > 1e5  # several-hundred-metre survey box
 
 
+def test_canonical_scenario_manifest_is_pinned():
+    # the hash keys manifests and run directories: restructuring the
+    # config or the field classes must not move it
+    cfg, field, poly = canonical_scenario()
+    assert mission_fingerprint(cfg, field, poly) == "53c4f5ab7c12d12b970a530e53a4ad043fb0a154cd74635a4bcb4046f8e895bb"
+    assert cfg.as_dict() == {
+        "target_depth": 4.5,
+        "search_radius": 5.0,
+        "track_spacing": 10.0,
+        "sweep_dir": 0.0,
+        "start": [250.0, 350.0],
+        "speed": 1.0,
+        "control_rate": 1.0,
+        "sonar_rate": 1.0,
+        "refit_period": 30.0,
+        "init_duration": 50.0,
+        "init_radius": 5.0,
+        "ema_half_life": 5.0,
+        "loop_buffer": 50,
+        "arc_half_width": math.pi / 2,
+        "depth_tolerance": 0.25,
+        "closure_radius": None,
+        "noise_std": 0.02,
+        "seed": 7,
+        "max_turn_rate": None,
+        "max_sim_time": 4000.0,
+    }
+
+
+def test_plane_scenario_is_a_gaussian_sum_without_mounds(tmp_path):
+    (tmp_path / "poly.txt").write_text("0,0\n50,0\n50,50\n0,50\n")
+    text = "[mission]\n\n[field]\nkind = plane\noffset = 5.0\ngradient_y = -0.01\n\n[polygon]\nfile = poly.txt\n"
+    sc = tmp_path / "plane.ini"
+    sc.write_text(text)
+    _, field, _ = load_scenario(sc)
+    assert field == GaussianSumField(offset=5.0, gradient_y=-0.01)
+    assert field.bumps == ()
+    sc.write_text(text.replace("gradient_y = -0.01", "bumps = 10 10 1 5"))
+    with pytest.raises(ConfigError, match="bumps"):
+        load_scenario(sc)
+
+
 def test_load_scenario_rejects_unknown_keys(tmp_path):
     poly_file = tmp_path / "poly.txt"
     poly_file.write_text("0,0\n50,0\n50,50\n0,50\n")
@@ -205,7 +273,7 @@ def test_load_scenario_rejects_unknown_keys(tmp_path):
     sc.write_text(good)
     cfg, field, poly = load_scenario(sc)
     assert cfg.target_depth == 3.0
-    assert isinstance(field, PlaneField)
+    assert isinstance(field, GaussianSumField)
 
     for mangled, pattern in (
         (good.replace("target_depth", "target_deepness"), "unknown"),
@@ -254,7 +322,7 @@ def test_mission_timeout_returns_partial_log():
 def test_mission_start_outside_polygon():
     cfg = MissionConfig(start=(-10.0, -10.0))
     with pytest.raises(GeometryError):
-        run_mission(cfg, PlaneField(offset=5.0), SQUARE)
+        run_mission(cfg, GaussianSumField(offset=5.0), SQUARE)
 
 
 def test_mission_log_save(tmp_path):
@@ -309,7 +377,7 @@ def test_plane_mission_tracks_and_walls():
     intersection. Steady contour tracking must hold the depth error
     within gradient * search_radius once captured.
     """
-    field = PlaneField(offset=7.0, gradient_y=-1.0 / 12.0)
+    field = GaussianSumField(offset=7.0, gradient_y=-1.0 / 12.0)
     cfg = MissionConfig(
         target_depth=4.5,
         search_radius=5.0,
@@ -376,7 +444,7 @@ def test_refits_stop_when_the_loop_closes(canonical_run):
 
 
 def test_refit_period_past_mission_end_keeps_init_fit_only():
-    field = PlaneField(offset=7.0, gradient_y=-1.0 / 12.0)
+    field = GaussianSumField(offset=7.0, gradient_y=-1.0 / 12.0)
     cfg = MissionConfig(
         target_depth=4.5,
         search_radius=5.0,
