@@ -10,8 +10,9 @@ boundary-inclusive within a 1e-9 tolerance.
 
 Each polygon question has one routine, which every caller shares:
 points_in_polygon (containment), _closest_on_edges (closest point of
-each edge), _edge_crossings (where a line meets each edge) and
-segments_in_polygon (whether sampled straight segments stay inside).
+each edge), _edge_crossings (where a line meets each edge),
+segments_in_polygon (whether sampled straight segments stay inside) and
+_first_crossing (which edges touch or cross: whether a polygon is simple).
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ TWO_PI = 2.0 * math.pi
 BOUNDARY_TOL = 1e-9
 #: segments whose samples go through one containment call
 _SEGMENT_CHUNK = 256
+#: edges whose pair tests against every edge go through one array pass
+_EDGE_BLOCK = 256
 
 
 def normalize_bearing(psi: float) -> float:
@@ -91,6 +94,8 @@ class Polygon:
         v = np.array(vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2:
             raise GeometryError(f"expected an (n, 2) vertex array, got shape {v.shape}")
+        if not np.all(np.isfinite(v)):  # before the dedup, which would drop a NaN vertex
+            raise GeometryError("polygon vertices must be finite")
         if len(v) and np.hypot(*(v[-1] - v[0])) <= BOUNDARY_TOL:
             v = v[:-1]  # drop explicit closing vertex
         keep = [0]
@@ -100,8 +105,6 @@ class Polygon:
         v = v[keep]
         if len(v) < 3:
             raise GeometryError("polygon needs at least 3 distinct vertices")
-        if not np.all(np.isfinite(v)):
-            raise GeometryError("polygon vertices must be finite")
         area2 = _signed_area2(v)
         scale = max(1.0, float(np.abs(v).max()))
         if abs(area2) <= 1e-12 * scale * scale:
@@ -112,19 +115,9 @@ class Polygon:
         self.vertices.setflags(write=False)
         self._edge_ends = np.roll(v, -1, axis=0)  # end of edge i is vertex i + 1
         self._edge_ends.setflags(write=False)
-        self._check_simple()
-
-    def _check_simple(self):
-        v = self.vertices
-        n = len(v)
-        for i in range(n):
-            a1, a2 = v[i], v[(i + 1) % n]
-            for j in range(i + 1, n):
-                if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                    continue  # adjacent edges share a vertex by construction
-                b1, b2 = v[j], v[(j + 1) % n]
-                if _segments_intersect(a1, a2, b1, b2):
-                    raise GeometryError(f"polygon self-intersects: edge {i} crosses edge {j}")
+        crossing = _first_crossing(v, self._edge_ends)
+        if crossing is not None:
+            raise GeometryError("polygon self-intersects: edge %d crosses edge %d" % crossing)
 
     def __len__(self):
         return len(self.vertices)
@@ -148,31 +141,34 @@ def _signed_area2(v: np.ndarray) -> float:
     return float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
 
 
-def _cross(o, a, b) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _segments_intersect(p1, p2, q1, q2, eps: float = 1e-12) -> bool:
-    """True if closed segments p1p2 and q1q2 share any point."""
-    d1 = _cross(q1, q2, p1)
-    d2 = _cross(q1, q2, p2)
-    d3 = _cross(p1, p2, q1)
-    d4 = _cross(p1, p2, q2)
-    if ((d1 > eps and d2 < -eps) or (d1 < -eps and d2 > eps)) and (
-        (d3 > eps and d4 < -eps) or (d3 < -eps and d4 > eps)
-    ):
-        return True
-    for d, a, b, c in ((d1, q1, q2, p1), (d2, q1, q2, p2), (d3, p1, p2, q1), (d4, p1, p2, q2)):
-        if abs(d) <= eps and _on_segment_bbox(a, b, c, eps):
-            return True
-    return False
-
-
-def _on_segment_bbox(a, b, c, eps: float) -> bool:
-    return (
-        min(a[0], b[0]) - eps <= c[0] <= max(a[0], b[0]) + eps
-        and min(a[1], b[1]) - eps <= c[1] <= max(a[1], b[1]) + eps
-    )
+def _first_crossing(v: np.ndarray, ends: np.ndarray):
+    """First pair (i, j), i < j in row order, of non-adjacent edges
+    v[k] -> ends[k] sharing a point: each straddles the other's line, or
+    an end of one has an orientation about the other within 1e-12 of
+    zero and lies in its bounding box grown by 1e-12. None if no pair
+    does. Orientations are computed for _EDGE_BLOCK edges at a time."""
+    eps = 1e-12
+    n = len(v)
+    x, y = v.T
+    ex, ey = (ends - v).T
+    lox, loy = (np.minimum(v, ends) - eps).T
+    hix, hiy = (np.maximum(v, ends) + eps).T
+    straddles = np.empty((n, n), dtype=bool)  # edge i straddles the line of edge j
+    touches = np.empty((n, n), dtype=bool)  # an end of edge i lies on edge j
+    ring = np.vstack([v, v[:1]])
+    for r0 in range(0, n, _EDGE_BLOCK):
+        r1 = min(r0 + _EDGE_BLOCK, n)
+        px, py = ring[r0 : r1 + 1, 0, None], ring[r0 : r1 + 1, 1, None]  # the vertices of edges r0 .. r1 - 1
+        d = ex * (py - y) - ey * (px - x)
+        above, below = d > eps, d < -eps
+        on = (np.abs(d) <= eps) & (lox <= px) & (px <= hix) & (loy <= py) & (py <= hiy)
+        straddles[r0:r1] = (above[:-1] & below[1:]) | (below[:-1] & above[1:])
+        touches[r0:r1] = on[:-1] | on[1:]
+    k = np.arange(n)
+    hits = ((straddles & straddles.T) | touches | touches.T) & (k > k[:, None] + 1)  # j > i + 1: i, j not adjacent
+    hits[0, n - 1] = False  # nor are n - 1 and 0, which share vertex 0
+    i, j = np.nonzero(hits)
+    return (int(i[0]), int(j[0])) if len(i) else None
 
 
 def _closest_on_edges(pts: np.ndarray, poly: Polygon):
@@ -364,28 +360,23 @@ def arc_within_polygon(p, poly: Polygon, radius: float) -> tuple:
     bearings = np.array(sorted(normalize_bearing(h) for h in hits))
     m = len(bearings)
     spans = np.diff(np.append(bearings, bearings[0] + TWO_PI))
-    inside = np.zeros(m, dtype=bool)
-    for i in range(m):
-        mid = bearings[i] + 0.5 * spans[i]
-        probe = p + radius * np.array([math.sin(mid), math.cos(mid)])
-        inside[i] = point_in_polygon(probe, poly)
+    mid = bearings + 0.5 * spans
+    inside = points_in_polygon(p + radius * np.column_stack([np.sin(mid), np.cos(mid)]), poly)
     if not inside.any():
         raise GeometryError(f"no bearing at radius {radius} from {tuple(p)} stays inside the polygon")
     if inside.all():
         return (-math.pi, math.pi)
     # longest circular run of inside gaps
-    best_span, best_start, best_len = -1.0, 0, 0
-    i = 0
-    while i < m:
-        if inside[i % m] and not inside[(i - 1) % m]:
+    best_span, best_start = -1.0, 0
+    for i in range(m):
+        if inside[i] and not inside[i - 1]:
             j, total = i, 0.0
             while inside[j % m]:
                 total += spans[j % m]
                 j += 1
             if total > best_span:
-                best_span, best_start, best_len = total, i, j - i
-        i += 1
-    start = float(bearings[best_start % m])
+                best_span, best_start = total, i
+    start = float(bearings[best_start])
     end = normalize_bearing(start + best_span)
     return (start, end)
 

@@ -91,8 +91,8 @@ class GridField:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 2 or vals.shape[0] < 2 or vals.shape[1] < 2:
             raise ConfigError(f"grid field needs a 2-D value array of at least 2x2, got {vals.shape}")
-        if self.dx <= 0 or self.dy <= 0:
-            raise ConfigError("grid spacing must be positive")
+        if not (np.isfinite([self.x0, self.y0, self.dx, self.dy]).all() and self.dx > 0 and self.dy > 0):
+            raise ConfigError(f"grid origin must be finite and spacing finite and positive, got {(self.x0, self.y0, self.dx, self.dy)}")
         object.__setattr__(self, "values", vals)
 
     def depth(self, p) -> np.ndarray:

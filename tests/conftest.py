@@ -13,8 +13,14 @@ from pathlib import Path
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Property tests draw the same examples on every run and stop at a fixed
+# count, so tier-1 stays deterministic and its run time bounded.
+settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=200)
+settings.load_profile("tier1")
 
 from bathysurvey.sim import apply_overrides, canonical_scenario, run_mission
 

@@ -4,10 +4,12 @@ Every function here is a direct transcription of a textbook formula or
 a deliberate brute-force computation, sharing no code path with the
 package: factorizations go through numpy.linalg.cholesky, GP equations
 through explicit matrix inverses, log-likelihoods through slogdet,
-point-in-polygon through winding angles, and ray crossings through
-exact per-edge parameter solves. The one exception is transit_all_targets,
-the planner's exhaustive transit search kept as the reference for its
-pruned one: it runs the package's own grid and A* on purpose.
+point-in-polygon through winding angles, ray crossings through
+exact per-edge parameter solves, and polygon simplicity through a
+scalar segment-pair test over every pair of edges. The one exception
+is transit_all_targets, the planner's exhaustive transit search kept
+as the reference for its pruned one: it runs the package's own grid
+and A* on purpose.
 """
 
 import heapq
@@ -123,6 +125,50 @@ def ray_hits(origin, bearing, verts):
             pts.append((t, o + t * d))
     pts.sort(key=lambda h: h[0])
     return [p for _, p in pts]
+
+
+def first_crossing(verts):
+    """First pair (i, j), i < j, of non-adjacent edges of a vertex ring
+    that share a point as closed segments, or None: the scalar pair test
+    over every pair, in the loop order whose first hit a Polygon names."""
+    v = np.asarray(verts, dtype=float)
+    n = len(v)
+    for i in range(n):
+        a1, a2 = v[i], v[(i + 1) % n]
+        for j in range(i + 1, n):
+            if j == i or (j + 1) % n == i or (i + 1) % n == j:
+                continue  # adjacent edges share a vertex by construction
+            b1, b2 = v[j], v[(j + 1) % n]
+            if _segments_intersect(a1, a2, b1, b2):
+                return i, j
+    return None
+
+
+def _cross(o, a, b) -> float:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _segments_intersect(p1, p2, q1, q2, eps: float = 1e-12) -> bool:
+    """True if closed segments p1p2 and q1q2 share any point."""
+    d1 = _cross(q1, q2, p1)
+    d2 = _cross(q1, q2, p2)
+    d3 = _cross(p1, p2, q1)
+    d4 = _cross(p1, p2, q2)
+    if ((d1 > eps and d2 < -eps) or (d1 < -eps and d2 > eps)) and (
+        (d3 > eps and d4 < -eps) or (d3 < -eps and d4 > eps)
+    ):
+        return True
+    for d, a, b, c in ((d1, q1, q2, p1), (d2, q1, q2, p2), (d3, p1, p2, q1), (d4, p1, p2, q2)):
+        if abs(d) <= eps and _on_segment_bbox(a, b, c, eps):
+            return True
+    return False
+
+
+def _on_segment_bbox(a, b, c, eps: float) -> bool:
+    return (
+        min(a[0], b[0]) - eps <= c[0] <= max(a[0], b[0]) + eps
+        and min(a[1], b[1]) - eps <= c[1] <= max(a[1], b[1]) + eps
+    )
 
 
 def grid_dijkstra(nodes, start, goal, spacing, clear):

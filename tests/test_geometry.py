@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from bathysurvey.errors import ConfigError, GeometryError
@@ -29,6 +31,7 @@ from bathysurvey.geometry import (
     simplify_closed_curve,
     trace_boundary,
 )
+from bathysurvey.geometry import _first_crossing
 
 SQUARE = Polygon([(0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0)])
 # south-opening U shape: two prongs joined across the top
@@ -77,8 +80,48 @@ def test_polygon_normalization_and_validation():
         Polygon([(0, 0), (5, 0), (10, 0)])  # zero area
     with pytest.raises(GeometryError, match="self-intersects"):
         Polygon([(0, 0), (10, 1), (10, 0), (0, 10)])  # asymmetric bow tie
+    # the touch branch: an end of one edge lies on a non-adjacent edge
+    with pytest.raises(GeometryError, match="edge 0 crosses edge 3"):
+        Polygon([(0, 0), (10, 0), (10, 10), (6, 10), (5, 0), (4, 10), (0, 10)])  # vertex 4 on edge 0
+    with pytest.raises(GeometryError, match="edge 0 crosses edge 4"):
+        Polygon([(0, 0), (-10, 0), (-10, 5), (-14, 5), (-12, 0), (-4, 0), (-4, -5), (0, -5)])  # collinear overlap
+    with pytest.raises(GeometryError, match="edge 0 crosses edge 3"):
+        Polygon([(0, 0), (5, 5), (10, 0), (10, 10), (5, 5), (0, 10)])  # figure-eight sharing vertex (5, 5)
     with pytest.raises(GeometryError):
         Polygon([(0, 0), (1, np.nan), (2, 0)])
+
+
+# vertex rings that stress the edge-pair test's 1e-12 dead zone
+_lattice = st.tuples(st.integers(0, 4), st.integers(0, 4)).map(lambda p: (float(p[0]), float(p[1])))
+_nudge = st.sampled_from([-1e-12, -5e-13, 0.0, 5e-13, 1e-12])
+
+
+@st.composite
+def _rings(draw):
+    n = draw(st.integers(3, 24))
+    kind = draw(st.sampled_from(["uniform", "lattice", "near_duplicate", "star", "spike"]))
+    if kind == "uniform":
+        coord = st.floats(-50.0, 50.0)
+        return np.array(draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n)))
+    if kind in ("lattice", "near_duplicate"):  # touching vertices, collinear overlapping edges
+        v = np.array(draw(st.lists(_lattice, min_size=n, max_size=n)))
+        if kind == "near_duplicate":
+            v += np.array(draw(st.lists(st.tuples(_nudge, _nudge), min_size=n, max_size=n)))
+        return v
+    v = oracles.star_polygon(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    if kind == "spike":  # out to a tip and back to within BOUNDARY_TOL of the base
+        i = draw(st.integers(0, n - 1))
+        tip = v[i] + draw(st.sampled_from([-1.0, 1.0])) * (v[(i + 2) % n] - v[i]) * draw(st.floats(0.5, 2.0))
+        back = v[i] + draw(st.sampled_from([0.0, 1e-13, 1e-12, 2e-12, 5e-10])) * np.array([1.0, -1.0])
+        v = np.insert(v, i + 1, [tip, back], axis=0)
+    return v
+
+
+@given(_rings())
+def test_first_crossing_matches_the_scalar_oracle(v):
+    """Same no-crossing verdict, or the same first pair in (i, j) order,
+    as the scalar pair test over every pair of edges."""
+    assert _first_crossing(v, np.roll(v, -1, axis=0)) == oracles.first_crossing(v)
 
 
 def test_point_in_polygon_matches_winding_oracle():
@@ -268,3 +311,10 @@ def test_polygon_file_roundtrip(tmp_path):
     assert np.allclose(back.vertices, U_SHAPE.vertices)
     with pytest.raises(ConfigError):
         load_polygon(tmp_path / "nope.txt")
+
+
+def test_a_nan_vertex_is_rejected_not_dropped(tmp_path):
+    path = tmp_path / "poly.txt"
+    path.write_text("0,0\n10,0\n10,nan\n0,10\n")
+    with pytest.raises(GeometryError, match="finite"):
+        load_polygon(path)

@@ -303,6 +303,14 @@ def test_grid_field_file_roundtrip(tmp_path):
         load_grid_field(path)
 
 
+@pytest.mark.parametrize("header", ["0,0,nan,1", "nan,0,1,1", "0,inf,1,1", "0,0,1,-inf"])
+def test_grid_field_rejects_a_non_finite_header(tmp_path, header):
+    path = tmp_path / "grid.csv"
+    path.write_text(f"{header}\n1.0,2.0\n3.0,4.0\n")
+    with pytest.raises(ConfigError, match="finite"):
+        load_grid_field(path)
+
+
 # -- missions ----------------------------------------------------------------
 
 
