@@ -36,7 +36,7 @@ from .geometry import (
     nearest_boundary_point,
     point_in_polygon,
     points_in_polygon,
-    ray_cross_polygon,
+    rays_cross_polygon,
     segment_in_polygon,
     segments_in_polygon,
     trace_boundary,
@@ -186,21 +186,15 @@ def _check_sweep_args(delta: float, sweep_dir: float) -> None:
         raise ConfigError(f"sweep direction must lie in [-pi/2, pi/2), got {sweep_dir}")
 
 
-def _line_crossings(poly: Polygon, t: float, u: np.ndarray, v: np.ndarray, s_lo: float, pad: float):
-    """s-sorted crossing points of the sweep line at coordinate t."""
-    origin = t * u + (s_lo - pad) * v
-    bearing = math.atan2(v[0], v[1])
-    return ray_cross_polygon(origin, bearing, poly)
-
-
 def sweep_polygon(poly: Polygon, delta: float, sweep_dir: float) -> SweepRecord:
     """Cast the global grid of sweep lines across the polygon.
 
     Lines sit at t_origin + k * delta plus one final line at the sweep
     maximum. Lines that would pass exactly through a vertex are nudged
     forward by 1e-9 * delta, except the final line which is nudged
-    backward so the closing crossings stay inside. A line with an odd
-    crossing count, a residual tangency, is re-nudged up to three times.
+    backward so the closing crossings stay inside. Every line is cast in
+    one array pass; a line with an odd crossing count, a residual
+    tangency, is re-nudged and cast on its own up to three times.
     """
     _check_sweep_args(delta, sweep_dir)
     u, v = sweep_frame(sweep_dir)
@@ -221,25 +215,27 @@ def sweep_polygon(poly: Polygon, delta: float, sweep_dir: float) -> SweepRecord:
         ts.append(t)
         t += delta
     ts.append(t_max)
+    ts = np.asarray(ts)
+    steps = np.full(len(ts), nudge)
+    steps[-1] = -nudge
+    ts = np.where((np.abs(vt - ts[:, None]) <= nudge).any(axis=1), ts + steps, ts)
 
-    out_ts, crossings = [], []
-    for i, t in enumerate(ts):
-        final = i == len(ts) - 1
-        step = -nudge if final else nudge
-        if np.any(np.abs(vt - t) <= nudge):
-            t += step
-        pts = _line_crossings(poly, t, u, v, s_lo, pad)
+    bearing = math.atan2(v[0], v[1])
+
+    def cast(lines):  # s-sorted crossing points of the sweep lines at these t
+        return rays_cross_polygon(lines[:, None] * u + (s_lo - pad) * v, bearing, poly)
+
+    crossings = cast(ts)
+    for i in np.flatnonzero([len(c) % 2 for c in crossings]):
         tries = 0
-        while len(pts) % 2 == 1 and tries < 3:  # tangency survived the nudge
-            t += step
-            pts = _line_crossings(poly, t, u, v, s_lo, pad)
+        while len(crossings[i]) % 2 == 1 and tries < 3:  # tangency survived the nudge
+            ts[i] += steps[i]
+            crossings[i] = cast(ts[i : i + 1])[0]
             tries += 1
-        if len(pts) % 2 == 1:
-            raise GeometryError(f"sweep line at t={t} crosses the polygon an odd number of times")
-        out_ts.append(t)
-        crossings.append(pts)
+        if len(crossings[i]) % 2 == 1:
+            raise GeometryError(f"sweep line at t={ts[i]} crosses the polygon an odd number of times")
     counts = np.array([len(c) for c in crossings])
-    return SweepRecord(sweep_dir, delta, t_min, np.asarray(out_ts), crossings, counts)
+    return SweepRecord(sweep_dir, delta, t_min, ts, crossings, counts)
 
 
 def partition_monotone(poly: Polygon, delta: float, sweep_dir: float):
@@ -383,23 +379,45 @@ def shrink_corners(cell: Cell, delta: float, sweep_dir: float) -> np.ndarray:
     )
 
 
-def _densify(a, b, delta: float) -> np.ndarray:
-    """Evenly spaced points from a to b inclusive, spacing at most delta."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    dist = float(np.hypot(*(b - a)))
-    n = max(1, math.ceil(dist / delta - 1e-12))
-    frac = np.linspace(0.0, 1.0, n + 1)[:, None]
-    return a + frac * (b - a)
+def _densify_path(way, sizes, delta: float) -> list:
+    """Polylines through stations, spacing at most delta, with the legs of
+    all of them in one array pass.
+
+    `way` stacks the paths' points, each path's start and then its
+    stations, and sizes[k] is the number of stations of path k. Returns
+    one array per path: from its start through each station in turn. A
+    leg of n = max(1, ceil(length / delta - 1e-12)) steps from a to b has
+    points a + f (b - a) at f = i * (1 / n) + 0.0, the last f set to 1.0;
+    a leg after the first starts where the previous one ended,
+    a + 1.0 (b - a), which can differ from its station in the last bit.
+    """
+    xy = np.asarray(way, dtype=float).reshape(-1, 2).tolist()
+    legs, later, firsts, k = [], [], [], 0
+    for size in sizes:
+        firsts.append(len(legs))
+        x, y = xy[k]
+        for bx, by in xy[k + 1 : k + 1 + size]:
+            legs.append((x, y, bx - x, by - y))
+            later.append(len(legs) > firsts[-1] + 1)
+            x, y = x + (bx - x), y + (by - y)
+        k += 1 + size
+    legs = np.asarray(legs, dtype=float).reshape(-1, 4)
+    n = np.maximum(1, np.ceil(np.hypot(legs[:, 2], legs[:, 3]) / delta - 1e-12)).astype(int)
+    later = np.asarray(later, dtype=int)  # 1 for a leg whose first point is the previous leg's last
+    count = n + 1 - later
+    stop = np.cumsum(count)
+    leg = np.repeat(np.arange(len(n)), count)
+    frac = (np.arange(len(leg)) - (stop - count - later)[leg]) * (1.0 / n)[leg] + 0.0
+    frac[stop - 1] = 1.0
+    ad = legs[leg]
+    pts = ad[:, :2] + frac[:, None] * ad[:, 2:]
+    return _split(pts, stop[np.asarray(firsts[1:], dtype=int) - 1])
 
 
-def _densify_path(start, stations, delta: float) -> np.ndarray:
-    """Polyline from start through each station in turn, spacing at most
-    delta; each leg starts at the point where the previous one ended."""
-    way = [np.asarray(start, dtype=float)]
-    for station in stations:
-        way.extend(_densify(way[-1], station, delta)[1:])
-    return np.asarray(way, dtype=float).reshape(-1, 2)
+def _split(pts: np.ndarray, cuts) -> list:
+    """pts cut into consecutive pieces before each index of cuts."""
+    bounds = [0, *np.asarray(cuts, dtype=int).tolist(), len(pts)]
+    return [pts[i:j] for i, j in zip(bounds[:-1], bounds[1:])]
 
 
 def _path_length(pts: np.ndarray) -> float:
@@ -408,29 +426,36 @@ def _path_length(pts: np.ndarray) -> float:
     return float(np.hypot(*np.diff(pts, axis=0).T).sum())
 
 
-def _hop_stations(chains, t_from: float, t_to: float, high_side: bool, delta: float, u, v) -> list:
-    """Intermediate hop waypoints on the shrunk boundary between tracks.
+def _hop_stations(chains, ts: np.ndarray, high_side: np.ndarray, delta: float, u, v) -> list:
+    """Intermediate waypoints of the hop from each track ts[k] to the next,
+    on the shrunk boundary on its high side when high_side[k], else its low side.
 
     A straight chord between adjacent track endpoints can clip a notch
     vertex poking into the cell between two sweep lines, so the hop
     follows the delta-inset chain instead: one station per chain vertex
     strictly between the tracks keeps every leg on the inset curve.
+    Returns one (k, 2) array per hop.
     """
     top_t, _, bot_t, _ = chains
-    lo, hi = (t_from, t_to) if t_from < t_to else (t_to, t_from)
-    ts = np.unique(np.concatenate([top_t, bot_t]))
-    ts = ts[(ts > lo + 1e-12) & (ts < hi - 1e-12)]
-    if t_to < t_from:
-        ts = ts[::-1]
-    out = []
-    for t in ts:
-        a, b = _span_at(float(t), chains, delta)
-        s = b if high_side else a
-        out.append(float(t) * u + s * v)
-    return out
+    knots = np.unique(np.concatenate([top_t, bot_t]))
+    t_from, t_to = ts[:-1], ts[1:]
+    first = np.searchsorted(knots, np.minimum(t_from, t_to) + 1e-12, side="right")
+    stop = np.searchsorted(knots, np.maximum(t_from, t_to) - 1e-12, side="left")
+    at, side, per_hop = [], [], []
+    for k, (i, j) in enumerate(zip(first.tolist(), stop.tolist())):
+        between = knots[i:j].tolist()
+        if t_to[k] < t_from[k]:
+            between.reverse()
+        for t in between:
+            a, b = _span_at(t, chains, delta)
+            at.append(t)
+            side.append(b if high_side[k] else a)
+        per_hop.append(len(between))
+    pts = np.asarray(at)[:, None] * u + np.asarray(side)[:, None] * v
+    return _split(pts.reshape(-1, 2), np.cumsum(per_hop)[:-1])
 
 
-def _clamp_to_cell(points: list, outline: Polygon) -> list:
+def _clamp_to_cell(points: np.ndarray, outline: Polygon) -> np.ndarray:
     """Pull waypoints that left the cell back onto its outline.
 
     The boundary may double back on itself by less than the grid spacing
@@ -439,8 +464,29 @@ def _clamp_to_cell(points: list, outline: Polygon) -> list:
     stray point hugs the outline instead, which lies on or inside the
     survey polygon.
     """
-    inside = points_in_polygon(np.asarray(points, dtype=float).reshape(-1, 2), outline)
-    return [p if ok else nearest_boundary_point(p, outline) for p, ok in zip(points, inside)]
+    out = points.copy()
+    for i in np.flatnonzero(~points_in_polygon(points, outline)):
+        out[i] = nearest_boundary_point(points[i], outline)
+    return out
+
+
+def _drop_repeats(way: np.ndarray, droppable: np.ndarray) -> np.ndarray:
+    """The waypoints without each droppable one that lies within 1e-9 m
+    of the last waypoint kept before it."""
+    repeat = np.zeros(len(way), dtype=bool)
+    repeat[1:] = ~(np.hypot(*np.diff(way, axis=0).T) > 1e-9)
+    repeat &= droppable
+    if not repeat.any():
+        return way
+    # once one is dropped, the last kept point is no longer the previous one
+    keep = np.ones(len(way), dtype=bool)
+    last = int(np.argmax(repeat)) - 1
+    for i in range(last + 1, len(way)):
+        if droppable[i] and not np.hypot(*(way[i] - way[last])) > 1e-9:
+            keep[i] = False
+        else:
+            last = i
+    return way[keep]
 
 
 def lawnmower_cell(cell: Cell, entry_corner: int, delta: float, sweep_dir: float) -> np.ndarray:
@@ -449,41 +495,40 @@ def lawnmower_cell(cell: Cell, entry_corner: int, delta: float, sweep_dir: float
     Tracks run along the line direction, joined by hops that follow the
     shrunk cell boundary to the next track; waypoints are spaced at most
     delta apart, the first waypoint is the entry corner and the last is
-    the far end of the final trackline.
+    the far end of the final trackline. All tracks, then all hops, are
+    densified in one pass each, and all hop points clamped in one.
     """
     if entry_corner not in (0, 1, 2, 3):
         raise ConfigError(f"entry corner must be 0..3, got {entry_corner}")
     u, v = sweep_frame(sweep_dir)
-    chains = _chain_coords(cell, sweep_dir)
-    # built on first hop only: a single-track cell can be thinner than the
-    # distinct-vertex tolerance and has no hop legs to clamp anyway
-    outline: Polygon | None = None
     ts, spans = _cell_track_geometry(cell, delta, sweep_dir)
     if entry_corner in (2, 3):  # enter on the closing side: run tracks backwards
         ts = ts[::-1]
         spans = spans[::-1]
-    low_first = entry_corner in (0, 3)
-
-    pts: list = []
-    for i, (t, (a, b)) in enumerate(zip(ts, spans)):
-        s_from, s_to = (a, b) if (i % 2 == 0) == low_first else (b, a)
-        track = _densify(t * u + s_from * v, t * u + s_to * v, delta)
-        if pts:
-            high_side = ((i - 1) % 2 == 0) == low_first  # side the last track ended on
-            stations = _hop_stations(chains, float(ts[i - 1]), float(t), high_side, delta, u, v)
-            if outline is None:
-                outline = cell.outline()
-            hop = _clamp_to_cell(_densify_path(pts[-1], [*stations, track[0]], delta)[1:], outline)
-            # clamping can collapse neighbours onto one outline vertex;
-            # a duplicated waypoint would read as a zero-length trackline
-            for q in hop[:-1]:
-                if np.hypot(*(q - pts[-1])) > 1e-9:
-                    pts.append(q)
-            pts.append(hop[-1])
-            pts.extend(track[1:])
-        else:
-            pts.extend(track)
-    return np.asarray(pts, dtype=float).reshape(-1, 2)
+    lo, hi = np.asarray(spans, dtype=float).T
+    up = (np.arange(len(ts)) % 2 == 0) == (entry_corner in (0, 3))  # track runs to high s
+    starts = ts[:, None] * u + np.where(up, lo, hi)[:, None] * v
+    ends = ts[:, None] * u + np.where(up, hi, lo)[:, None] * v
+    tracks = _densify_path(np.stack([starts, ends], axis=1), [1] * len(ts), delta)
+    if len(tracks) == 1:  # no hop; such a cell can be thinner than the distinct-vertex tolerance of its outline
+        return tracks[0]
+    stations = _hop_stations(_chain_coords(cell, sweep_dir), ts, up[:-1], delta, u, v)
+    # each hop runs from where one track ended through its stations to the next track's first point
+    hop_ways = [part for prev, st, nxt in zip(tracks, stations, tracks[1:]) for part in (prev[-1:], st, nxt[:1])]
+    hops = _densify_path(np.concatenate(hop_ways), [len(st) + 1 for st in stations], delta)
+    parts = [tracks[0]]
+    for hop, track in zip(hops, tracks[1:]):
+        parts += [hop[1:], track[1:]]  # the hop's last point stands in for the track's first
+    sizes = [len(part) for part in parts]
+    on_hop = np.repeat(np.arange(len(parts)) % 2 == 1, sizes)
+    way = np.concatenate(parts)
+    way[on_hop] = _clamp_to_cell(way[on_hop], cell.outline())
+    # clamping can collapse neighbours onto one outline vertex; a
+    # duplicated waypoint would read as a zero-length trackline. A hop's
+    # last point stays: it starts the next track.
+    droppable = on_hop.copy()
+    droppable[np.cumsum(sizes)[1::2] - 1] = False
+    return _drop_repeats(way, droppable)
 
 
 class _TransitGrid:
@@ -560,16 +605,22 @@ class _TransitGrid:
 
         The nearest node can sit across a notch of a nonconvex polygon,
         so candidates are tried in distance order until one has a clear
-        line of sight; None when no node does.
+        line of sight; None when no node does. They are tested in chunks
+        of 1, 4, 16, ... candidates, and the first clear one in the first
+        chunk that has one wins.
         """
         if not self._node_list:
             raise GeometryError("no transit grid nodes fall inside the polygon")
         p = np.asarray(point, dtype=float)
         world = self._world
         order = np.argsort(np.hypot(*(world - p).T), kind="stable")
-        for k in order:
-            if segment_in_polygon(p, world[int(k)], self.poly, step=self.delta / 3.0):
-                return self._node_list[int(k)]
+        lo, size = 0, 1
+        while lo < len(order):
+            chunk = order[lo : lo + size]
+            clear = segments_in_polygon(np.broadcast_to(p, (len(chunk), 2)), world[chunk], self.poly, self.delta / 3.0)
+            if clear.any():
+                return self._node_list[int(chunk[np.argmax(clear)])]
+            lo, size = lo + size, 4 * size
         return None
 
     def astar(self, start: tuple, goal: tuple):
@@ -644,7 +695,7 @@ def plan_transit(position, targets, poly: Polygon, delta: float, grid: _TransitG
         raise ConfigError("plan_transit needs at least one target")
     dists = [float(np.hypot(*(t - pos))) for t in targets]
     nearest = min(range(len(targets)), key=lambda i: (dists[i], i))
-    direct = _densify(pos, targets[nearest], delta)
+    direct = _densify_path(np.array([pos, targets[nearest]]), [1], delta)[0]
     if segment_in_polygon(pos, targets[nearest], poly, step=delta / 4.0) and bool(
         points_in_polygon(direct, poly).all()
     ):
@@ -668,7 +719,7 @@ def plan_transit(position, targets, poly: Polygon, delta: float, grid: _TransitG
         node_path = grid.astar(start, goal)
         if node_path is None:
             continue
-        way = _densify_path(pos, [*(grid.to_world(n) for n in node_path), targets[i]], delta)
+        way = _densify_path(np.vstack([pos, grid.to_world(node_path), targets[i]]), [len(node_path) + 1], delta)[0]
         if not bool(points_in_polygon(way, poly).all()):
             continue  # a grazing leg slipped outside between samples
         length = _path_length(way)

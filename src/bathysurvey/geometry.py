@@ -96,24 +96,31 @@ class Polygon:
             raise GeometryError(f"expected an (n, 2) vertex array, got shape {v.shape}")
         if not np.all(np.isfinite(v)):  # before the dedup, which would drop a NaN vertex
             raise GeometryError("polygon vertices must be finite")
-        if len(v) and np.hypot(*(v[-1] - v[0])) <= BOUNDARY_TOL:
+        gaps = np.hypot(*np.diff(v, axis=0, append=v[:1]).T)  # vertex i to i + 1, the last closing the ring
+        if len(v) and gaps[-1] <= BOUNDARY_TOL:
             v = v[:-1]  # drop explicit closing vertex
-        keep = [0]
-        for i in range(1, len(v)):
-            if np.hypot(*(v[i] - v[keep[-1]])) > BOUNDARY_TOL:
-                keep.append(i)
-        v = v[keep]
+        close = np.flatnonzero(gaps[: len(v) - 1] <= BOUNDARY_TOL)
+        if len(close):
+            # every vertex up to the first close pair stays; each later one
+            # stays when it is far enough from the last one kept
+            keep = list(range(close[0] + 1))
+            for i in range(close[0] + 1, len(v)):
+                if np.hypot(*(v[i] - v[keep[-1]])) > BOUNDARY_TOL:
+                    keep.append(i)
+            v = v[keep]
         if len(v) < 3:
             raise GeometryError("polygon needs at least 3 distinct vertices")
-        area2 = _signed_area2(v)
+        ends = np.roll(v, -1, axis=0)  # end of edge i is vertex i + 1
+        area2 = _signed_area2(v, ends)
         scale = max(1.0, float(np.abs(v).max()))
         if abs(area2) <= 1e-12 * scale * scale:
             raise GeometryError("polygon has zero area")
         if area2 < 0.0:
             v = v[::-1].copy()
+            ends = np.roll(v, -1, axis=0)
         self.vertices = v
         self.vertices.setflags(write=False)
-        self._edge_ends = np.roll(v, -1, axis=0)  # end of edge i is vertex i + 1
+        self._edge_ends = ends
         self._edge_ends.setflags(write=False)
         crossing = _first_crossing(v, self._edge_ends)
         if crossing is not None:
@@ -127,7 +134,7 @@ class Polygon:
 
     @property
     def area(self) -> float:
-        return 0.5 * _signed_area2(self.vertices)
+        return 0.5 * _signed_area2(self.vertices, self._edge_ends)
 
     @property
     def bounds(self):
@@ -136,9 +143,9 @@ class Polygon:
         return (v[:, 0].min(), v[:, 1].min(), v[:, 0].max(), v[:, 1].max())
 
 
-def _signed_area2(v: np.ndarray) -> float:
-    x, y = v[:, 0], v[:, 1]
-    return float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
+def _signed_area2(v: np.ndarray, ends: np.ndarray) -> float:
+    """Twice the signed area of the ring of edges v[k] -> ends[k]."""
+    return float(np.dot(v[:, 0], ends[:, 1]) - np.dot(ends[:, 0], v[:, 1]))
 
 
 def _first_crossing(v: np.ndarray, ends: np.ndarray):
@@ -225,29 +232,39 @@ def _crossing_parity(pts, a, b):
 
 def _edge_crossings(o: np.ndarray, d: np.ndarray, poly: Polygon):
     """t and s where the line o + t d meets each edge's line a + s (b - a),
-    and the mask of edges not parallel to d; callers apply their own tolerances."""
+    and the mask of edges not parallel to d; callers apply their own tolerances.
+    An origin of shape (..., 1, 2) gives t and s of shape (..., n), one row per origin."""
     a = poly.vertices
     e = poly._edge_ends - a
     denom = d[0] * e[:, 1] - d[1] * e[:, 0]
     w = a - o
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = (w[:, 0] * e[:, 1] - w[:, 1] * e[:, 0]) / denom
-        s = (w[:, 0] * d[1] - w[:, 1] * d[0]) / denom
+        t = (w[..., 0] * e[:, 1] - w[..., 1] * e[:, 0]) / denom
+        s = (w[..., 0] * d[1] - w[..., 1] * d[0]) / denom
     return t, s, np.abs(denom) > 1e-15
 
 
 def ray_cross_polygon(origin, bearing: float, poly: Polygon) -> np.ndarray:
-    """Points where a ray from origin crosses the polygon boundary.
+    """Points where a ray from origin crosses the polygon boundary (see rays_cross_polygon)."""
+    return rays_cross_polygon(np.asarray(origin, dtype=float)[None, :], bearing, poly)[0]
+
+
+def rays_cross_polygon(origins, bearing: float, poly: Polygon) -> list:
+    """Points where each ray from a row of the (m, 2) origins, all on one
+    bearing, crosses the polygon boundary; all rays in one array pass.
 
     Edges are half-open along the polygon orientation (first endpoint
     included, second excluded) so a crossing at a shared vertex counts
-    once. Returns an (k, 2) array sorted by distance along the ray.
+    once. Returns one (k, 2) array per ray, sorted by distance along it.
     """
-    o = np.asarray(origin, dtype=float)
+    o = np.asarray(origins, dtype=float)
     d = bearing_to_unit(bearing)
-    t, s, ok = _edge_crossings(o, d, poly)
-    ts = np.sort(t[ok & (s >= -1e-12) & (s < 1.0 - 1e-12) & (t >= -1e-12)])
-    return o + ts[:, None] * d[None, :]
+    t, s, ok = _edge_crossings(o[:, None, :], d, poly)
+    hit = ok & (s >= -1e-12) & (s < 1.0 - 1e-12) & (t >= -1e-12)
+    ts = np.sort(np.where(hit, t, np.inf), axis=1)  # each ray's crossings first, in order
+    ts[np.isinf(ts)] = 0.0
+    pts = o[:, None, :] + ts[:, :, None] * d[None, :]
+    return [p[:k] for p, k in zip(pts, hit.sum(axis=1).tolist())]
 
 
 def crossed_edge(poly: Polygon, p_from, p_to) -> int:

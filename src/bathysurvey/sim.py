@@ -55,6 +55,21 @@ class GaussianSumField:
     gradient_y: float = 0.0
     bumps: tuple = ()
 
+    def __post_init__(self):
+        plane = (self.offset, self.gradient_x, self.gradient_y)
+        if not all(isinstance(c, numbers.Real) and math.isfinite(c) for c in plane):
+            raise ConfigError(f"field offset and gradients must be finite numbers, got {plane}")
+        for bump in self.bumps:
+            try:
+                cx, cy, amp, width = bump
+                four_numbers = all(isinstance(c, numbers.Real) for c in bump)
+            except (TypeError, ValueError):
+                four_numbers = False
+            if not four_numbers:
+                raise ConfigError(f"each bump needs 4 numbers (cx cy amplitude width), got {bump!r}")
+            if not (all(map(math.isfinite, bump)) and width > 0):
+                raise ConfigError(f"a bump needs a finite centre and amplitude and a finite width above 0, got {bump!r}")
+
     def depth(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
         z = self.offset + self.gradient_x * p[..., 0] + self.gradient_y * p[..., 1]
@@ -572,10 +587,7 @@ def _field_from_section(items: dict, base_dir: Path):
             raw = items.pop("bumps", "").strip() if kind == "gaussian_sum" else ""
             if raw:
                 for chunk in raw.split(";"):
-                    parts = [float(tok) for tok in chunk.replace(",", " ").split()]
-                    if len(parts) != 4:
-                        raise ConfigError(f"each bump needs 4 numbers (cx cy amplitude width), got {chunk!r}")
-                    bumps.append(tuple(parts))
+                    bumps.append(tuple(float(tok) for tok in chunk.replace(",", " ").split()))
             fld = GaussianSumField(
                 offset=float(items.pop("offset")),
                 gradient_x=float(items.pop("gradient_x", 0.0)),

@@ -6,10 +6,13 @@ package: factorizations go through numpy.linalg.cholesky, GP equations
 through explicit matrix inverses, log-likelihoods through slogdet,
 point-in-polygon through winding angles, ray crossings through
 exact per-edge parameter solves, and polygon simplicity through a
-scalar segment-pair test over every pair of edges. The one exception
-is transit_all_targets, the planner's exhaustive transit search kept
-as the reference for its pruned one: it runs the package's own grid
-and A* on purpose.
+scalar segment-pair test over every pair of edges. The exceptions are
+the planner's earlier loops, kept as the references for the array
+passes that replaced them, and they run the package's own helpers on
+purpose: transit_all_targets (its exhaustive transit search),
+sweep_per_line (one cast per sweep line), mow_per_leg (one densify per
+leg, one clamp per hop) and reachable_per_candidate (one line-of-sight
+test per grid node).
 """
 
 import heapq
@@ -127,6 +130,38 @@ def ray_hits(origin, bearing, verts):
     return [p for _, p in pts]
 
 
+def polygon_by_walk(verts):
+    """Polygon construction with its duplicate removal as a walk over the
+    vertices and its signed area through rolled copies. Returns the ccw
+    vertices, the edge ends and the area, or raises GeometryError with a
+    Polygon's text."""
+    from bathysurvey.errors import GeometryError
+
+    v = np.array(verts, dtype=float)
+    if np.hypot(*(v[-1] - v[0])) <= 1e-9:
+        v = v[:-1]
+    keep = [0]
+    for i in range(1, len(v)):
+        if np.hypot(*(v[i] - v[keep[-1]])) > 1e-9:
+            keep.append(i)
+    v = v[keep]
+    if len(v) < 3:
+        raise GeometryError("polygon needs at least 3 distinct vertices")
+
+    def area2(w):
+        return float(np.dot(w[:, 0], np.roll(w[:, 1], -1)) - np.dot(np.roll(w[:, 0], -1), w[:, 1]))
+
+    scale = max(1.0, float(np.abs(v).max()))
+    if abs(area2(v)) <= 1e-12 * scale * scale:
+        raise GeometryError("polygon has zero area")
+    if area2(v) < 0.0:
+        v = v[::-1].copy()
+    crossing = first_crossing(v)
+    if crossing is not None:
+        raise GeometryError("polygon self-intersects: edge %d crosses edge %d" % crossing)
+    return v, np.roll(v, -1, axis=0), 0.5 * area2(v)
+
+
 def first_crossing(verts):
     """First pair (i, j), i < j, of non-adjacent edges of a vertex ring
     that share a point as closed segments, or None: the scalar pair test
@@ -209,7 +244,7 @@ def transit_all_targets(position, targets, poly, delta, grid=None):
     an A* route to every target, the shortest realized route winning
     and ties within 1e-12 m going to the lower target index.
     """
-    from bathysurvey.coverage import _TransitGrid, _densify, _densify_path, _path_length
+    from bathysurvey.coverage import _TransitGrid, _densify_path, _path_length
     from bathysurvey.errors import ConfigError, GeometryError
     from bathysurvey.geometry import points_in_polygon, segment_in_polygon
 
@@ -219,7 +254,7 @@ def transit_all_targets(position, targets, poly, delta, grid=None):
         raise ConfigError("plan_transit needs at least one target")
     dists = [float(np.hypot(*(t - pos))) for t in targets]
     nearest = min(range(len(targets)), key=lambda i: (dists[i], i))
-    direct = _densify(pos, targets[nearest], delta)
+    direct = _densify_path(np.array([pos, targets[nearest]]), [1], delta)[0]
     if segment_in_polygon(pos, targets[nearest], poly, step=delta / 4.0) and bool(
         points_in_polygon(direct, poly).all()
     ):
@@ -238,7 +273,7 @@ def transit_all_targets(position, targets, poly, delta, grid=None):
         node_path = grid.astar(start, goal)
         if node_path is None:
             continue
-        way = _densify_path(pos, [*(grid.to_world(n) for n in node_path), targets[i]], delta)
+        way = _densify_path(np.vstack([pos, grid.to_world(node_path), targets[i]]), [len(node_path) + 1], delta)[0]
         if not bool(points_in_polygon(way, poly).all()):
             continue  # a grazing leg slipped outside between samples
         length = _path_length(way)
@@ -247,6 +282,129 @@ def transit_all_targets(position, targets, poly, delta, grid=None):
     if best is None:
         raise GeometryError("no transit route reaches any target inside the polygon")
     return best[1], best[2]
+
+
+def sweep_per_line(poly, delta, sweep_dir):
+    """coverage.sweep_polygon as a loop over its sweep lines, each nudged
+    off a vertex, cast and re-cast on its own. Returns (ts, crossings)."""
+    from bathysurvey.coverage import _VERTEX_NUDGE, _check_sweep_args, sweep_frame
+    from bathysurvey.errors import ConfigError, GeometryError
+    from bathysurvey.geometry import _edge_crossings, bearing_to_unit
+
+    def line_crossings(t):
+        o = t * u + (s_lo - pad) * v
+        d = bearing_to_unit(math.atan2(v[0], v[1]))
+        tt, ss, ok = _edge_crossings(o, d, poly)
+        hits = np.sort(tt[ok & (ss >= -1e-12) & (ss < 1.0 - 1e-12) & (tt >= -1e-12)])
+        return o + hits[:, None] * d[None, :]
+
+    _check_sweep_args(delta, sweep_dir)
+    u, v = sweep_frame(sweep_dir)
+    vt = poly.vertices @ u
+    vs = poly.vertices @ v
+    t_min, t_max = float(vt.min()), float(vt.max())
+    if t_max - t_min <= delta:
+        raise ConfigError(
+            f"track spacing {delta} is not below the polygon extent {t_max - t_min:.6g} along the sweep"
+        )
+    s_lo = float(vs.min())
+    pad = max(delta, 1.0)
+    nudge = _VERTEX_NUDGE * delta
+    ts = []
+    t = t_min
+    while t < t_max - nudge:
+        ts.append(t)
+        t += delta
+    ts.append(t_max)
+    out_ts, crossings = [], []
+    for i, t in enumerate(ts):
+        step = -nudge if i == len(ts) - 1 else nudge
+        if np.any(np.abs(vt - t) <= nudge):
+            t += step
+        pts = line_crossings(t)
+        tries = 0
+        while len(pts) % 2 == 1 and tries < 3:
+            t += step
+            pts = line_crossings(t)
+            tries += 1
+        if len(pts) % 2 == 1:
+            raise GeometryError(f"sweep line at t={t} crosses the polygon an odd number of times")
+        out_ts.append(t)
+        crossings.append(pts)
+    return np.asarray(out_ts), crossings
+
+
+def _densify(a, b, delta):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    n = max(1, math.ceil(float(np.hypot(*(b - a))) / delta - 1e-12))
+    return a + np.linspace(0.0, 1.0, n + 1)[:, None] * (b - a)
+
+
+def mow_per_leg(cell, entry_corner, delta, sweep_dir):
+    """coverage.lawnmower_cell as a loop over its tracks: each track and
+    each hop leg densified on its own, each hop clamped to the cell
+    outline on its own, repeated waypoints dropped one at a time."""
+    from bathysurvey.coverage import _cell_track_geometry, _chain_coords, _span_at, sweep_frame
+    from bathysurvey.errors import ConfigError
+    from bathysurvey.geometry import nearest_boundary_point, points_in_polygon
+
+    if entry_corner not in (0, 1, 2, 3):
+        raise ConfigError(f"entry corner must be 0..3, got {entry_corner}")
+    u, v = sweep_frame(sweep_dir)
+    chains = _chain_coords(cell, sweep_dir)
+    top_t, _, bot_t, _ = chains
+    outline = None
+    ts, spans = _cell_track_geometry(cell, delta, sweep_dir)
+    if entry_corner in (2, 3):
+        ts, spans = ts[::-1], spans[::-1]
+    low_first = entry_corner in (0, 3)
+    pts = []
+    for i, (t, (a, b)) in enumerate(zip(ts, spans)):
+        s_from, s_to = (a, b) if (i % 2 == 0) == low_first else (b, a)
+        track = _densify(t * u + s_from * v, t * u + s_to * v, delta)
+        if not pts:
+            pts.extend(track)
+            continue
+        high_side = ((i - 1) % 2 == 0) == low_first
+        t_from, t_to = float(ts[i - 1]), float(t)
+        lo, hi = min(t_from, t_to), max(t_from, t_to)
+        knots = np.unique(np.concatenate([top_t, bot_t]))
+        knots = knots[(knots > lo + 1e-12) & (knots < hi - 1e-12)]
+        if t_to < t_from:
+            knots = knots[::-1]
+        way = [np.asarray(pts[-1], dtype=float)]
+        for k in knots:
+            s_lo, s_hi = _span_at(float(k), chains, delta)
+            way.extend(_densify(way[-1], float(k) * u + (s_hi if high_side else s_lo) * v, delta)[1:])
+        way.extend(_densify(way[-1], track[0], delta)[1:])
+        if outline is None:
+            outline = cell.outline()
+        hop = way[1:]
+        inside = points_in_polygon(np.asarray(hop), outline)
+        hop = [p if ok else nearest_boundary_point(p, outline) for p, ok in zip(hop, inside)]
+        for q in hop[:-1]:
+            if np.hypot(*(q - pts[-1])) > 1e-9:
+                pts.append(q)
+        pts.append(hop[-1])
+        pts.extend(track[1:])
+    return np.asarray(pts, dtype=float).reshape(-1, 2)
+
+
+def reachable_per_candidate(grid, point):
+    """coverage._TransitGrid.reachable_node testing one candidate node at
+    a time, nearest first."""
+    from bathysurvey.errors import GeometryError
+    from bathysurvey.geometry import segment_in_polygon
+
+    if not grid._node_list:
+        raise GeometryError("no transit grid nodes fall inside the polygon")
+    p = np.asarray(point, dtype=float)
+    world = grid._world
+    for k in np.argsort(np.hypot(*(world - p).T), kind="stable"):
+        if segment_in_polygon(p, world[int(k)], grid.poly, step=grid.delta / 3.0):
+            return grid._node_list[int(k)]
+    return None
 
 
 def shoelace_area(verts):

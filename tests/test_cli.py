@@ -131,12 +131,26 @@ def test_plan_rejects_a_nan_vertex(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_plan_rejects_a_one_vertex_polygon(tmp_path, capsys):
+    poly = tmp_path / "poly.txt"
+    poly.write_text("5,5\n")
+    assert main(["plan", "--polygon", str(poly), "--out", str(tmp_path / "p")]) == 3
+    assert "at least 3 distinct vertices" in capsys.readouterr().err
+
+
 def test_run_grid_with_a_nan_spacing_exits_2(tmp_path, square_file, capsys):
     (tmp_path / "grid.csv").write_text("0,0,nan,1\n" + "5.0,5.0\n" * 2)
     sc = tmp_path / "grid.ini"
     sc.write_text(PLANE_SCENARIO.replace("kind = plane\noffset = 7.0\ngradient_y = -0.0833333333333333", "kind = grid\nfile = grid.csv"))
     assert main(["run", "--scenario", str(sc), "--out", str(tmp_path / "m")]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+def test_run_with_a_zero_bump_width_exits_2(tmp_path, square_file, capsys):
+    sc = tmp_path / "bump.ini"
+    sc.write_text(PLANE_SCENARIO.replace("kind = plane", "kind = gaussian_sum\nbumps = 30 30 2 0"))
+    assert main(["run", "--scenario", str(sc), "--out", str(tmp_path / "m")]) == 2
+    assert "width above 0" in capsys.readouterr().err
 
 
 def test_plan_artifacts_and_start(tmp_path, square_file, capsys):

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from bathysurvey import coverage
@@ -187,6 +189,115 @@ def test_tracks_sit_on_global_grid():
             ks = (ts - rec.t_origin) / delta
             assert np.abs(ks - np.round(ks)).max() < 1e-5
             assert np.diff(ts) == pytest.approx(delta, abs=1e-6)
+
+
+def _star(seed: int, n: int, r_lo: float, lattice: bool) -> Polygon:
+    """A star polygon of radius r_lo to 30 m, notched when r_lo is small,
+    its vertices rounded to whole metres when `lattice`: at sweep 0 and a
+    whole-metre spacing they then sit exactly on sweep lines."""
+    v = oracles.star_polygon(np.random.default_rng(seed), n, r_lo=r_lo, r_hi=30.0)
+    return Polygon(np.round(v) if lattice else v)
+
+
+@st.composite
+def _sweep_cases(draw):
+    """(polygon, track spacing, sweep direction)."""
+    args = draw(st.integers(0, 2**32 - 1)), draw(st.integers(5, 16)), draw(st.sampled_from([3.0, 8.0, 15.0]))
+    try:
+        poly = _star(*args, lattice=draw(st.booleans()))
+    except GeometryError:  # rounding made it self-intersect
+        assume(False)
+    delta = draw(st.sampled_from([2.0, 2.5, 4.0]))
+    sweep_dir = draw(st.sampled_from([0.0, 0.7, -1.2]) | st.floats(-math.pi / 2, math.pi / 2, exclude_max=True))
+    return poly, delta, sweep_dir
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ConfigError, GeometryError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+#: star 143 has hops that clamp onto one outline vertex, so waypoints repeat
+#: and are dropped; star 10 has a cell whose bottom chain runs backwards;
+#: from edge midpoints of star 0 the first node in sight shares its chunk
+#: of candidates with other nodes in sight
+SWEEP_EXAMPLES = [
+    (_star(143, 13, 3.0, True), 2.0, 0.0),
+    (_star(10, 12, 3.0, True), 2.0, 0.0),
+    (_star(0, 16, 3.0, False), 4.0, 0.0),
+]
+
+
+@settings(max_examples=100)
+@given(_sweep_cases())
+@example(SWEEP_EXAMPLES[0])
+@example(SWEEP_EXAMPLES[1])
+def test_sweep_lines_match_the_per_line_oracle(case):
+    """All sweep lines cast at once give the same lines and crossings, to
+    the byte, as casting them one at a time."""
+    got, expected = _outcome(sweep_polygon, *case), _outcome(oracles.sweep_per_line, *case)
+    if isinstance(expected, str):
+        assert got == expected
+        return
+    assert got.ts.tobytes() == expected[0].tobytes()
+    assert [c.tobytes() for c in got.crossings] == [c.tobytes() for c in expected[1]]
+    assert got.counts.tolist() == [len(c) for c in expected[1]]
+
+
+@settings(max_examples=60)
+@given(_sweep_cases())
+@example(SWEEP_EXAMPLES[0])
+@example(SWEEP_EXAMPLES[1])
+def test_lawnmower_matches_the_per_leg_oracle(case):
+    """Every cell mowed from every corner gives the same waypoints, to the
+    byte, as densifying each leg and clamping each hop on its own."""
+    poly, delta, sweep_dir = case
+    try:
+        cells, _ = partition_monotone(poly, delta, sweep_dir)
+    except (ConfigError, GeometryError):
+        assume(False)
+    for cell in cells:
+        for corner in range(4):
+            got = _outcome(lawnmower_cell, cell, corner, delta, sweep_dir)
+            expected = _outcome(oracles.mow_per_leg, cell, corner, delta, sweep_dir)
+            assert type(got) is type(expected)
+            assert got == expected if isinstance(got, str) else got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(st.sampled_from([0.0, 4e-10, 6e-10, 1e-9, 1.5e-9, 1.0]), st.booleans()), max_size=12))
+def test_repeated_waypoints_drop_against_the_last_one_kept(steps):
+    """Waypoints along a line, each a chosen step past the previous one;
+    a droppable one goes when it lies within 1e-9 m of the last one kept,
+    tested one at a time, even after a run of drops."""
+    x = np.cumsum([0.0, *(step for step, _ in steps)])
+    way = np.column_stack([x, np.zeros_like(x)])
+    droppable = np.array([False, *(flag for _, flag in steps)])
+    kept = [0]
+    for i in range(1, len(way)):
+        if not (droppable[i] and not np.hypot(*(way[i] - way[kept[-1]])) > 1e-9):
+            kept.append(i)
+    assert coverage._drop_repeats(way, droppable).tobytes() == way[kept].tobytes()
+
+
+@settings(max_examples=25)
+@given(_sweep_cases())
+@example(SWEEP_EXAMPLES[2])
+def test_reachable_node_matches_the_per_candidate_oracle(case):
+    """Testing the candidates in growing chunks picks the same node as
+    testing them one by one, from the vertices and edge midpoints, where
+    the nearest nodes are often out of sight, from points inside and from
+    a corner of the bounding box."""
+    poly, delta, sweep_dir = case
+    grid = coverage._TransitGrid(poly, delta, sweep_dir)
+    x_lo, y_lo, x_hi, y_hi = poly.bounds
+    gx, gy = np.meshgrid(np.linspace(x_lo, x_hi, 5), np.linspace(y_lo, y_hi, 5))
+    lattice = np.column_stack([gx.ravel(), gy.ravel()])
+    midpoints = 0.5 * (poly.vertices + np.roll(poly.vertices, -1, axis=0))
+    for p in [*poly.vertices, *midpoints, *lattice[points_in_polygon(lattice, poly)], (x_lo, y_lo)]:
+        assert _outcome(grid.reachable_node, p) == _outcome(oracles.reachable_per_candidate, grid, p)
 
 
 def test_plan_transit_direct():

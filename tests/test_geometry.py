@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -122,6 +122,41 @@ def test_first_crossing_matches_the_scalar_oracle(v):
     """Same no-crossing verdict, or the same first pair in (i, j) order,
     as the scalar pair test over every pair of edges."""
     assert _first_crossing(v, np.roll(v, -1, axis=0)) == oracles.first_crossing(v)
+
+
+@st.composite
+def _creeping(draw):
+    """A ring with a run of vertices inserted after one, each 0.6 nm past
+    the one before: some are within BOUNDARY_TOL of the previous vertex
+    but not of the last one kept."""
+    v = draw(_rings())
+    i = draw(st.integers(0, len(v) - 1))
+    run = v[i] + np.outer(np.arange(1, draw(st.integers(1, 4)) + 1), [6e-10, 0.0])
+    return np.insert(v, i + 1, run, axis=0)
+
+
+@settings(max_examples=100)
+@given(st.one_of(_rings(), _rings().map(lambda v: np.vstack([v, v[:1]])), _creeping()))
+def test_polygon_construction_matches_the_vertex_walk(v):
+    """The same vertices, edge ends and area, to the byte, or the same
+    error, as removing duplicates one vertex at a time."""
+    try:
+        vertices, ends, area = oracles.polygon_by_walk(v)
+    except GeometryError as exc:
+        with pytest.raises(GeometryError) as raised:
+            Polygon(v)
+        assert str(raised.value) == str(exc)
+        return
+    poly = Polygon(v)
+    assert poly.vertices.tobytes() == vertices.tobytes()
+    assert poly._edge_ends.tobytes() == ends.tobytes()
+    assert poly.area == area
+
+
+@pytest.mark.parametrize("vertices", [[(1.0, 2.0)], np.zeros((0, 2))], ids=["one", "none"])
+def test_a_polygon_of_fewer_than_two_vertices_is_a_geometry_error(vertices):
+    with pytest.raises(GeometryError, match="at least 3 distinct vertices"):
+        Polygon(vertices)
 
 
 def test_point_in_polygon_matches_winding_oracle():

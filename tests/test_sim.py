@@ -265,6 +265,36 @@ def test_plane_scenario_is_a_gaussian_sum_without_mounds(tmp_path):
         load_scenario(sc)
 
 
+@pytest.mark.parametrize(
+    "setting, pattern",
+    [
+        ("offset = nan", "offset and gradients must be finite"),
+        ("offset = 5.0\ngradient_x = inf", "offset and gradients must be finite"),
+        ("offset = 5.0\ngradient_y = -inf", "offset and gradients must be finite"),
+        ("offset = 5.0\nbumps = 10 10 1", "4 numbers"),
+        ("offset = 5.0\nbumps = 10 10 1 5; 1 2 3 4 5", "4 numbers"),
+        ("offset = 5.0\nbumps = nan 10 1 5", "finite centre"),
+        ("offset = 5.0\nbumps = 10 10 inf 5", "finite centre"),
+        ("offset = 5.0\nbumps = 10 10 1 0", "width above 0"),
+        ("offset = 5.0\nbumps = 10 10 1 -5", "width above 0"),
+        ("offset = 5.0\nbumps = 10 10 1 nan", "width above 0"),
+        ("offset = 5.0\nbumps = 10 10 1 inf", "width above 0"),
+    ],
+)
+def test_gaussian_sum_field_rejects_a_bad_setting(tmp_path, setting, pattern):
+    (tmp_path / "poly.txt").write_text("0,0\n50,0\n50,50\n0,50\n")
+    sc = tmp_path / "field.ini"
+    sc.write_text(f"[mission]\n\n[field]\nkind = gaussian_sum\n{setting}\n\n[polygon]\nfile = poly.txt\n")
+    with pytest.raises(ConfigError, match=pattern):
+        load_scenario(sc)
+
+
+@pytest.mark.parametrize("bumps", [((1.0, 2.0, "3", 4.0),), ((1.0, 2.0, 3.0),), (5.0,)], ids=["word", "three", "scalar"])
+def test_gaussian_sum_field_rejects_a_bump_that_is_not_four_numbers(bumps):
+    with pytest.raises(ConfigError, match="4 numbers"):
+        GaussianSumField(offset=1.0, bumps=bumps)
+
+
 def test_load_scenario_rejects_unknown_keys(tmp_path):
     poly_file = tmp_path / "poly.txt"
     poly_file.write_text("0,0\n50,0\n50,50\n0,50\n")
