@@ -607,11 +607,15 @@ class _TransitGrid:
         so candidates are tried in distance order until one has a clear
         line of sight; None when no node does. They are tested in chunks
         of 1, 4, 16, ... candidates, and the first clear one in the first
-        chunk that has one wins.
+        chunk that has one wins. Every line of sight is sampled at its
+        start, so a point outside the polygon has none, and one
+        containment test answers for it.
         """
         if not self._node_list:
             raise GeometryError("no transit grid nodes fall inside the polygon")
         p = np.asarray(point, dtype=float)
+        if not points_in_polygon(p[None], self.poly)[0]:
+            return None
         world = self._world
         order = np.argsort(np.hypot(*(world - p).T), kind="stable")
         lo, size = 0, 1

@@ -33,6 +33,7 @@ import threading
 import time
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
@@ -141,7 +142,11 @@ def kernel_matrix(a, b, hypers: HyperParams) -> np.ndarray:
     if a.size == 0 or b.size == 0:
         return np.zeros((len(a), len(b)))
     d2 = cdist(a, b, "sqeuclidean")
-    return hypers.sigma_f2 * np.exp(-d2 / (2.0 * hypers.length_scale**2))
+    try:
+        two_ell2 = 2.0 * hypers.length_scale**2
+    except OverflowError:  # a length scale past 1e154: the constant kernel it tends to
+        two_ell2 = math.inf
+    return hypers.sigma_f2 * np.exp(-d2 / two_ell2)
 
 
 def _tri(n: int) -> int:
@@ -398,7 +403,8 @@ class GpModel:
 
         A checkpoint without the subtract_mean column, as written before
         the column existed, comes back centred: missions and `gp-fit`
-        saved centred models.
+        saved centred models. Depths so large that the model's weights
+        overflow are refused, as every other bad file is, with ConfigError.
         """
         rows = files.read_rows(path)
         heads = (_CHECKPOINT_COLUMNS, _CHECKPOINT_COLUMNS[:3])
@@ -412,6 +418,8 @@ class GpModel:
         if len(rows) > 3:
             data = np.array([files.numbers(path, row, 3) for row in rows[3:]])
             model.append(data[:, :2], data[:, 2])
+            if not np.isfinite(model.alpha).all():
+                raise ConfigError(f"{path}: depths too large to model, its weights overflow")
         return model
 
 
@@ -479,48 +487,114 @@ def _with_sounding(st: GpState, x: np.ndarray, y: float, jitter: float) -> GpSta
     return GpState(bufs, n + 1, h, st.subtract_mean, y_mean)
 
 
-def _lml_and_grad(h: HyperParams, yc: np.ndarray, d2: np.ndarray):
-    """Log marginal likelihood of yc and its gradient in raw parameters.
+class _UnitFactor(NamedTuple):
+    """Scalars of one factorization of the unit-amplitude covariance
+    K~ = C + lambda I, with C the SE correlation at length scale ell and
+    lambda = sigma_n2 / sigma_f2, so that K_y = sigma_f2 K~. With
+    a = K~^-1 yc and M = C * d2 (dC/d ell times ell^3), the likelihood
+    and its gradient at every sigma_f2 follow from:
 
-    Builds K_y from the squared distances d2 and factors it in place.
-    With W = alpha alpha^T - K_y^-1 the gradient is 0.5 tr(W dK_y/dtheta)
-    (GPML eq. 5.9); the sigma_f2 and sigma_n2 terms reduce to scalars
-    through K_f = K_y - sigma_n2 I and K_y alpha = yc:
+        q      = yc^T K~^-1 yc           tr_inv = tr K~^-1
+        logdet = log |K~|                a2     = |a|^2
+        ama    = a^T M a                 tr_m   = sum(K~^-1 * M)
+    """
 
-        tr(K_y^-1 K_f)    = n - sigma_n2 tr(K_y^-1)
-        alpha^T K_f alpha = alpha^T yc - sigma_n2 |alpha|^2
+    n: int
+    q: float
+    logdet: float
+    tr_inv: float
+    a2: float
+    ama: float
+    tr_m: float
 
-    Raises np.linalg.LinAlgError when K_y is not positive definite.
+    def lml(self, sigma_f2: float) -> float:
+        """Log marginal likelihood at signal variance sigma_f2, through
+        yc^T K_y^-1 yc = q / sigma_f2 and log |K_y| = n log sigma_f2 + logdet."""
+        n = self.n
+        return -0.5 * self.q / sigma_f2 - 0.5 * (n * math.log(sigma_f2) + self.logdet) - 0.5 * n * LOG_2PI
+
+
+def _unit_factor(lam: float, ell: float, yc: np.ndarray, d2: np.ndarray) -> _UnitFactor:
+    """Factor K~ = C + lam I once, built from the squared distances d2 in
+    place (one Cholesky, one dpotri), and return its scalars.
+
+    Raises np.linalg.LinAlgError when K~ is not positive definite.
     """
     n = len(yc)
-    k = np.multiply(d2, -0.5 / h.length_scale**2)
+    k = np.multiply(d2, -0.5 / ell / ell)
     np.exp(k, out=k)
-    k *= h.sigma_f2
-    # length-scale derivative times ell^3; the noise diagonal drops out of
-    # it because diag(d2) is zero, so it can be taken from K_f or K_y
+    # the noise diagonal drops out of M because diag(d2) is zero
     m = k * d2
-    k.flat[:: n + 1] += h.sigma_n2
+    k.flat[:: n + 1] += lam
     # k is symmetric, so its transpose is the Fortran-ordered view LAPACK factors in place
     factor = cholesky(k.T, lower=False, overwrite_a=True, check_finite=False)
     beta = solve_triangular(factor, yc, trans="T", lower=False, check_finite=False)
     alpha = solve_triangular(factor, beta, lower=False, check_finite=False)
-    b2 = float(beta @ beta)  # = alpha^T yc
-    value = -0.5 * b2 - float(np.log(np.diag(factor)).sum()) - 0.5 * n * LOG_2PI
-    # upper triangle of K_y^-1 over a zero lower triangle; m is symmetric
-    # with a zero diagonal, so the full sum of K_y^-1 * m is twice this one
+    logdet = 2.0 * float(np.log(np.diag(factor)).sum())
+    # upper triangle of K~^-1 over a zero lower triangle; m is symmetric
+    # with a zero diagonal, so the full sum of K~^-1 * m is twice this one
     inv_upper, info = dpotri(factor, lower=0, overwrite_c=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"dpotri failed with info={info}")
-    tr_inv = float(np.trace(inv_upper))
-    a2 = float(alpha @ alpha)
+    return _UnitFactor(
+        n,
+        float(beta @ beta),
+        logdet,
+        float(np.trace(inv_upper)),
+        float(alpha @ alpha),
+        float(alpha @ (m @ alpha)),
+        2.0 * float(np.einsum("ij,ij->", inv_upper, m)),
+    )
+
+
+def _lml_and_grad(h: HyperParams, yc: np.ndarray, d2: np.ndarray):
+    """Log marginal likelihood of yc and its gradient in raw parameters.
+
+    With W = alpha alpha^T - K_y^-1 the gradient is 0.5 tr(W dK_y/dtheta)
+    (GPML eq. 5.9). In the scalars of K~ = K_y / sigma_f2, where
+    K_y^-1 = K~^-1 / sigma_f2 and alpha = a / sigma_f2, it reads
+
+        d/d sigma_f2 = 0.5 ((q - lam a2) / sigma_f2 - (n - lam tr_inv)) / sigma_f2
+        d/d sigma_n2 = 0.5 (a2 / sigma_f2 - tr_inv) / sigma_f2
+        d/d ell      = 0.5 (ama / sigma_f2 - tr_m) / ell^3
+
+    Raises np.linalg.LinAlgError when K_y is not positive definite.
+    """
+    sf2, ell = h.sigma_f2, h.length_scale
+    lam = h.sigma_n2 / sf2
+    u = _unit_factor(lam, ell, yc, d2)
     grad = np.array(
         [
-            0.5 * ((b2 - h.sigma_n2 * a2) - (n - h.sigma_n2 * tr_inv)) / h.sigma_f2,
-            0.5 * (a2 - tr_inv),
-            0.5 * (float(alpha @ (m @ alpha)) - 2.0 * float(np.einsum("ij,ij->", inv_upper, m))) / h.length_scale**3,
+            0.5 * ((u.q - lam * u.a2) / sf2 - (u.n - lam * u.tr_inv)) / sf2,
+            0.5 * (u.a2 / sf2 - u.tr_inv) / sf2,
+            0.5 * (u.ama / sf2 - u.tr_m) / ell / ell / ell,
         ]
     )
-    return value, grad
+    return u.lml(sf2), grad
+
+
+def _profile_lml_and_grad(log_x: np.ndarray, yc: np.ndarray, d2: np.ndarray):
+    """Profile log marginal likelihood at x = (lambda, ell), given as logs.
+
+    sigma_f2 takes its best value for this lambda and ell, q / n, clamped
+    to the range in which sigma_f2 and sigma_n2 = lambda sigma_f2 both lie
+    in DEFAULT_BOUNDS; the likelihood has one peak in sigma_f2, so the
+    clamp is the constrained maximiser. Returns the value, its gradient in
+    (log lambda, log ell) and the raw (sigma_f2, sigma_n2, ell).
+
+    Raises np.linalg.LinAlgError when K~ is not positive definite.
+    """
+    lam, ell = np.exp(log_x)
+    u = _unit_factor(lam, ell, yc, d2)
+    (f_lo, f_hi), (n_lo, n_hi), _ = DEFAULT_BOUNDS
+    free = u.q / u.n
+    sf2 = min(max(free, f_lo, n_lo / lam), f_hi, n_hi / lam)
+    d_lam = lam * 0.5 * (u.a2 / sf2 - u.tr_inv)
+    if sf2 != free and sf2 in (n_lo / lam, n_hi / lam):
+        # a noise bound binds, so sigma_f2 = bound / lambda moves with lambda
+        d_lam -= 0.5 * (u.q / sf2 - u.n)
+    grad = np.array([d_lam, 0.5 * (u.ama / sf2 - u.tr_m) / ell / ell])
+    return u.lml(sf2), grad, np.array([sf2, lam * sf2, ell])
 
 
 def _data_extent(x: np.ndarray) -> float:
@@ -539,7 +613,20 @@ def _moment_start(x: np.ndarray, yc: np.ndarray, lo: np.ndarray, hi: np.ndarray)
 
 
 def optimize_hypers(model, initial: HyperParams | None = None, max_iter: int = 60) -> HyperFit:
-    """Maximum-likelihood fit within DEFAULT_BOUNDS, by L-BFGS-B in log space.
+    """Maximum-likelihood fit within DEFAULT_BOUNDS, on the profile likelihood.
+
+    Writing K_y = sigma_f2 (C + lambda I) with lambda = sigma_n2 / sigma_f2,
+    the best sigma_f2 for a fixed lambda and length scale has the closed
+    form yc^T (C + lambda I)^-1 yc / n (the concentrated likelihood of
+    kriging; GPML ch. 5). It is clamped to the range in which sigma_f2 and
+    sigma_n2 = lambda sigma_f2 both lie in DEFAULT_BOUNDS: the likelihood
+    has one peak in sigma_f2, so the clamp is the constrained maximiser,
+    and the fit reaches the same maximum as a search over all three.
+    L-BFGS-B then searches (log lambda, log length scale) alone, over the
+    box those bounds allow. Its objective is the negated profile
+    likelihood per sounding, with the default gtol divided by n to match,
+    so its first step has the same size whatever n is; each evaluation
+    costs one factorization. max_iter caps L-BFGS-B's iterations per start.
 
     Runs against a frozen snapshot of the model's data and never mutates
     the model; apply the result with model.set_hypers(fit.hypers).
@@ -556,7 +643,7 @@ def optimize_hypers(model, initial: HyperParams | None = None, max_iter: int = 6
     warm start runs alone; a second data-moment start is tried only when
     it gives no usable answer: it found no finite point, it landed in
     the pure-noise optimum or on the trend ridge, or L-BFGS-B did not
-    converge.
+    converge. A start's sigma_f2 only sets its lambda.
     """
     st = model.snapshot() if isinstance(model, GpModel) else model
     if st.n == 0:
@@ -564,28 +651,33 @@ def optimize_hypers(model, initial: HyperParams | None = None, max_iter: int = 6
     if initial is None:
         initial = st.hypers
     lo, hi = np.array(DEFAULT_BOUNDS, dtype=float).T
+    n = st.n
     x = st.X.copy()
     yc = st.y_centered.copy()
     d2 = cdist(x, x, "sqeuclidean")
     best = {"lml": -np.inf, "theta": None, "evals": 0}
 
-    def objective(log_theta):
+    def objective(log_x):
         best["evals"] += 1
-        theta = np.exp(log_theta)
         try:
-            value, grad = _lml_and_grad(HyperParams.from_array(theta), yc, d2)
+            value, grad, theta = _profile_lml_and_grad(log_x, yc, d2)
         except np.linalg.LinAlgError:
-            return 1e25, np.zeros(3)
+            return 1e25, np.zeros(2)
         if value > best["lml"]:
             best["lml"] = value
-            best["theta"] = theta.copy()
-        return -value, -(grad * theta)  # chain rule into log space
+            best["theta"] = theta
+        return -value / n, -grad / n
 
-    log_bounds = list(zip(np.log(lo), np.log(hi)))
+    # (lambda, ell) box: lambda spans sigma_n2's bounds over sigma_f2's
+    log_lo = np.log([lo[1] / hi[0], lo[2]])
+    log_hi = np.log([hi[1] / lo[0], hi[2]])
 
     def run(theta0: np.ndarray):
-        x0 = np.log(np.clip(theta0, lo, hi))
-        return minimize(objective, x0, jac=True, method="L-BFGS-B", bounds=log_bounds, options={"maxiter": max_iter})
+        sf2, sn2, ell = np.clip(theta0, lo, hi)
+        x0 = np.clip(np.log([sn2 / sf2, ell]), log_lo, log_hi)
+        # L-BFGS-B's default gtol, per sounding like the objective
+        options = {"maxiter": max_iter, "gtol": 1e-5 / n}
+        return minimize(objective, x0, jac=True, method="L-BFGS-B", bounds=list(zip(log_lo, log_hi)), options=options)
 
     results = [run(initial.as_array())]
     var_y = float(np.var(yc))
@@ -600,7 +692,8 @@ def optimize_hypers(model, initial: HyperParams | None = None, max_iter: int = 6
     if not converged:
         messages = "; ".join(str(r.message) for r in results)
         warnings.warn(f"hyper fit stopped early ({messages}); returning best point seen", RuntimeWarning)
-    return HyperFit(HyperParams.from_array(best["theta"]), float(best["lml"]), converged, best["evals"])
+    hypers = HyperParams.from_array(np.clip(best["theta"], lo, hi))
+    return HyperFit(hypers, float(best["lml"]), converged, best["evals"])
 
 
 def op_count(n: int, m: int) -> tuple:

@@ -7,12 +7,13 @@ through explicit matrix inverses, log-likelihoods through slogdet,
 point-in-polygon through winding angles, ray crossings through
 exact per-edge parameter solves, and polygon simplicity through a
 scalar segment-pair test over every pair of edges. The exceptions are
-the planner's earlier loops, kept as the references for the array
-passes that replaced them, and they run the package's own helpers on
-purpose: transit_all_targets (its exhaustive transit search),
-sweep_per_line (one cast per sweep line), mow_per_leg (one densify per
-leg, one clamp per hop) and reachable_per_candidate (one line-of-sight
-test per grid node).
+earlier searches, kept as the references for what replaced them, and
+they run the package's own helpers on purpose: the planner's loops
+transit_all_targets (its exhaustive transit search), sweep_per_line
+(one cast per sweep line), mow_per_leg (one densify per leg, one clamp
+per hop) and reachable_per_candidate (one line-of-sight test per grid
+node), and fit_three_hypers, the hyper fit over all three parameters
+that the profile-likelihood fit replaced.
 """
 
 import heapq
@@ -84,6 +85,61 @@ def sample_gp(rng, x, sf2, sn2, ell, jitter=1e-10):
     k = se_matrix(x, x, sf2, ell) + jitter * np.eye(len(x))
     f = np.linalg.cholesky(k) @ rng.standard_normal(len(x))
     return f + np.sqrt(sn2) * rng.standard_normal(len(x))
+
+
+def fit_three_hypers(model, max_iter=60):
+    """gp.optimize_hypers as it searched (sigma_f2, sigma_n2, ell) by
+    L-BFGS-B in raw log space, with the full likelihood as its objective,
+    from the same warm start, with the same fallback triggers and bounds.
+    Returns (theta, lml) of the best point it evaluated."""
+    from scipy.optimize import minimize
+    from scipy.spatial.distance import cdist
+
+    from bathysurvey import gp
+
+    st = model.snapshot()
+    lo, hi = np.array(gp.DEFAULT_BOUNDS, dtype=float).T
+    x, yc = st.X.copy(), st.y_centered.copy()
+    d2 = cdist(x, x, "sqeuclidean")
+    best = {"lml": -np.inf, "theta": None}
+
+    def objective(log_theta):
+        theta = np.exp(log_theta)
+        try:
+            value, grad = gp._lml_and_grad(gp.HyperParams.from_array(theta), yc, d2)
+        except np.linalg.LinAlgError:
+            return 1e25, np.zeros(3)
+        if value > best["lml"]:
+            best["lml"], best["theta"] = value, theta.copy()
+        return -value, -(grad * theta)
+
+    def run(theta0):
+        x0 = np.log(np.clip(theta0, lo, hi))
+        bounds = list(zip(np.log(lo), np.log(hi)))
+        return minimize(objective, x0, jac=True, method="L-BFGS-B", bounds=bounds, options={"maxiter": max_iter})
+
+    first = run(st.hypers.as_array())
+    theta = best["theta"]
+    if (
+        theta is None
+        or theta[0] < 1e-3 * max(float(np.var(yc)), 1e-12)
+        or theta[2] > gp._data_extent(x)
+        or not first.success
+    ):
+        run(gp._moment_start(x, yc, lo, hi))
+    return best["theta"], best["lml"]
+
+
+def fd_gradient_log(fun, log_x, step=1e-6):
+    """Central finite differences of a scalar function of log parameters."""
+    log_x = np.asarray(log_x, dtype=float)
+    grad = np.empty(len(log_x))
+    for i in range(len(log_x)):
+        hi, lo = log_x.copy(), log_x.copy()
+        hi[i] += step
+        lo[i] -= step
+        grad[i] = (fun(hi) - fun(lo)) / (2.0 * step)
+    return grad
 
 
 # ----------------------------------------------------------- plane geometry

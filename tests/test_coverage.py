@@ -25,7 +25,7 @@ from bathysurvey.coverage import (
     sweep_polygon,
 )
 from bathysurvey.errors import ConfigError, GeometryError
-from bathysurvey.geometry import Polygon, point_in_polygon, points_in_polygon, segment_in_polygon
+from bathysurvey.geometry import Polygon, point_in_polygon, points_in_polygon, segment_in_polygon, segments_in_polygon
 
 RECT = Polygon([(0, 0), (20, 0), (20, 10), (0, 10)])
 U_SHAPE = Polygon([(0, 0), (30, 0), (30, 40), (20, 40), (20, 10), (10, 10), (10, 40), (0, 40)])
@@ -298,6 +298,23 @@ def test_reachable_node_matches_the_per_candidate_oracle(case):
     midpoints = 0.5 * (poly.vertices + np.roll(poly.vertices, -1, axis=0))
     for p in [*poly.vertices, *midpoints, *lattice[points_in_polygon(lattice, poly)], (x_lo, y_lo)]:
         assert _outcome(grid.reachable_node, p) == _outcome(oracles.reachable_per_candidate, grid, p)
+
+
+def test_reachable_node_rejects_an_outside_point_without_a_line_of_sight_test(monkeypatch):
+    grid = coverage._TransitGrid(U_SHAPE, 2.0, 0.0)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return segments_in_polygon(*args)
+
+    monkeypatch.setattr(coverage, "segments_in_polygon", counted)
+    # in the notch of the U, between its arms: outside, with nodes all round
+    assert grid.reachable_node((15.0, 35.0)) is None
+    assert calls == []
+    assert oracles.reachable_per_candidate(grid, (15.0, 35.0)) is None
+    assert grid.reachable_node((5.0, 35.0)) is not None
+    assert len(calls) >= 1
 
 
 def test_plan_transit_direct():

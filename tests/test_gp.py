@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 import oracles
@@ -139,6 +141,71 @@ def test_lml_gradient_in_mission_regime():
     assert (np.abs(rep.gradient - fd) / np.abs(fd)).max() < 1e-4
 
 
+def _trend_ridge_model():
+    # a contour-phase snapshot whose previous fit put the length scale far
+    # beyond the data's extent
+    path = Path(__file__).parent / "data" / "trend_ridge_track.csv"
+    data = np.loadtxt(path, delimiter=",")
+    x, y = data[:, :2], data[:, 2]
+    model = GpModel(HyperParams(53.8683, 0.00043214, 909.8566), subtract_mean=True)
+    model.append(x, y)
+    return model, x, y
+
+
+def test_profile_gradient_in_mission_regime():
+    model, x, y, h = _track_model()
+    yc, d2 = y - y.mean(), ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
+    log_x = np.log([h.sigma_n2 / h.sigma_f2, h.length_scale])
+    value, grad, theta = gp._profile_lml_and_grad(log_x, yc, d2)
+    # sigma_f2 is the closed-form optimum, and the value the full likelihood there
+    assert value == pytest.approx(oracles.log_marginal(x, yc, *theta), rel=1e-9)
+    assert theta[1] == pytest.approx(theta[0] * h.sigma_n2 / h.sigma_f2, rel=1e-12)
+    fd = oracles.fd_gradient_log(lambda lx: gp._profile_lml_and_grad(lx, yc, d2)[0], log_x)
+    assert (np.abs(grad - fd) / np.abs(fd)).max() < 1e-4
+
+
+def test_profile_gradient_where_a_noise_bound_holds_sigma_f2():
+    # depths of 0.1 mm put the best sigma_f2 for lambda = 1e-3 below
+    # sigma_n2's lower bound over lambda, so sigma_f2 = 1e-6 / lambda
+    # moves with lambda
+    rng = np.random.default_rng(15)
+    _, x, y = _random_model(rng, 40)
+    y = 1e-4 * y
+    d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
+    log_x = np.log([1e-3, 8.0])
+    value, grad, theta = gp._profile_lml_and_grad(log_x, y, d2)
+    assert theta[1] == pytest.approx(gp.DEFAULT_BOUNDS[1][0], rel=1e-12)
+    assert value == pytest.approx(oracles.log_marginal(x, y, *theta), rel=1e-9)
+    fd = oracles.fd_gradient_log(lambda lx: gp._profile_lml_and_grad(lx, y, d2)[0], log_x)
+    assert (np.abs(grad - fd) / np.abs(fd)).max() < 1e-4
+
+
+@pytest.mark.parametrize("case", ["track", "trend_ridge", "random_0", "random_1", "random_2"])
+def test_profile_fit_reaches_the_three_parameter_fit(case):
+    if case == "track":
+        model = _track_model()[0]
+    elif case == "trend_ridge":
+        model = _trend_ridge_model()[0]
+    else:
+        rng = np.random.default_rng(20 + int(case[-1]))
+        start = HyperParams(*rng.uniform([0.2, 0.001, 2.0], [5.0, 0.5, 30.0]))
+        model = _random_model(rng, int(rng.integers(30, 120)), hypers=start, subtract_mean=True)[0]
+    _, lml = oracles.fit_three_hypers(model)
+    fit = optimize_hypers(model)
+    assert fit.lml >= lml - 1e-6 * abs(lml)
+    for val, (lo, hi) in zip(fit.hypers.as_array(), DEFAULT_BOUNDS):
+        assert lo <= val <= hi
+
+
+def test_warm_fit_evaluation_count():
+    # one factorization per evaluation: the profile fit of this snapshot
+    # takes 13, where the three-parameter search took 19
+    model, _, _, _ = _track_model()
+    fit = optimize_hypers(model)
+    assert fit.converged
+    assert fit.n_evals <= 13
+
+
 def _moment_fit(model, x, y):
     lo, hi = np.array(DEFAULT_BOUNDS, dtype=float).T
     start = gp._moment_start(x, y - y.mean(), lo, hi)
@@ -163,26 +230,21 @@ def test_cut_off_warm_start_also_runs_the_moment_start(monkeypatch):
     with pytest.warns(RuntimeWarning, match="hyper fit stopped early"):
         fit = optimize_hypers(model, max_iter=1)
     assert len(runs) == 2
-    # the objective is the negated likelihood
-    assert fit.lml >= -min(runs[0])
-    assert fit.lml == -min(runs[0] + runs[1])
+    # the objective is the negated likelihood per sounding
+    assert -fit.lml / model.n <= min(runs[0])
+    assert -fit.lml / model.n == min(runs[0] + runs[1])
 
 
 def test_warm_start_on_the_trend_ridge_also_runs_the_moment_start(monkeypatch):
-    # a contour-phase snapshot whose previous fit put the length scale far
-    # beyond the data's extent; from there L-BFGS-B converges on the ridge
-    # about 11.7 nats below the optimum the data-moment start reaches
-    path = Path(__file__).parent / "data" / "trend_ridge_track.csv"
-    data = np.loadtxt(path, delimiter=",")
-    x, y = data[:, :2], data[:, 2]
-    model = GpModel(HyperParams(53.8683, 0.00043214, 909.8566), subtract_mean=True)
-    model.append(x, y)
+    # from the ridge the warm start converges about 11.7 nats below the
+    # optimum the data-moment start reaches
+    model, x, y = _trend_ridge_model()
     moment = _moment_fit(model, x, y)
     runs = _count_starts(monkeypatch)
     fit = optimize_hypers(model)
     assert fit.converged
     assert len(runs) == 2
-    assert -min(runs[0]) < moment.lml - 10.0
+    assert -model.n * min(runs[0]) < moment.lml - 10.0
     assert fit.lml >= moment.lml - 1e-6 * abs(moment.lml)
     assert fit.hypers.length_scale < np.ptp(x, axis=0).max()
 
@@ -472,6 +534,72 @@ def test_checkpoint_without_the_mean_flag_loads_centred(tmp_path):
     assert model.predict_mean(np.array([[1e4, 1e4]]))[0] == pytest.approx(5.0)  # far from data: the data mean
     path.write_text("sigma_f2,sigma_n2,length_scale,subtract_mean\n2.0,0.01,8.0,2\nx,y,depth\n0,0,4.0\n")
     with pytest.raises(ConfigError, match=r"model.csv:2: subtract_mean must be 0 or 1"):
+        GpModel.load_checkpoint(path)
+
+
+#: a valid checkpoint: hyper row, then four soundings
+CHECKPOINT_LINES = [
+    ["sigma_f2", "sigma_n2", "length_scale", "subtract_mean"],
+    ["2.0", "0.01", "8.0", "1"],
+    ["x", "y", "depth"],
+    ["1.0", "2.0", "5.0"],
+    ["3.5", "2.0", "5.5"],
+    ["1.0", "4.25", "4.75"],
+    ["-2.0", "0.5", "5.25"],
+]
+
+
+@st.composite
+def _mutated_checkpoints(draw):
+    """A valid checkpoint's lines with one defect: a token replaced, a
+    row dropped or duplicated, or the separators of one line or of all
+    lines swapped."""
+    lines = [list(row) for row in CHECKPOINT_LINES]
+    seps = [","] * len(lines)
+    kind = draw(st.sampled_from(["token", "drop", "duplicate", "separator"]))
+    i = draw(st.integers(0, len(lines) - 1))
+    if kind == "token":
+        j = draw(st.integers(0, len(lines[i]) - 1))
+        lines[i][j] = draw(st.sampled_from(["nan", "inf", "-inf", "-0", "1e308", "-1e308", "", "depth", "1.0.0"]))
+    elif kind == "drop":
+        del lines[i], seps[i]
+    elif kind == "duplicate":
+        lines.insert(i, list(lines[i]))
+        seps.insert(i, ",")
+    else:
+        sep = draw(st.sampled_from([" ", "\t", ";", ",,", ", ", "|"]))
+        seps = [sep] * len(lines) if draw(st.booleans()) else seps[:i] + [sep] + seps[i + 1 :]
+    return "".join(sep.join(row) + "\n" for sep, row in zip(seps, lines))
+
+
+@given(_mutated_checkpoints())
+def test_mutated_checkpoint_loads_or_raises_config_error(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("checkpoint") / "model.csv"
+    path.write_text(text)
+    try:
+        model = GpModel.load_checkpoint(path)
+    except ConfigError:
+        return
+    assert model.n >= 1
+    assert np.isfinite(model.predict(np.array([[0.0, 0.0]])).mean).all()
+
+
+def test_checkpoint_with_a_huge_length_scale_loads(tmp_path):
+    # a length scale whose square overflows means a constant kernel; squaring
+    # it raised a bare OverflowError from the loader
+    path = tmp_path / "model.csv"
+    path.write_text("sigma_f2,sigma_n2,length_scale,subtract_mean\n2.0,0.01,1e308,1\nx,y,depth\n0,0,4.0\n1,0,6.0\n")
+    model = GpModel.load_checkpoint(path)
+    assert np.array_equal(kernel_matrix([[0.0, 0.0]], [[1e3, 0.0]], model.hypers), [[2.0]])
+    assert model.predict_mean(np.array([[0.5, 0.0]]))[0] == pytest.approx(5.0)
+    assert np.isfinite(model.log_marginal_likelihood().gradient).all()
+
+
+def test_checkpoint_with_overflowing_weights_is_refused(tmp_path):
+    # a depth of 1e308 loaded into a model whose weights and predictions were inf
+    path = tmp_path / "model.csv"
+    path.write_text("sigma_f2,sigma_n2,length_scale,subtract_mean\n2.0,0.01,8.0,1\nx,y,depth\n1,2,1e308\n3.5,2,5.5\n")
+    with pytest.raises(ConfigError, match="depths too large to model"):
         GpModel.load_checkpoint(path)
 
 
