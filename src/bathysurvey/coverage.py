@@ -33,7 +33,7 @@ from .errors import ConfigError, GeometryError
 from .geometry import (
     Polygon,
     bearing_to_unit,
-    nearest_boundary_point,
+    nearest_boundary_points,
     point_in_polygon,
     points_in_polygon,
     rays_cross_polygon,
@@ -465,8 +465,8 @@ def _clamp_to_cell(points: np.ndarray, outline: Polygon) -> np.ndarray:
     survey polygon.
     """
     out = points.copy()
-    for i in np.flatnonzero(~points_in_polygon(points, outline)):
-        out[i] = nearest_boundary_point(points[i], outline)
+    stray = ~points_in_polygon(points, outline)
+    out[stray] = nearest_boundary_points(points[stray], outline)[0]
     return out
 
 
@@ -531,14 +531,24 @@ def lawnmower_cell(cell: Cell, entry_corner: int, delta: float, sweep_dir: float
     return _drop_repeats(way, droppable)
 
 
+#: the eight moves from a transit-grid node, in the order A* relaxes
+#: them; move 7 - k undoes move k, and moves 4 to 7 lead to the nodes
+#: above in (i, j) order
+_MOVES = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if di or dj]
+#: an edge whose low node lies farther than this many spacings from the
+#: boundary is clear without sampling: every sample lies within sqrt(2)
+#: spacings of that node, and the rest is margin for rounding
+_SURE_CLEAR = 2.0
+
+
 class _TransitGrid:
     """A* workspace on a delta grid aligned with the sweep frame.
 
     Construction fixes only the frame and the grid shape. The nodes that
-    fall inside the polygon, their world coordinates and the clearance of
-    every edge between them are built on first need, so a plan whose
-    transits are all straight never builds them; the edge clearances come
-    from one batched containment pass.
+    fall inside the polygon, their world coordinates and the neighbour
+    table are built on first need, so a plan whose transits are all
+    straight never builds them. A node's id is its row in `ij`, whose
+    index pairs ascend in (i, j) order, so ids order like the pairs.
     """
 
     def __init__(self, poly: Polygon, delta: float, sweep_dir: float):
@@ -559,49 +569,52 @@ class _TransitGrid:
         return t[..., None] * self.u + s[..., None] * self.v
 
     @cached_property
-    def _node_list(self) -> list:
-        """Grid index pairs inside the polygon, in ascending order."""
+    def ij(self) -> np.ndarray:
+        """(N, 2) grid index pairs of the nodes inside the polygon, ascending."""
         nt, ns = self.shape
         ij = np.stack(np.meshgrid(np.arange(nt), np.arange(ns), indexing="ij"), axis=-1).reshape(-1, 2)
-        inside = points_in_polygon(self.to_world(ij), self.poly)
-        return [tuple(int(c) for c in p) for p in ij[inside]]
+        return ij[points_in_polygon(self.to_world(ij), self.poly)]
 
     @cached_property
-    def nodes(self) -> dict:
-        """Each inside node mapped to its position in _node_list."""
-        return {n: k for k, n in enumerate(self._node_list)}
+    def world(self) -> np.ndarray:
+        """World coordinates of the nodes, row k for node k."""
+        return self.to_world(self.ij)
 
     @cached_property
-    def _world(self) -> np.ndarray:
-        """World coordinates of the nodes, row k for _node_list[k]."""
-        return self.to_world(np.asarray(self._node_list, dtype=float).reshape(-1, 2))
+    def neighbours(self) -> list:
+        """The (N, 8) neighbour table as nested lists, which A* reads
+        fastest: per node, per move of _MOVES, the neighbour's id when
+        the edge to it is clear, else -1.
 
-    @cached_property
-    def edges(self) -> dict:
-        """Clearance of every edge between neighbouring inside nodes.
-
-        Keyed (low, high) in tuple order: each edge from its low node
-        through segments_in_polygon at step delta/3, as reachable_node
+        Each edge is decided once, from its low node: clear when that
+        node lies farther than _SURE_CLEAR spacings from the boundary,
+        else by segments_in_polygon at step delta/3, as reachable_node
         tests its lines of sight.
         """
         nt, ns = self.shape
-        ij = np.asarray(self._node_list, dtype=int).reshape(-1, 2)
+        ij = self.ij
         row = np.full(self.shape, -1)
         row[ij[:, 0], ij[:, 1]] = np.arange(len(ij))
         lows, highs = [], []
-        for di, dj in ((0, 1), (1, -1), (1, 0), (1, 1)):  # the neighbours above a node in tuple order
+        for di, dj in _MOVES[4:]:
             ni, nj = ij[:, 0] + di, ij[:, 1] + dj
             on_grid = np.flatnonzero((ni < nt) & (nj >= 0) & (nj < ns))
             nb = row[ni[on_grid], nj[on_grid]]
             lows.append(on_grid[nb >= 0])
             highs.append(nb[nb >= 0])
         lo, hi = np.concatenate(lows), np.concatenate(highs)
-        clear = segments_in_polygon(self._world[lo], self._world[hi], self.poly, self.delta / 3.0)
-        node_at = self._node_list
-        return {(node_at[a], node_at[b]): ok for a, b, ok in zip(lo.tolist(), hi.tolist(), clear.tolist())}
+        move = np.repeat(np.arange(4, 8), [len(h) for h in highs])
+        clear = (nearest_boundary_points(self.world, self.poly)[1] > _SURE_CLEAR * self.delta)[lo]
+        near = np.flatnonzero(~clear)
+        clear[near] = segments_in_polygon(self.world[lo[near]], self.world[hi[near]], self.poly, self.delta / 3.0)
+        table = np.full((len(ij), 8), -1)
+        table[lo[clear], move[clear]] = hi[clear]
+        table[hi[clear], 7 - move[clear]] = lo[clear]
+        return table.tolist()
 
-    def reachable_node(self, point) -> tuple | None:
-        """Closest node whose straight segment from `point` stays inside.
+    def reachable_node(self, point) -> int | None:
+        """Id of the closest node whose straight segment from `point`
+        stays inside.
 
         The nearest node can sit across a notch of a nonconvex polygon,
         so candidates are tried in distance order until one has a clear
@@ -609,69 +622,69 @@ class _TransitGrid:
         of 1, 4, 16, ... candidates, and the first clear one in the first
         chunk that has one wins. Every line of sight is sampled at its
         start, so a point outside the polygon has none, and one
-        containment test answers for it.
+        containment test answers for it. A nearest node strictly closer
+        to the point than the boundary is in sight untested: its segment
+        lies in a disc about the point that no boundary point enters.
         """
-        if not self._node_list:
+        world = self.world
+        if not len(world):
             raise GeometryError("no transit grid nodes fall inside the polygon")
         p = np.asarray(point, dtype=float)
         if not points_in_polygon(p[None], self.poly)[0]:
             return None
-        world = self._world
-        order = np.argsort(np.hypot(*(world - p).T), kind="stable")
+        dist = np.hypot(*(world - p).T)
+        order = np.argsort(dist, kind="stable")
+        if dist[order[0]] < nearest_boundary_points(p[None], self.poly)[1][0]:
+            return int(order[0])
         lo, size = 0, 1
         while lo < len(order):
             chunk = order[lo : lo + size]
             clear = segments_in_polygon(np.broadcast_to(p, (len(chunk), 2)), world[chunk], self.poly, self.delta / 3.0)
             if clear.any():
-                return self._node_list[int(chunk[np.argmax(clear)])]
+                return int(chunk[np.argmax(clear)])
             lo, size = lo + size, 4 * size
         return None
 
-    def astar(self, start: tuple, goal: tuple):
-        """Shortest 8-connected path between grid nodes, or None.
+    def astar(self, start: int, goal: int):
+        """Shortest 8-connected path between node ids, as a list of ids,
+        or None.
 
         Euclidean step costs with the straight-line heuristic; ties in
-        priority break on the node index pair, keeping results
-        deterministic.
+        priority break on the node id, that is on the node's index pair,
+        keeping results deterministic.
         """
-        if start not in self.nodes or goal not in self.nodes:
+        n = len(self.ij)
+        if not (0 <= start < n and 0 <= goal < n):
             return None
-        nodes, edges, world = self.nodes, self.edges, self._world
-        h = np.hypot(*(world - world[nodes[goal]]).T).tolist()
-        moves = [
-            (di, dj, self.delta * (math.sqrt(2.0) if di and dj else 1.0))
-            for di in (-1, 0, 1)
-            for dj in (-1, 0, 1)
-            if di or dj
-        ]
+        table, world = self.neighbours, self.world
+        h = np.hypot(*(world - world[goal]).T).tolist()
+        steps = [self.delta * (math.sqrt(2.0) if di and dj else 1.0) for di, dj in _MOVES]
 
-        open_q = [(h[nodes[start]], start)]
-        g_cost = {start: 0.0}
-        came: dict = {}
-        closed = set()
+        open_q = [(h[start], start)]
+        g_cost = [math.inf] * n
+        g_cost[start] = 0.0
+        came = [-1] * n
+        closed = [False] * n
         while open_q:
             _, node = heapq.heappop(open_q)
-            if node in closed:
+            if closed[node]:
                 continue
             if node == goal:
                 path = [node]
-                while node in came:
+                while came[node] >= 0:
                     node = came[node]
                     path.append(node)
                 return path[::-1]
-            closed.add(node)
-            ni, nj = node
-            for di, dj, step in moves:
-                nb = (ni + di, nj + dj)
-                if nb not in nodes or nb in closed:
+            closed[node] = True
+            g = g_cost[node]
+            for nb, step in zip(table[node], steps):
+                if nb < 0 or closed[nb]:
                     continue
-                if not edges[(node, nb) if node < nb else (nb, node)]:
-                    continue
-                cand = g_cost[node] + step
-                if cand < g_cost.get(nb, math.inf) - 1e-12:
+                cand = g + step
+                if cand < g_cost[nb] - 1e-12:
                     g_cost[nb] = cand
                     came[nb] = node
-                    heapq.heappush(open_q, (cand + h[nodes[nb]], nb))
+                    heapq.heappush(open_q, (cand + h[nb], nb))
         return None
 
 
@@ -688,10 +701,10 @@ def plan_transit(position, targets, poly: Polygon, delta: float, grid: _TransitG
     routing to every target. Returns (waypoints, chosen target index);
     waypoint spacing never exceeds delta.
 
-    `grid` is shared by the transits of one plan. Its nodes and edge
-    clearances are built on the first transit that is not straight, the
-    clearances of all edges in one pass, and reused by later ones; a
-    plan whose transits are all straight never builds them.
+    `grid` is shared by the transits of one plan. Its nodes and
+    neighbour table are built on the first transit that is not straight
+    and reused by later ones; a plan whose transits are all straight
+    never builds them.
     """
     pos = np.asarray(position, dtype=float)
     targets = [np.asarray(t, dtype=float) for t in targets]
@@ -723,7 +736,7 @@ def plan_transit(position, targets, poly: Polygon, delta: float, grid: _TransitG
         node_path = grid.astar(start, goal)
         if node_path is None:
             continue
-        way = _densify_path(np.vstack([pos, grid.to_world(node_path), targets[i]]), [len(node_path) + 1], delta)[0]
+        way = _densify_path(np.vstack([pos, grid.world[node_path], targets[i]]), [len(node_path) + 1], delta)[0]
         if not bool(points_in_polygon(way, poly).all()):
             continue  # a grazing leg slipped outside between samples
         length = _path_length(way)

@@ -10,7 +10,8 @@ boundary-inclusive within a 1e-9 tolerance.
 
 Each polygon question has one routine, which every caller shares:
 points_in_polygon (containment), _closest_on_edges (closest point of
-each edge), _edge_crossings (where a line meets each edge),
+each edge), nearest_boundary_points (closest boundary point and its
+distance), _edge_crossings (where a line meets each edge),
 segments_in_polygon (whether sampled straight segments stay inside) and
 _first_crossing (which edges touch or cross: whether a polygon is simple).
 """
@@ -31,6 +32,8 @@ BOUNDARY_TOL = 1e-9
 _SEGMENT_CHUNK = 256
 #: edges whose pair tests against every edge go through one array pass
 _EDGE_BLOCK = 256
+#: point-edge pairs whose closest points go through one array pass
+_CLOSEST_BLOCK = 1 << 16
 
 
 def normalize_bearing(psi: float) -> float:
@@ -189,10 +192,25 @@ def _closest_on_edges(pts: np.ndarray, poly: Polygon):
 
 
 def nearest_boundary_point(p, poly: Polygon) -> np.ndarray:
-    """Closest point on the polygon boundary to p."""
-    p = np.asarray(p, dtype=float)
-    closest = _closest_on_edges(p[None, :], poly)[0][0]
-    return closest[int(np.argmin(np.hypot(*(p - closest).T)))]
+    """Closest point on the polygon boundary to p (see nearest_boundary_points)."""
+    return nearest_boundary_points(np.asarray(p, dtype=float)[None, :], poly)[0][0]
+
+
+def nearest_boundary_points(points, poly: Polygon):
+    """Closest point on the polygon boundary to each row of the (m, 2)
+    points, (m, 2), and its distance, (m,): of each row's closest points
+    on the edges, the first at the least hypot. Rows go through
+    _CLOSEST_BLOCK point-edge pairs at a time."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    closest, dist = np.empty_like(pts), np.empty(len(pts))
+    rows = max(1, _CLOSEST_BLOCK // len(poly))
+    for r0 in range(0, len(pts), rows):
+        q = pts[r0 : r0 + rows]
+        on_edges = _closest_on_edges(q, poly)[0]
+        d = np.hypot(*(q[:, None, :] - on_edges).transpose(2, 0, 1))
+        at, k = np.arange(len(q)), np.argmin(d, axis=1)
+        closest[r0 : r0 + rows], dist[r0 : r0 + rows] = on_edges[at, k], d[at, k]
+    return closest, dist
 
 
 def point_in_polygon(p, poly: Polygon, tol: float = BOUNDARY_TOL) -> bool:

@@ -11,8 +11,9 @@ earlier searches, kept as the references for what replaced them, and
 they run the package's own helpers on purpose: the planner's loops
 transit_all_targets (its exhaustive transit search), sweep_per_line
 (one cast per sweep line), mow_per_leg (one densify per leg, one clamp
-per hop) and reachable_per_candidate (one line-of-sight test per grid
-node), and fit_three_hypers, the hyper fit over all three parameters
+per hop), reachable_per_candidate (one line-of-sight test per grid
+node) and TupleGrid (the transit grid's tuple nodes, dict edge table
+and A*), and fit_three_hypers, the hyper fit over all three parameters
 that the profile-likelihood fit replaced.
 """
 
@@ -292,13 +293,99 @@ def grid_dijkstra(nodes, start, goal, spacing, clear):
     return None
 
 
+class TupleGrid:
+    """A transit grid's nodes, edge table and A* as coverage._TransitGrid
+    kept them before its node ids: nodes as index-pair tuples in a dict,
+    the clearance of every edge from its own sampled test in a dict keyed
+    by tuple pairs, and A* hashing tuples on every relaxation."""
+
+    def __init__(self, grid):
+        from bathysurvey.geometry import points_in_polygon
+
+        nt, ns = grid.shape
+        ij = np.stack(np.meshgrid(np.arange(nt), np.arange(ns), indexing="ij"), axis=-1).reshape(-1, 2)
+        inside = points_in_polygon(grid.to_world(ij), grid.poly)
+        self.grid = grid
+        self.node_list = [tuple(int(c) for c in p) for p in ij[inside]]
+        self.nodes = {n: k for k, n in enumerate(self.node_list)}
+        self.world = grid.to_world(np.asarray(self.node_list, dtype=float).reshape(-1, 2))
+        self.edges = self._edges()
+
+    def _edges(self):
+        """Clearance of every edge between neighbouring inside nodes, keyed
+        (low, high) in tuple order, each through segments_in_polygon at
+        step delta/3."""
+        from bathysurvey.geometry import segments_in_polygon
+
+        grid = self.grid
+        nt, ns = grid.shape
+        ij = np.asarray(self.node_list, dtype=int).reshape(-1, 2)
+        row = np.full(grid.shape, -1)
+        row[ij[:, 0], ij[:, 1]] = np.arange(len(ij))
+        lows, highs = [], []
+        for di, dj in ((0, 1), (1, -1), (1, 0), (1, 1)):  # the neighbours above a node in tuple order
+            ni, nj = ij[:, 0] + di, ij[:, 1] + dj
+            on_grid = np.flatnonzero((ni < nt) & (nj >= 0) & (nj < ns))
+            nb = row[ni[on_grid], nj[on_grid]]
+            lows.append(on_grid[nb >= 0])
+            highs.append(nb[nb >= 0])
+        lo, hi = np.concatenate(lows), np.concatenate(highs)
+        clear = segments_in_polygon(self.world[lo], self.world[hi], grid.poly, grid.delta / 3.0)
+        node_at = self.node_list
+        return {(node_at[a], node_at[b]): ok for a, b, ok in zip(lo.tolist(), hi.tolist(), clear.tolist())}
+
+    def astar(self, start, goal):
+        """Shortest 8-connected path between index pairs, or None; ties in
+        priority break on the index pair."""
+        if start not in self.nodes or goal not in self.nodes:
+            return None
+        nodes, edges, world = self.nodes, self.edges, self.world
+        h = np.hypot(*(world - world[nodes[goal]]).T).tolist()
+        delta = self.grid.delta
+        moves = [
+            (di, dj, delta * (math.sqrt(2.0) if di and dj else 1.0))
+            for di in (-1, 0, 1)
+            for dj in (-1, 0, 1)
+            if di or dj
+        ]
+        open_q = [(h[nodes[start]], start)]
+        g_cost = {start: 0.0}
+        came = {}
+        closed = set()
+        while open_q:
+            _, node = heapq.heappop(open_q)
+            if node in closed:
+                continue
+            if node == goal:
+                path = [node]
+                while node in came:
+                    node = came[node]
+                    path.append(node)
+                return path[::-1]
+            closed.add(node)
+            ni, nj = node
+            for di, dj, step in moves:
+                nb = (ni + di, nj + dj)
+                if nb not in nodes or nb in closed:
+                    continue
+                if not edges[(node, nb) if node < nb else (nb, node)]:
+                    continue
+                cand = g_cost[node] + step
+                if cand < g_cost.get(nb, math.inf) - 1e-12:
+                    g_cost[nb] = cand
+                    came[nb] = node
+                    heapq.heappush(open_q, (cand + h[nodes[nb]], nb))
+        return None
+
+
 def transit_all_targets(position, targets, poly, delta, grid=None):
     """plan_transit as it was before its target pruning: A* to every target.
 
     Same contract as coverage.plan_transit, on the same transit grid: the
     straight leg to the nearest target when it stays inside, otherwise
     an A* route to every target, the shortest realized route winning
-    and ties within 1e-12 m going to the lower target index.
+    and ties within 1e-12 m going to the lower target index. Routes come
+    from TupleGrid's A*.
     """
     from bathysurvey.coverage import _TransitGrid, _densify_path, _path_length
     from bathysurvey.errors import ConfigError, GeometryError
@@ -321,12 +408,13 @@ def transit_all_targets(position, targets, poly, delta, grid=None):
     start = grid.reachable_node(pos)
     if start is None:
         raise GeometryError("transit start has no straight line to any grid node inside the polygon")
+    tuples = TupleGrid(grid)
     best = None
     for i in range(len(targets)):
         goal = grid.reachable_node(targets[i])
         if goal is None:
             continue
-        node_path = grid.astar(start, goal)
+        node_path = tuples.astar(tuples.node_list[start], tuples.node_list[goal])
         if node_path is None:
             continue
         way = _densify_path(np.vstack([pos, grid.to_world(node_path), targets[i]]), [len(node_path) + 1], delta)[0]
@@ -449,17 +537,17 @@ def mow_per_leg(cell, entry_corner, delta, sweep_dir):
 
 def reachable_per_candidate(grid, point):
     """coverage._TransitGrid.reachable_node testing one candidate node at
-    a time, nearest first."""
+    a time, nearest first, each by its sampled line of sight."""
     from bathysurvey.errors import GeometryError
     from bathysurvey.geometry import segment_in_polygon
 
-    if not grid._node_list:
+    world = grid.world
+    if not len(world):
         raise GeometryError("no transit grid nodes fall inside the polygon")
     p = np.asarray(point, dtype=float)
-    world = grid._world
     for k in np.argsort(np.hypot(*(world - p).T), kind="stable"):
         if segment_in_polygon(p, world[int(k)], grid.poly, step=grid.delta / 3.0):
-            return grid._node_list[int(k)]
+            return int(k)
     return None
 
 

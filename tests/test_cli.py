@@ -1,6 +1,7 @@
 """CLI subcommands: exit codes, artifacts, and manifests."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -43,9 +44,14 @@ def test_run_scenario_completes(tmp_path, square_file, capsys):
     sc.write_text(PLANE_SCENARIO)
     out = tmp_path / "mission"
     # the constant-mean model fits the sloped plane only along an unbounded
-    # ridge, so its late refits stop early
-    with pytest.warns(RuntimeWarning, match="hyper fit stopped early"):
+    # ridge, so a late refit may stop early; whether one does turns on
+    # rounding, which moves with the BLAS thread count. test_gp covers the
+    # warning itself; here it is allowed, and no other warning is.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main(["run", "--scenario", str(sc), "--out", str(out)])
+    others = [w for w in caught if not (w.category is RuntimeWarning and "hyper fit stopped early" in str(w.message))]
+    assert others == []
     stdout = capsys.readouterr().out
     assert code == 0
     assert "contour closed: True" in stdout

@@ -25,7 +25,14 @@ from bathysurvey.coverage import (
     sweep_polygon,
 )
 from bathysurvey.errors import ConfigError, GeometryError
-from bathysurvey.geometry import Polygon, point_in_polygon, points_in_polygon, segment_in_polygon, segments_in_polygon
+from bathysurvey.geometry import (
+    Polygon,
+    nearest_boundary_points,
+    point_in_polygon,
+    points_in_polygon,
+    segment_in_polygon,
+    segments_in_polygon,
+)
 
 RECT = Polygon([(0, 0), (20, 0), (20, 10), (0, 10)])
 U_SHAPE = Polygon([(0, 0), (30, 0), (30, 40), (20, 40), (20, 10), (10, 10), (10, 40), (0, 40)])
@@ -222,7 +229,8 @@ def _outcome(fn, *args):
 #: star 143 has hops that clamp onto one outline vertex, so waypoints repeat
 #: and are dropped; star 10 has a cell whose bottom chain runs backwards;
 #: from edge midpoints of star 0 the first node in sight shares its chunk
-#: of candidates with other nodes in sight
+#: of candidates with other nodes in sight; each has a transit-grid edge
+#: that leaves the polygon
 SWEEP_EXAMPLES = [
     (_star(143, 13, 3.0, True), 2.0, 0.0),
     (_star(10, 12, 3.0, True), 2.0, 0.0),
@@ -313,8 +321,13 @@ def test_reachable_node_rejects_an_outside_point_without_a_line_of_sight_test(mo
     assert grid.reachable_node((15.0, 35.0)) is None
     assert calls == []
     assert oracles.reachable_per_candidate(grid, (15.0, 35.0)) is None
-    assert grid.reachable_node((5.0, 35.0)) is not None
+    # 0.5 m from the outer wall, its nearest node 1.1 m away: sight is tested
+    assert grid.reachable_node((0.5, 35.0)) == oracles.reachable_per_candidate(grid, (0.5, 35.0)) is not None
     assert len(calls) >= 1
+    # 5 m from every wall, its nearest node 1.4 m away: in sight untested
+    calls.clear()
+    assert grid.reachable_node((5.0, 35.0)) == oracles.reachable_per_candidate(grid, (5.0, 35.0))
+    assert calls == []
 
 
 def test_plan_transit_direct():
@@ -340,22 +353,61 @@ def test_plan_transit_routes_around_notch():
         plan_transit((5.0, 35.0), [], U_SHAPE, 2.0)
 
 
-#: index offsets from a transit-grid node to its neighbours above it in tuple order
-FORWARD = ((0, 1), (1, -1), (1, 0), (1, 1))
+#: index offsets from a transit-grid node to its neighbours, in A*'s relaxation order
+MOVES = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if di or dj]
 #: a nonconvex star whose notches block a few grid edges at delta = 4
 STAR = Polygon(oracles.star_polygon(np.random.default_rng(0), 16, r_lo=10.0))
+
+
+def _edge_checks(grid):
+    """Every edge of the transit grid as (low id, high id, move from the
+    low node, clear by segment_in_polygon from the low node at step
+    delta/3, low node farther than _SURE_CLEAR spacings from the boundary),
+    the segments sampled in one segments_in_polygon call."""
+    index = {p: k for k, p in enumerate(map(tuple, grid.ij.tolist()))}
+    far = nearest_boundary_points(grid.world, grid.poly)[1] > coverage._SURE_CLEAR * grid.delta
+    edges = []
+    for (i, j), a in index.items():
+        for m, (di, dj) in enumerate(MOVES):
+            b = index.get((i + di, j + dj))
+            if b is not None and a < b:
+                edges.append((a, b, m))
+    lo, hi, _ = np.asarray(edges, dtype=int).reshape(-1, 3).T
+    clear = segments_in_polygon(grid.world[lo], grid.world[hi], grid.poly, grid.delta / 3.0)
+    return [(a, b, m, ok, bool(far[a])) for (a, b, m), ok in zip(edges, clear.tolist())]
+
+
+def _check_neighbour_table(grid):
+    """Assert the grid's neighbour table holds exactly the clear edges of
+    _edge_checks, each from both ends; returns the edge checks."""
+    edges = _edge_checks(grid)
+    expected = np.full((len(grid.ij), len(MOVES)), -1)
+    for a, b, m, clear, _ in edges:
+        if clear:
+            expected[a, m], expected[b, len(MOVES) - 1 - m] = b, a
+    assert np.asarray(grid.neighbours).reshape(expected.shape).tolist() == expected.tolist()
+    # the distance test only marks edges clear that sampling finds clear
+    assert all(clear for *_, clear, far in edges if far)
+    return edges
 
 
 @pytest.mark.parametrize("poly, delta, sweep_dir", [(U_SHAPE, 2.0, 0.0), (STAR, 4.0, 0.7)], ids=["u_shape", "star"])
 def test_transit_grid_edge_table_matches_segment_checks(poly, delta, sweep_dir):
     grid = coverage._TransitGrid(poly, delta, sweep_dir)
-    nodes = grid.nodes
-    expected = {(a, (a[0] + di, a[1] + dj)) for a in nodes for di, dj in FORWARD if (a[0] + di, a[1] + dj) in nodes}
-    assert set(grid.edges) == expected
-    for a, b in expected:
-        assert grid.edges[(a, b)] == segment_in_polygon(grid.to_world(a), grid.to_world(b), poly, step=delta / 3.0)
-    # both outcomes occur, so the comparison above can tell them apart
-    assert set(grid.edges.values()) == {True, False}
+    edges = _check_neighbour_table(grid)
+    # each edge is decided by the distance test or sampled, and sampled
+    # edges come out both ways, so the comparison can tell them apart
+    assert {far for *_, far in edges} == {True, False}
+    assert {clear for *_, clear, far in edges if not far} == {True, False}
+
+
+@settings(max_examples=25)
+@given(_sweep_cases())
+@example(SWEEP_EXAMPLES[2])
+def test_neighbour_table_matches_sampled_edge_checks(case):
+    """The neighbour table holds an edge exactly when sampling finds it
+    clear, whether the distance test or sampling decided it."""
+    _check_neighbour_table(coverage._TransitGrid(*case))
 
 
 #: a corridor that winds inward: heading straight for the goal leads into dead ends
@@ -364,10 +416,16 @@ SPIRAL = Polygon(
 )
 
 
-@pytest.mark.parametrize("poly", [U_SHAPE, SPIRAL], ids=["u_shape", "spiral"])
-def test_astar_path_lengths_match_dijkstra_oracle(poly):
-    delta = 2.0
-    grid = coverage._TransitGrid(poly, delta, 0.0)
+@pytest.mark.parametrize(
+    "poly, delta, sweep_dir",
+    [(U_SHAPE, 2.0, 0.0), (SPIRAL, 2.0, 0.0), (STAR, 4.0, 0.7)],
+    ids=["u_shape", "spiral", "star"],
+)
+def test_astar_path_lengths_match_dijkstra_oracle(poly, delta, sweep_dir):
+    """A* over node ids finds the same node path as the tuple A* it
+    replaced, ties included, and a shortest one by plain Dijkstra."""
+    grid = coverage._TransitGrid(poly, delta, sweep_dir)
+    tuples = oracles.TupleGrid(grid)
     checked = {}
 
     def clear(a, b):
@@ -375,19 +433,27 @@ def test_astar_path_lengths_match_dijkstra_oracle(poly):
             checked[a, b] = segment_in_polygon(grid.to_world(a), grid.to_world(b), poly, step=delta / 3.0)
         return checked[a, b]
 
-    nodes = sorted(grid.nodes)
-    pairs = [tuple(nodes[i] for i in ij) for ij in np.random.default_rng(3).integers(len(nodes), size=(16, 2))]
+    pairs = np.random.default_rng(3).integers(len(grid.ij), size=(24, 2)).tolist()
     if poly is U_SHAPE:  # across the notch
-        pairs.append((grid.reachable_node((5.0, 35.0)), grid.reachable_node((25.0, 35.0))))
+        pairs.append([grid.reachable_node((5.0, 35.0)), grid.reachable_node((25.0, 35.0))])
+    routed = 0
     for start, goal in pairs:
         path = grid.astar(start, goal)
+        a, b = tuples.node_list[start], tuples.node_list[goal]
+        expected = tuples.astar(a, b)
+        if expected is None:
+            assert path is None and oracles.grid_dijkstra(tuples.nodes, a, b, delta, clear) is None
+            continue
+        assert [tuples.node_list[k] for k in path] == expected
         assert path[0] == start and path[-1] == goal
-        steps = np.diff(np.asarray(path), axis=0)
+        steps = np.diff(grid.ij[path], axis=0)
         assert np.abs(steps).max(initial=0) <= 1
-        assert all(clear(a, b) for a, b in zip(path[:-1], path[1:]))
+        assert all(clear(a, b) for a, b in zip(expected[:-1], expected[1:]))
         length = delta * float(np.hypot(*steps.T).sum())
-        assert length == pytest.approx(oracles.grid_dijkstra(grid.nodes, start, goal, delta, clear), abs=1e-9)
-    assert grid.astar(nodes[0], (-1, -1)) is None
+        assert length == pytest.approx(oracles.grid_dijkstra(tuples.nodes, a, b, delta, clear), abs=1e-9)
+        routed += 1
+    assert routed >= 20
+    assert grid.astar(0, len(grid.ij)) is None
 
 
 def test_transit_grid_built_only_when_a_transit_needs_it(monkeypatch):
@@ -401,10 +467,10 @@ def test_transit_grid_built_only_when_a_transit_needs_it(monkeypatch):
     monkeypatch.setattr(coverage, "_TransitGrid", Recorded)
     plan_coverage(RECT, (1.0, 1.0), 2.0, 0.0)  # every transit is straight
     assert len(grids) == 1
-    assert "_node_list" not in grids[0].__dict__
+    assert "ij" not in grids[0].__dict__
     plan_transit((5.0, 35.0), [(25.0, 35.0)], U_SHAPE, 2.0)  # blocked by the notch
     assert len(grids) == 2
-    assert {"_node_list", "edges"} <= set(grids[1].__dict__)
+    assert {"ij", "neighbours"} <= set(grids[1].__dict__)
 
 
 def _blocked_starts(rng, poly, delta, targets, count):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from bathysurvey import geometry
 from bathysurvey.errors import ConfigError, GeometryError
 from bathysurvey.geometry import (
     Arc,
@@ -20,6 +21,7 @@ from bathysurvey.geometry import (
     edge_vertex_ahead,
     load_polygon,
     nearest_boundary_point,
+    nearest_boundary_points,
     next_edge,
     normalize_bearing,
     point_in_polygon,
@@ -266,6 +268,23 @@ def test_nearest_boundary_point_matches_distance_oracle():
         got = np.array([np.hypot(*(p - nearest_boundary_point(p, poly))) for p in pts])
         ring = np.vstack([poly.vertices, poly.vertices[:1]])
         np.testing.assert_allclose(got, oracles.min_distance_to_polylines(pts, [ring]), rtol=0.0, atol=1e-9)
+
+
+def test_nearest_boundary_points_match_one_point_at_a_time(monkeypatch):
+    """Points in blocks of a few rows give each row's closest edge point,
+    the first at the least hypot, and that hypot, to the byte."""
+    monkeypatch.setattr(geometry, "_CLOSEST_BLOCK", 40)  # 2 to 10 rows a block
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        poly = Polygon(oracles.star_polygon(rng, int(rng.integers(4, 15))))
+        pts = rng.uniform(-80.0, 80.0, (30, 2))
+        closest, dist = nearest_boundary_points(pts, poly)
+        for p, c, d in zip(pts, closest, dist):
+            on_edges = geometry._closest_on_edges(p[None, :], poly)[0][0]
+            gaps = np.hypot(*(p - on_edges).T)
+            k = int(np.argmin(gaps))
+            assert c.tobytes() == on_edges[k].tobytes() and d == gaps[k]
+    assert [a.shape for a in nearest_boundary_points(np.empty((0, 2)), SQUARE)] == [(0, 2), (0,)]
 
 
 def test_arc_within_polygon_bounds():
