@@ -39,7 +39,7 @@ from .geometry import (
     rays_cross_polygon,
     segment_in_polygon,
     segments_in_polygon,
-    trace_boundary,
+    vertices_between,
 )
 
 #: relative nudge applied to sweep lines that would pass through a vertex
@@ -57,21 +57,16 @@ def sweep_frame(sweep_dir: float) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class Cell:
-    """One sweep-monotone cell.
+    """One sweep-monotone cell, stored as its two boundary chains.
 
-    corners are ordered 0 = opening/low-s, 1 = opening/high-s,
-    2 = closing/high-s, 3 = closing/low-s, i.e. clockwise from the
-    bottom left when the sweep axis points right. boundary is the closed
-    outline (first point not repeated); top_chain and bottom_chain are
-    the two boundary chains ordered by increasing sweep coordinate.
+    top_chain (high s) and bottom_chain (low s) each run by increasing
+    sweep coordinate from the opening line to the closing line.
     opens_at_min / closes_at_max mark cells touching the polygon's own
     sweep extremes; grid_origin is the global sweep minimum anchoring
     the trackline grid.
     """
 
     index: int
-    corners: np.ndarray
-    boundary: np.ndarray
     top_chain: np.ndarray
     bottom_chain: np.ndarray
     t_open: float
@@ -80,19 +75,36 @@ class Cell:
     closes_at_max: bool
     grid_origin: float
 
+    @property
+    def corners(self) -> np.ndarray:
+        """The chain ends: 0 = opening/low-s, 1 = opening/high-s,
+        2 = closing/high-s, 3 = closing/low-s, i.e. clockwise from the
+        bottom left when the sweep axis points right."""
+        top, bottom = self.top_chain, self.bottom_chain
+        return np.asarray([bottom[0], top[0], top[-1], bottom[-1]])
+
+    @property
+    def boundary(self) -> np.ndarray:
+        """The closed outline, first point not repeated: the top chain,
+        then the bottom chain backwards."""
+        top, bottom = self.top_chain, self.bottom_chain
+        return np.asarray([bottom[0], *top, bottom[-1], *bottom[-2:0:-1]])
+
     def outline(self) -> Polygon:
         return Polygon(self.boundary)
 
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """Diagnostic record of one polygon sweep: line positions and crossings."""
+    """Diagnostic record of one polygon sweep: line positions, crossings
+    and the edge each crossing lies on."""
 
     sweep_dir: float
     delta: float
     t_origin: float
     ts: np.ndarray
     crossings: list
+    edges: list
     counts: np.ndarray
 
 
@@ -222,88 +234,62 @@ def sweep_polygon(poly: Polygon, delta: float, sweep_dir: float) -> SweepRecord:
 
     bearing = math.atan2(v[0], v[1])
 
-    def cast(lines):  # s-sorted crossing points of the sweep lines at these t
+    def cast(lines):  # s-sorted crossing points of the sweep lines at these t, and their edges
         return rays_cross_polygon(lines[:, None] * u + (s_lo - pad) * v, bearing, poly)
 
-    crossings = cast(ts)
+    crossings, edges = cast(ts)
     for i in np.flatnonzero([len(c) % 2 for c in crossings]):
         tries = 0
         while len(crossings[i]) % 2 == 1 and tries < 3:  # tangency survived the nudge
             ts[i] += steps[i]
-            crossings[i] = cast(ts[i : i + 1])[0]
+            (crossings[i],), (edges[i],) = cast(ts[i : i + 1])
             tries += 1
         if len(crossings[i]) % 2 == 1:
             raise GeometryError(f"sweep line at t={ts[i]} crosses the polygon an odd number of times")
     counts = np.array([len(c) for c in crossings])
-    return SweepRecord(sweep_dir, delta, t_min, ts, crossings, counts)
+    return SweepRecord(sweep_dir, delta, t_min, ts, crossings, edges, counts)
 
 
 def partition_monotone(poly: Polygon, delta: float, sweep_dir: float):
     """Split the polygon into sweep-monotone cells.
 
     Returns (cells, sweep record). Cells are indexed in opening order,
-    bottom to top within one sweep line. A crossing-count change closes
-    all open cells in that same order using the previous line's
-    crossings; cells still open after the last line close on it. The
-    strip between an event line and its predecessor, narrower than
-    delta, belongs to no cell.
+    bottom to top within one sweep line. Each run of consecutive lines
+    with one crossing count holds one cell per pair of crossings, open
+    from the run's first line to its last, so a crossing-count change
+    closes every open cell on the line before it. The strip between an
+    event line and its predecessor, narrower than delta, belongs to no
+    cell. A cell's chain walks the polygon's vertices from the edge of
+    its opening crossing to the edge of its closing one.
     """
     record = sweep_polygon(poly, delta, sweep_dir)
+    ts, crossings, edges = record.ts, record.crossings, record.edges
+    # runs of lines with one crossing count, from line a to line b
+    firsts = np.flatnonzero(np.diff(record.counts, prepend=-1)).tolist()
+    lasts = [i - 1 for i in firsts[1:]] + [len(ts) - 1]
+
+    def chain(p, e, q, f):  # the boundary from p on edge e ccw to q on edge f
+        return np.concatenate([[p], vertices_between(poly, p, e, q, f), [q]])
 
     cells = []
-    open_cells: list = []
-    next_index = 0
-    prev_t: float | None = None
-    prev_cross = np.empty((0, 2))
-
-    def close_all(t_close: float, cross: np.ndarray, at_max: bool) -> None:
-        if len(cross) != 2 * len(open_cells):
-            raise GeometryError("sweep crossing bookkeeping lost a cell; polygon too irregular")
-        for k, oc in enumerate(open_cells):
-            c3, c2 = cross[2 * k], cross[2 * k + 1]
-            corners = np.asarray([oc["c0"], oc["c1"], c2, c3], dtype=float)
-            top_interior = trace_boundary(corners[1], corners[2], poly)
-            bottom_interior = trace_boundary(corners[3], corners[0], poly)
-            boundary = np.asarray(
-                [corners[0], corners[1], *top_interior, corners[2], corners[3], *bottom_interior],
-                dtype=float,
-            )
+    for a, b in zip(firsts, lasts):
+        for j in range(0, len(crossings[a]), 2):
+            (c0, c1), (e0, e1) = crossings[a][j : j + 2], edges[a][j : j + 2]
+            (c3, c2), (e3, e2) = crossings[b][j : j + 2], edges[b][j : j + 2]
+            # the bottom chain is copied out of its reversed view: a matrix
+            # product over a view can round otherwise
             cells.append(
                 Cell(
-                    index=oc["index"],
-                    corners=corners,
-                    boundary=boundary,
-                    top_chain=np.asarray([corners[1], *top_interior, corners[2]], dtype=float),
-                    bottom_chain=np.asarray([corners[0], *bottom_interior[::-1], corners[3]], dtype=float),
-                    t_open=oc["t_open"],
-                    t_close=t_close,
-                    opens_at_min=oc["opens_at_min"],
-                    closes_at_max=at_max,
+                    index=len(cells),
+                    top_chain=chain(c1, e1, c2, e2),
+                    bottom_chain=chain(c3, e3, c0, e0)[::-1].copy(),
+                    t_open=float(ts[a]),
+                    t_close=float(ts[b]),
+                    opens_at_min=a == 0,
+                    closes_at_max=b == len(ts) - 1,
                     grid_origin=record.t_origin,
                 )
             )
-
-    for i, (t, cross) in enumerate(zip(record.ts, record.crossings)):
-        if len(cross) != len(prev_cross):
-            if open_cells:
-                close_all(float(prev_t), prev_cross, at_max=False)
-                open_cells = []
-            for j in range(len(cross) // 2):
-                open_cells.append(
-                    {
-                        "index": next_index,
-                        "t_open": float(t),
-                        "c0": cross[2 * j],
-                        "c1": cross[2 * j + 1],
-                        "opens_at_min": i == 0,
-                    }
-                )
-                next_index += 1
-        prev_t, prev_cross = t, cross
-
-    if open_cells:
-        close_all(float(prev_t), prev_cross, at_max=True)
-    cells.sort(key=lambda c: c.index)
     return cells, record
 
 

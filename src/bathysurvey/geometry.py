@@ -12,7 +12,8 @@ Each polygon question has one routine, which every caller shares:
 points_in_polygon (containment), _closest_on_edges (closest point of
 each edge), nearest_boundary_points (closest boundary point and its
 distance), _edge_crossings (where a line meets each edge),
-segments_in_polygon (whether sampled straight segments stay inside) and
+segments_in_polygon (whether sampled straight segments stay inside),
+vertices_between (the boundary between two points on known edges) and
 _first_crossing (which edges touch or cross: whether a polygon is simple).
 """
 
@@ -34,6 +35,8 @@ _SEGMENT_CHUNK = 256
 _EDGE_BLOCK = 256
 #: point-edge pairs whose closest points go through one array pass
 _CLOSEST_BLOCK = 1 << 16
+#: distance within which vertices_between counts a vertex as a walk's end
+_VERTEX_SNAP = 1e-6
 
 
 def normalize_bearing(psi: float) -> float:
@@ -115,6 +118,8 @@ class Polygon:
             raise GeometryError("polygon needs at least 3 distinct vertices")
         ends = np.roll(v, -1, axis=0)  # end of edge i is vertex i + 1
         area2 = _signed_area2(v, ends)
+        if not math.isfinite(area2):
+            raise GeometryError("polygon vertices too large: its area overflows")
         scale = max(1.0, float(np.abs(v).max()))
         if abs(area2) <= 1e-12 * scale * scale:
             raise GeometryError("polygon has zero area")
@@ -262,27 +267,27 @@ def _edge_crossings(o: np.ndarray, d: np.ndarray, poly: Polygon):
     return t, s, np.abs(denom) > 1e-15
 
 
-def ray_cross_polygon(origin, bearing: float, poly: Polygon) -> np.ndarray:
-    """Points where a ray from origin crosses the polygon boundary (see rays_cross_polygon)."""
-    return rays_cross_polygon(np.asarray(origin, dtype=float)[None, :], bearing, poly)[0]
-
-
-def rays_cross_polygon(origins, bearing: float, poly: Polygon) -> list:
+def rays_cross_polygon(origins, bearing: float, poly: Polygon) -> tuple:
     """Points where each ray from a row of the (m, 2) origins, all on one
-    bearing, crosses the polygon boundary; all rays in one array pass.
+    bearing, crosses the polygon boundary, and the edges they lie on; all
+    rays in one array pass.
 
     Edges are half-open along the polygon orientation (first endpoint
     included, second excluded) so a crossing at a shared vertex counts
-    once. Returns one (k, 2) array per ray, sorted by distance along it.
+    once. Returns two lists with one entry per ray: its (k, 2) crossing
+    points, sorted by distance along it, and their (k,) edge indices.
     """
     o = np.asarray(origins, dtype=float)
     d = bearing_to_unit(bearing)
     t, s, ok = _edge_crossings(o[:, None, :], d, poly)
     hit = ok & (s >= -1e-12) & (s < 1.0 - 1e-12) & (t >= -1e-12)
-    ts = np.sort(np.where(hit, t, np.inf), axis=1)  # each ray's crossings first, in order
+    t = np.where(hit, t, np.inf)
+    edges = np.argsort(t, axis=1, kind="stable")  # each ray's crossings first, in order
+    ts = np.take_along_axis(t, edges, axis=1)
     ts[np.isinf(ts)] = 0.0
     pts = o[:, None, :] + ts[:, :, None] * d[None, :]
-    return [p[:k] for p, k in zip(pts, hit.sum(axis=1).tolist())]
+    counts = hit.sum(axis=1).tolist()
+    return [p[:k] for p, k in zip(pts, counts)], [e[:k] for e, k in zip(edges, counts)]
 
 
 def crossed_edge(poly: Polygon, p_from, p_to) -> int:
@@ -312,55 +317,22 @@ def edge_vertex_ahead(poly: Polygon, edge: int, direction: int) -> np.ndarray:
     return v[(edge + 1) % n] if direction == 1 else v[edge % n]
 
 
-def _locate_on_boundary(points, poly: Polygon, snap: float) -> list:
-    """(edge index, param in [0,1)) of each boundary point of an (m, 2) array, vertex -> (edge, 0)."""
-    pts = np.asarray(points, dtype=float)
-    closest, t = _closest_on_edges(pts, poly)
-    diff = pts[:, None, :] - closest
-    dist = np.hypot(diff[..., 0], diff[..., 1])
-    lens = np.hypot(*(poly._edge_ends - poly.vertices).T)
-    n = len(poly)
-    out = []
-    for p, d, tp in zip(pts, dist, t):
-        cands = np.where(d <= snap)[0]
-        if len(cands) == 0:
-            raise GeometryError(f"point {tuple(p)} is not on the polygon boundary (snap {snap})")
-        best = None
-        for i in cands:
-            ti = tp[i]
-            ei = int(i)
-            if ti * lens[i] >= lens[i] - snap:  # at the far vertex: belongs to the next edge
-                ei, ti = (ei + 1) % n, 0.0
-            elif ti * lens[i] <= snap:
-                ti = 0.0
-            key = (d[i], ti)
-            if best is None or key < best[0]:
-                best = (key, ei, ti)
-        out.append(best[1:])
-    return out
+def vertices_between(poly: Polygon, p_from, e_from: int, p_to, e_to: int) -> np.ndarray:
+    """Polygon vertices strictly between boundary point p_from on edge
+    e_from and p_to on edge e_to, walking ccw, as a (k, 2) array.
 
-
-def trace_boundary(p_from, p_to, poly: Polygon, snap: float = 1e-6) -> list:
-    """Polygon vertices strictly between two boundary points, walking ccw.
-
-    Endpoints are excluded. Both points must lie on the boundary within
-    `snap`. Same-edge points with p_to ahead of p_from give [].
+    The walk passes vertices e_from + 1 to e_to, leaving out any within
+    _VERTEX_SNAP of either point. Points on one edge give none when p_to
+    lies ahead of p_from, else the full loop.
     """
-    (e_from, s_from), (e_to, s_to) = _locate_on_boundary([p_from, p_to], poly, snap)
     n = len(poly)
-    v = poly.vertices
-    if e_from == e_to and s_to >= s_from - 1e-12:
-        return []
-    count = (e_to - e_from) % n if e_from != e_to else n
-    out = []
-    pf = np.asarray(p_from, dtype=float)
-    pt = np.asarray(p_to, dtype=float)
-    for k in range(count):
-        vi = v[(e_from + 1 + k) % n]
-        if np.hypot(*(vi - pf)) <= snap or np.hypot(*(vi - pt)) <= snap:
-            continue
-        out.append(vi.copy())
-    return out
+    count = (e_to - e_from) % n
+    if count == 0:
+        ahead = (np.asarray(p_to) - p_from) @ (poly._edge_ends[e_from] - poly.vertices[e_from])
+        count = 0 if ahead >= 0.0 else n
+    w = poly.vertices[(e_from + 1 + np.arange(count)) % n]
+    far = (np.hypot(*(w - p_from).T) > _VERTEX_SNAP) & (np.hypot(*(w - p_to).T) > _VERTEX_SNAP)
+    return w[far]
 
 
 def arc_within_polygon(p, poly: Polygon, radius: float) -> tuple:

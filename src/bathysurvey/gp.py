@@ -612,7 +612,7 @@ def _moment_start(x: np.ndarray, yc: np.ndarray, lo: np.ndarray, hi: np.ndarray)
     return np.clip(guess, lo, hi)
 
 
-def optimize_hypers(model, initial: HyperParams | None = None, max_iter: int = 60) -> HyperFit:
+def optimize_hypers(model, max_iter: int = 60) -> HyperFit:
     """Maximum-likelihood fit within DEFAULT_BOUNDS, on the profile likelihood.
 
     Writing K_y = sigma_f2 (C + lambda I) with lambda = sigma_n2 / sigma_f2,
@@ -640,16 +640,15 @@ def optimize_hypers(model, initial: HyperParams | None = None, max_iter: int = 6
     trend the data cannot pin down: sigma_f2 and the length scale trade
     off along a ridge, and a warm start that once entered it can stay
     there while a shorter-scale optimum lies several nats higher. The
-    warm start runs alone; a second data-moment start is tried only when
-    it gives no usable answer: it found no finite point, it landed in
-    the pure-noise optimum or on the trend ridge, or L-BFGS-B did not
-    converge. A start's sigma_f2 only sets its lambda.
+    warm start, the model's own hypers, runs alone; a second data-moment
+    start is tried only when it gives no usable answer: it found no
+    finite point, it landed in the pure-noise optimum or on the trend
+    ridge, or L-BFGS-B did not converge. A start's sigma_f2 only sets
+    its lambda.
     """
     st = model.snapshot() if isinstance(model, GpModel) else model
     if st.n == 0:
         raise EmptyModelError("cannot fit hyper-parameters without observations")
-    if initial is None:
-        initial = st.hypers
     lo, hi = np.array(DEFAULT_BOUNDS, dtype=float).T
     n = st.n
     x = st.X.copy()
@@ -679,7 +678,7 @@ def optimize_hypers(model, initial: HyperParams | None = None, max_iter: int = 6
         options = {"maxiter": max_iter, "gtol": 1e-5 / n}
         return minimize(objective, x0, jac=True, method="L-BFGS-B", bounds=list(zip(log_lo, log_hi)), options=options)
 
-    results = [run(initial.as_array())]
+    results = [run(st.hypers.as_array())]
     var_y = float(np.var(yc))
     found = best["theta"] is not None
     degenerate = found and best["theta"][0] < 1e-3 * max(var_y, 1e-12)

@@ -155,10 +155,14 @@ def sonar_sample(field, pose: Pose, noise_std: float, rng) -> float:
     return true_depth(field, (pose.x, pose.y)) + float(rng.normal(0.0, noise_std))
 
 
-def validate_field(field, bounds, samples: int = 40) -> None:
+#: grid points along each side of the box validate_field samples
+_FIELD_SAMPLES = 40
+
+
+def validate_field(field, bounds) -> None:
     """Check the field is finite and non-negative over a bounding box."""
     (x_lo, y_lo), (x_hi, y_hi) = bounds
-    gx, gy = np.meshgrid(np.linspace(x_lo, x_hi, samples), np.linspace(y_lo, y_hi, samples))
+    gx, gy = np.meshgrid(np.linspace(x_lo, x_hi, _FIELD_SAMPLES), np.linspace(y_lo, y_hi, _FIELD_SAMPLES))
     z = field.depth(np.stack([gx.ravel(), gy.ravel()], axis=1))
     if not np.all(np.isfinite(z)):
         raise ConfigError("bathymetry field is not finite over the mission box")
@@ -255,11 +259,13 @@ class MissionConfig:
         for name in ("init_duration", "noise_std"):
             val = getattr(self, name)
             check(name, math.isfinite(val) and val >= 0.0, "non-negative and finite")
+            object.__setattr__(self, name, abs(val))  # -0.0 is stored as 0.0, which numpy's scale accepts
         for name in ("loop_buffer", "seed"):
             val = getattr(self, name)
             check(name, isinstance(val, numbers.Integral) and val >= 0, "a non-negative integer")
             object.__setattr__(self, name, int(val))
         check("arc_half_width", 0.0 < self.arc_half_width <= math.pi, "in (0, pi]")
+        check("init_radius", math.isfinite(self.speed / self.init_radius), "large enough that speed / init_radius is finite")
         _check_sweep_args(self.track_spacing, self.sweep_dir)
         if self.max_turn_rate == math.inf:
             # no limit, stored as None so a manifest never holds Infinity

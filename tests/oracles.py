@@ -12,9 +12,11 @@ they run the package's own helpers on purpose: the planner's loops
 transit_all_targets (its exhaustive transit search), sweep_per_line
 (one cast per sweep line), mow_per_leg (one densify per leg, one clamp
 per hop), reachable_per_candidate (one line-of-sight test per grid
-node) and TupleGrid (the transit grid's tuple nodes, dict edge table
-and A*), and fit_three_hypers, the hyper fit over all three parameters
-that the profile-likelihood fit replaced.
+node), TupleGrid (the transit grid's tuple nodes, dict edge table
+and A*) and trace_boundary (a chain's vertices found by locating each
+end on its nearest edge, which the walk from the sweep cast's own edge
+indices replaced), and fit_three_hypers, the hyper fit over all three
+parameters that the profile-likelihood fit replaced.
 """
 
 import heapq
@@ -217,6 +219,61 @@ def polygon_by_walk(verts):
     if crossing is not None:
         raise GeometryError("polygon self-intersects: edge %d crosses edge %d" % crossing)
     return v, np.roll(v, -1, axis=0), 0.5 * area2(v)
+
+
+def _locate_on_boundary(points, poly, snap):
+    """(edge index, param in [0,1)) of each boundary point of an (m, 2) array, vertex -> (edge, 0)."""
+    from bathysurvey.errors import GeometryError
+    from bathysurvey.geometry import _closest_on_edges
+
+    pts = np.asarray(points, dtype=float)
+    closest, t = _closest_on_edges(pts, poly)
+    diff = pts[:, None, :] - closest
+    dist = np.hypot(diff[..., 0], diff[..., 1])
+    lens = np.hypot(*(poly._edge_ends - poly.vertices).T)
+    n = len(poly)
+    out = []
+    for p, d, tp in zip(pts, dist, t):
+        cands = np.where(d <= snap)[0]
+        if len(cands) == 0:
+            raise GeometryError(f"point {tuple(p)} is not on the polygon boundary (snap {snap})")
+        best = None
+        for i in cands:
+            ti = tp[i]
+            ei = int(i)
+            if ti * lens[i] >= lens[i] - snap:  # at the far vertex: belongs to the next edge
+                ei, ti = (ei + 1) % n, 0.0
+            elif ti * lens[i] <= snap:
+                ti = 0.0
+            key = (d[i], ti)
+            if best is None or key < best[0]:
+                best = (key, ei, ti)
+        out.append(best[1:])
+    return out
+
+
+def trace_boundary(p_from, p_to, poly, snap=1e-6):
+    """Polygon vertices strictly between two boundary points, walking ccw,
+    each point located on the boundary by a search over every edge.
+
+    Endpoints are excluded. Both points must lie on the boundary within
+    `snap`. Same-edge points with p_to ahead of p_from give [].
+    """
+    (e_from, s_from), (e_to, s_to) = _locate_on_boundary([p_from, p_to], poly, snap)
+    n = len(poly)
+    v = poly.vertices
+    if e_from == e_to and s_to >= s_from - 1e-12:
+        return []
+    count = (e_to - e_from) % n if e_from != e_to else n
+    out = []
+    pf = np.asarray(p_from, dtype=float)
+    pt = np.asarray(p_to, dtype=float)
+    for k in range(count):
+        vi = v[(e_from + 1 + k) % n]
+        if np.hypot(*(vi - pf)) <= snap or np.hypot(*(vi - pt)) <= snap:
+            continue
+        out.append(vi.copy())
+    return out
 
 
 def first_crossing(verts):

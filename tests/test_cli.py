@@ -1,6 +1,7 @@
 """CLI subcommands: exit codes, artifacts, and manifests."""
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -103,6 +104,17 @@ def test_run_bad_setting_exits_2(tmp_path, capsys):
     code = main(["run", "--set", "warp_speed=9", "--out", str(tmp_path / "x")])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_run_with_a_negative_zero_noise_runs_without_noise(tmp_path, capsys):
+    # numpy's normal() refused the -0.0 scale that passed the >= 0 check
+    out = tmp_path / "mission"
+    code = main(["run", "--set", "noise_std=-0", "--set", "max_sim_time=10", "--out", str(out)])
+    assert "Traceback" not in capsys.readouterr().err
+    assert code == 5  # the time limit, not the sonar
+    with open(out / "manifest.json") as fh:
+        noise = json.load(fh)["config"]["noise_std"]
+    assert noise == 0.0 and math.copysign(1.0, noise) == 1.0
 
 
 def test_partition_writes_cells(tmp_path, square_file, capsys):

@@ -254,6 +254,29 @@ def test_sweep_lines_match_the_per_line_oracle(case):
     assert got.counts.tolist() == [len(c) for c in expected[1]]
 
 
+@settings(max_examples=100)
+@given(_sweep_cases())
+@example(SWEEP_EXAMPLES[0])
+@example(SWEEP_EXAMPLES[1])
+def test_chains_walked_by_edge_index_match_the_boundary_search(case):
+    """Each cell's chains, walked from the edges the sweep cast found,
+    hold the same points, to the byte, as the chains between the same
+    ends when a search over every edge locates each end; the outline
+    runs up the top chain and back along the bottom one."""
+    poly = case[0]
+    try:
+        cells, _ = partition_monotone(*case)
+    except (ConfigError, GeometryError):
+        assume(False)
+    for cell in cells:
+        c0, c1, c2, c3 = cell.corners
+        top = [c1, *oracles.trace_boundary(c1, c2, poly), c2]
+        back = oracles.trace_boundary(c3, c0, poly)
+        assert cell.top_chain.tobytes() == np.asarray(top).tobytes()
+        assert cell.bottom_chain.tobytes() == np.asarray([c0, *back[::-1], c3]).tobytes()
+        assert cell.boundary.tobytes() == np.asarray([c0, *top, c3, *back]).tobytes()
+
+
 @settings(max_examples=60)
 @given(_sweep_cases())
 @example(SWEEP_EXAMPLES[0])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mutations
 import oracles
 from bathysurvey import geometry
 from bathysurvey.errors import ConfigError, GeometryError
@@ -26,12 +27,12 @@ from bathysurvey.geometry import (
     normalize_bearing,
     point_in_polygon,
     points_in_polygon,
-    ray_cross_polygon,
+    rays_cross_polygon,
     save_polygon,
     segment_in_polygon,
     segments_in_polygon,
     simplify_closed_curve,
-    trace_boundary,
+    vertices_between,
 )
 from bathysurvey.geometry import _first_crossing
 
@@ -208,19 +209,23 @@ def test_ray_crossings_match_exact_oracle():
         poly = Polygon(oracles.star_polygon(rng, int(rng.integers(4, 10))))
         origin = rng.uniform(-80, 80, 2)
         bearing = rng.uniform(-math.pi, math.pi)
-        got = ray_cross_polygon(origin, bearing, poly)
+        (got,), (edges,) = rays_cross_polygon([origin], bearing, poly)
         ref = oracles.ray_hits(origin, bearing, poly.vertices)
-        assert len(got) == len(ref)
+        assert len(got) == len(ref) == len(edges)
         for g, r in zip(got, ref):
             assert np.hypot(*(g - r)) < 1e-9
+        for g, e in zip(got, edges):  # each crossing lies on the edge handed back with it
+            a, b = poly.vertices[e], poly.vertices[(e + 1) % len(poly)]
+            s = np.dot(g - a, b - a) / np.dot(b - a, b - a)
+            assert -1e-12 <= s < 1.0 and np.hypot(*(a + s * (b - a) - g)) < 1e-9
 
 
 def test_ray_interior_origin_odd_crossings():
     rng = np.random.default_rng(22)
     for _ in range(40):
         bearing = rng.uniform(-math.pi, math.pi)
-        hits = ray_cross_polygon((5.0, 5.0), bearing, SQUARE)
-        assert len(hits) == 1
+        (hits,), (edges,) = rays_cross_polygon([(5.0, 5.0)], bearing, SQUARE)
+        assert len(hits) == len(edges) == 1
 
 
 def test_crossed_edge_and_traversal_helpers():
@@ -240,17 +245,19 @@ def test_crossed_edge_and_traversal_helpers():
         next_edge(SQUARE, 0, 2)
 
 
-def test_trace_boundary_vertex_walks():
-    # ccw from mid-south to mid-north passes the two east corners
-    out = trace_boundary((5.0, 0.0), (5.0, 10.0), SQUARE)
+def test_vertices_between_walks_by_edge_index():
+    # edges ccw from (0,0): 0 south, 1 east, 2 north, 3 west; from
+    # mid-south to mid-north the walk passes the two east corners
+    out = vertices_between(SQUARE, np.array([5.0, 0.0]), 0, np.array([5.0, 10.0]), 2)
     assert [tuple(p) for p in out] == [(10.0, 0.0), (10.0, 10.0)]
     # same edge, ahead: nothing between
-    assert trace_boundary((2.0, 0.0), (8.0, 0.0), SQUARE) == []
+    assert vertices_between(SQUARE, np.array([2.0, 0.0]), 0, np.array([8.0, 0.0]), 0).tolist() == []
     # same edge but behind: full ccw lap
-    out = trace_boundary((8.0, 0.0), (2.0, 0.0), SQUARE)
-    assert len(out) == 4
-    with pytest.raises(GeometryError):
-        trace_boundary((5.0, 5.0), (5.0, 0.0), SQUARE)
+    out = vertices_between(SQUARE, np.array([8.0, 0.0]), 0, np.array([2.0, 0.0]), 0)
+    assert [tuple(p) for p in out] == [(10.0, 0.0), (10.0, 10.0), (0.0, 10.0), (0.0, 0.0)]
+    # a vertex within the snap of an end is that end, not a vertex between
+    out = vertices_between(SQUARE, np.array([5.0, 0.0]), 0, np.array([10.0, 1e-7]), 1)
+    assert out.tolist() == []
 
 
 def test_nearest_boundary_point_and_distance():
@@ -372,3 +379,26 @@ def test_a_nan_vertex_is_rejected_not_dropped(tmp_path):
     path.write_text("0,0\n10,0\n10,nan\n0,10\n")
     with pytest.raises(GeometryError, match="finite"):
         load_polygon(path)
+
+
+def test_a_polygon_whose_area_overflows_is_rejected(tmp_path):
+    # the U shape with a vertex moved to y = 1e308 loaded, with area NaN
+    path = tmp_path / "poly.txt"
+    path.write_text("0,0\n30,0\n30,1e308\n20,40\n20,10\n10,10\n10,40\n0,40\n")
+    with pytest.raises(GeometryError, match="area overflows"):
+        load_polygon(path)
+
+
+#: a valid polygon file: the U shape's vertices, one 'x,y' per line
+POLYGON_LINES = [[str(x), str(y)] for x, y in U_SHAPE.vertices.tolist()]
+
+
+@given(mutations.mutated_lines(POLYGON_LINES))
+def test_mutated_polygon_loads_or_raises_a_typed_error(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("polygon") / "poly.txt"
+    path.write_text(text)
+    try:
+        poly = load_polygon(path)
+    except (ConfigError, GeometryError):
+        return
+    assert len(poly) >= 3 and np.isfinite(poly.vertices).all() and poly.area > 0.0

@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+import mutations
 import oracles
 from bathysurvey import gp
 from bathysurvey.errors import ConfigError, EmptyModelError, FactorizationError
@@ -206,15 +206,18 @@ def test_warm_fit_evaluation_count():
     assert fit.n_evals <= 13
 
 
-def _moment_fit(model, x, y):
+def _moment_fit(x, y):
+    """The fit of the soundings by a model whose hypers, its warm start,
+    are the data-moment start."""
     lo, hi = np.array(DEFAULT_BOUNDS, dtype=float).T
-    start = gp._moment_start(x, y - y.mean(), lo, hi)
-    return optimize_hypers(model, initial=HyperParams.from_array(start))
+    model = GpModel(HyperParams.from_array(gp._moment_start(x, y - y.mean(), lo, hi)), subtract_mean=True)
+    model.append(x, y)
+    return optimize_hypers(model)
 
 
 def test_converged_warm_start_runs_one_start(monkeypatch):
     model, x, y, _ = _track_model()
-    moment = _moment_fit(model, x, y)
+    moment = _moment_fit(x, y)
     runs = _count_starts(monkeypatch)
     fit = optimize_hypers(model)
     assert fit.converged
@@ -239,7 +242,7 @@ def test_warm_start_on_the_trend_ridge_also_runs_the_moment_start(monkeypatch):
     # from the ridge the warm start converges about 11.7 nats below the
     # optimum the data-moment start reaches
     model, x, y = _trend_ridge_model()
-    moment = _moment_fit(model, x, y)
+    moment = _moment_fit(x, y)
     runs = _count_starts(monkeypatch)
     fit = optimize_hypers(model)
     assert fit.converged
@@ -549,30 +552,7 @@ CHECKPOINT_LINES = [
 ]
 
 
-@st.composite
-def _mutated_checkpoints(draw):
-    """A valid checkpoint's lines with one defect: a token replaced, a
-    row dropped or duplicated, or the separators of one line or of all
-    lines swapped."""
-    lines = [list(row) for row in CHECKPOINT_LINES]
-    seps = [","] * len(lines)
-    kind = draw(st.sampled_from(["token", "drop", "duplicate", "separator"]))
-    i = draw(st.integers(0, len(lines) - 1))
-    if kind == "token":
-        j = draw(st.integers(0, len(lines[i]) - 1))
-        lines[i][j] = draw(st.sampled_from(["nan", "inf", "-inf", "-0", "1e308", "-1e308", "", "depth", "1.0.0"]))
-    elif kind == "drop":
-        del lines[i], seps[i]
-    elif kind == "duplicate":
-        lines.insert(i, list(lines[i]))
-        seps.insert(i, ",")
-    else:
-        sep = draw(st.sampled_from([" ", "\t", ";", ",,", ", ", "|"]))
-        seps = [sep] * len(lines) if draw(st.booleans()) else seps[:i] + [sep] + seps[i + 1 :]
-    return "".join(sep.join(row) + "\n" for sep, row in zip(seps, lines))
-
-
-@given(_mutated_checkpoints())
+@given(mutations.mutated_lines(CHECKPOINT_LINES))
 def test_mutated_checkpoint_loads_or_raises_config_error(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("checkpoint") / "model.csv"
     path.write_text(text)

@@ -3,13 +3,17 @@
 import json
 import math
 import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mutations
 from bathysurvey.cli import main
 from bathysurvey.contour import Pose
-from bathysurvey.errors import ConfigError, GeometryError
+from bathysurvey.errors import ConfigError, GeometryError, SurveyError
 from bathysurvey.geometry import Polygon
 from bathysurvey.gp import GpModel
 from bathysurvey.sim import (
@@ -163,6 +167,7 @@ def test_mission_config_validation():
         ("seed", 1.5, "1.5"),  # the noise generator takes integers only
         ("loop_buffer", 2.5, "2.5"),  # loop closure counts points
         ("closure_radius", math.inf, "inf"),  # would silently mean 1.5 search radii
+        ("init_radius", 1e-320, "1e-320"),  # speed / init_radius overflows: the first init turn is inf
     ],
 )
 def test_incomplete_settings_are_config_errors(tmp_path, capsys, key, value, raw):
@@ -194,6 +199,34 @@ def test_apply_overrides():
         apply_overrides(cfg, {"speed": "fast"})
     with pytest.raises(ConfigError):
         apply_overrides(cfg, {"speed": "-2.0"})  # parses, fails validation
+
+
+#: the tokens each mission setting is overridden with: a file's mutations,
+#: a zero, a subnormal and the word that unsets an optional setting
+OVERRIDE_TOKENS = [*mutations.TOKENS, "0", "1e-320", "none"]
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([f.name for f in fields(MissionConfig)]), st.sampled_from(OVERRIDE_TOKENS))
+def test_mutated_override_is_refused_or_runs(canonical_inputs, name, token):
+    """An override applies or raises ConfigError, and a mission of 5 s
+    under an applied one ends without an untyped error. The rates stay
+    at 10 Hz or below: at 1e308 Hz, 5 s is more ticks than any run ends."""
+    cfg, field, poly = canonical_inputs
+    try:
+        cfg = apply_overrides(cfg, {name: token})
+    except ConfigError:
+        return
+    cfg = replace(
+        cfg,
+        max_sim_time=min(cfg.max_sim_time, 5.0),
+        control_rate=min(cfg.control_rate, 10.0),
+        sonar_rate=min(cfg.sonar_rate, 10.0),
+    )
+    try:
+        run_mission(cfg, field, poly)
+    except SurveyError:
+        pass
 
 
 def test_mission_fingerprint_sensitivity():
@@ -331,6 +364,28 @@ def test_grid_field_file_roundtrip(tmp_path):
     path.write_text("0,0,1,1\n1,2\n")
     with pytest.raises(ConfigError):
         load_grid_field(path)
+
+
+#: a valid grid file: header x0,y0,dx,dy, then three rows of depths
+GRID_LINES = [["0.0", "0.0", "2.0", "3.0"], ["1.0", "2.0", "3.0"], ["4.0", "5.0", "6.0"], ["7.0", "8.0", "9.0"]]
+
+
+@given(mutations.mutated_lines(GRID_LINES))
+def test_mutated_grid_loads_or_raises_config_error(tmp_path_factory, text):
+    """A grid file with one defect loads or raises ConfigError, and a grid
+    that loads passes or fails validate_field over its own extent with a
+    typed error."""
+    path = tmp_path_factory.mktemp("grid") / "grid.csv"
+    path.write_text(text)
+    try:
+        grid = load_grid_field(path)
+    except ConfigError:
+        return
+    ny, nx = grid.values.shape
+    try:
+        validate_field(grid, ((grid.x0, grid.y0), (grid.x0 + (nx - 1) * grid.dx, grid.y0 + (ny - 1) * grid.dy)))
+    except (ConfigError, GeometryError):
+        pass
 
 
 @pytest.mark.parametrize("header", ["0,0,nan,1", "nan,0,1,1", "0,inf,1,1", "0,0,1,-inf"])
