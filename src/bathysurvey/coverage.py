@@ -16,17 +16,22 @@ the last on the largest grid position at least delta/2 short of it, so
 every point of the delta-inset polygon stays within delta/2 of a track.
 Track endpoints shrink by delta along the line direction to stand off
 the hull sideways.
+
+A transit between cells is the straight segment to the nearest cell
+corner when that stays inside, else the shortest path inside the
+polygon, which bends only at reflex vertices.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from . import files
 from .errors import ConfigError, GeometryError
@@ -517,225 +522,81 @@ def lawnmower_cell(cell: Cell, entry_corner: int, delta: float, sweep_dir: float
     return _drop_repeats(way, droppable)
 
 
-#: the eight moves from a transit-grid node, in the order A* relaxes
-#: them; move 7 - k undoes move k, and moves 4 to 7 lead to the nodes
-#: above in (i, j) order
-_MOVES = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if di or dj]
-#: an edge whose low node lies farther than this many spacings from the
-#: boundary is clear without sampling: every sample lies within sqrt(2)
-#: spacings of that node, and the rest is margin for rounding
-_SURE_CLEAR = 2.0
+class _Transits:
+    """Shortest transits inside one polygon, shared by the transits of one
+    plan.
 
-
-class _TransitGrid:
-    """A* workspace on a delta grid aligned with the sweep frame.
-
-    Construction fixes only the frame and the grid shape. The nodes that
-    fall inside the polygon, their world coordinates and the neighbour
-    table are built on first need, so a plan whose transits are all
-    straight never builds them. A node's id is its row in `ij`, whose
-    index pairs ascend in (i, j) order, so ids order like the pairs.
+    In a simple polygon a shortest path bends only at reflex vertices, so
+    a blocked transit is routed on the visibility graph of those vertices,
+    its start and its targets. The graph between reflex vertices is built
+    on the first blocked transit, so a plan whose transits are all
+    straight never builds it.
     """
 
-    def __init__(self, poly: Polygon, delta: float, sweep_dir: float):
+    def __init__(self, poly: Polygon):
         self.poly = poly
-        self.delta = delta
-        self.u, self.v = sweep_frame(sweep_dir)
-        vt = poly.vertices @ self.u
-        vs = poly.vertices @ self.v
-        self.t0, self.s0 = float(vt.min()), float(vs.min())
-        nt = int(math.floor((float(vt.max()) - self.t0) / delta)) + 1
-        ns = int(math.floor((float(vs.max()) - self.s0) / delta)) + 1
-        self.shape = (nt, ns)
-
-    def to_world(self, ij) -> np.ndarray:
-        ij = np.asarray(ij, dtype=float)
-        t = self.t0 + ij[..., 0] * self.delta
-        s = self.s0 + ij[..., 1] * self.delta
-        return t[..., None] * self.u + s[..., None] * self.v
 
     @cached_property
-    def ij(self) -> np.ndarray:
-        """(N, 2) grid index pairs of the nodes inside the polygon, ascending."""
-        nt, ns = self.shape
-        ij = np.stack(np.meshgrid(np.arange(nt), np.arange(ns), indexing="ij"), axis=-1).reshape(-1, 2)
-        return ij[points_in_polygon(self.to_world(ij), self.poly)]
+    def reflex(self):
+        """The reflex vertices, (k, 2), and the index pairs (a, b), a < b,
+        of those joined by a segment that stays inside, tested in one batch."""
+        v = self.poly.vertices
+        before, after = v - np.roll(v, 1, axis=0), np.roll(v, -1, axis=0) - v
+        nodes = v[before[:, 0] * after[:, 1] - before[:, 1] * after[:, 0] < 0.0]  # a right turn on the ccw ring
+        a, b = np.triu_indices(len(nodes), 1)
+        clear = segments_in_polygon(nodes[a], nodes[b], self.poly)
+        return nodes, a[clear], b[clear]
 
-    @cached_property
-    def world(self) -> np.ndarray:
-        """World coordinates of the nodes, row k for node k."""
-        return self.to_world(self.ij)
-
-    @cached_property
-    def neighbours(self) -> list:
-        """The (N, 8) neighbour table as nested lists, which A* reads
-        fastest: per node, per move of _MOVES, the neighbour's id when
-        the edge to it is clear, else -1.
-
-        Each edge is decided once, from its low node: clear when that
-        node lies farther than _SURE_CLEAR spacings from the boundary,
-        else by segments_in_polygon at step delta/3, as reachable_node
-        tests its lines of sight.
-        """
-        nt, ns = self.shape
-        ij = self.ij
-        row = np.full(self.shape, -1)
-        row[ij[:, 0], ij[:, 1]] = np.arange(len(ij))
-        lows, highs = [], []
-        for di, dj in _MOVES[4:]:
-            ni, nj = ij[:, 0] + di, ij[:, 1] + dj
-            on_grid = np.flatnonzero((ni < nt) & (nj >= 0) & (nj < ns))
-            nb = row[ni[on_grid], nj[on_grid]]
-            lows.append(on_grid[nb >= 0])
-            highs.append(nb[nb >= 0])
-        lo, hi = np.concatenate(lows), np.concatenate(highs)
-        move = np.repeat(np.arange(4, 8), [len(h) for h in highs])
-        clear = (nearest_boundary_points(self.world, self.poly)[1] > _SURE_CLEAR * self.delta)[lo]
-        near = np.flatnonzero(~clear)
-        clear[near] = segments_in_polygon(self.world[lo[near]], self.world[hi[near]], self.poly, self.delta / 3.0)
-        table = np.full((len(ij), 8), -1)
-        table[lo[clear], move[clear]] = hi[clear]
-        table[hi[clear], 7 - move[clear]] = lo[clear]
-        return table.tolist()
-
-    def reachable_node(self, point) -> int | None:
-        """Id of the closest node whose straight segment from `point`
-        stays inside.
-
-        The nearest node can sit across a notch of a nonconvex polygon,
-        so candidates are tried in distance order until one has a clear
-        line of sight; None when no node does. They are tested in chunks
-        of 1, 4, 16, ... candidates, and the first clear one in the first
-        chunk that has one wins. Every line of sight is sampled at its
-        start, so a point outside the polygon has none, and one
-        containment test answers for it. A nearest node strictly closer
-        to the point than the boundary is in sight untested: its segment
-        lies in a disc about the point that no boundary point enters.
-        """
-        world = self.world
-        if not len(world):
-            raise GeometryError("no transit grid nodes fall inside the polygon")
-        p = np.asarray(point, dtype=float)
-        if not points_in_polygon(p[None], self.poly)[0]:
-            return None
-        dist = np.hypot(*(world - p).T)
-        order = np.argsort(dist, kind="stable")
-        if dist[order[0]] < nearest_boundary_points(p[None], self.poly)[1][0]:
-            return int(order[0])
-        lo, size = 0, 1
-        while lo < len(order):
-            chunk = order[lo : lo + size]
-            clear = segments_in_polygon(np.broadcast_to(p, (len(chunk), 2)), world[chunk], self.poly, self.delta / 3.0)
-            if clear.any():
-                return int(chunk[np.argmax(clear)])
-            lo, size = lo + size, 4 * size
-        return None
-
-    def astar(self, start: int, goal: int):
-        """Shortest 8-connected path between node ids, as a list of ids,
-        or None.
-
-        Euclidean step costs with the straight-line heuristic; ties in
-        priority break on the node id, that is on the node's index pair,
-        keeping results deterministic.
-        """
-        n = len(self.ij)
-        if not (0 <= start < n and 0 <= goal < n):
-            return None
-        table, world = self.neighbours, self.world
-        h = np.hypot(*(world - world[goal]).T).tolist()
-        steps = [self.delta * (math.sqrt(2.0) if di and dj else 1.0) for di, dj in _MOVES]
-
-        open_q = [(h[start], start)]
-        g_cost = [math.inf] * n
-        g_cost[start] = 0.0
-        came = [-1] * n
-        closed = [False] * n
-        while open_q:
-            _, node = heapq.heappop(open_q)
-            if closed[node]:
-                continue
-            if node == goal:
-                path = [node]
-                while came[node] >= 0:
-                    node = came[node]
-                    path.append(node)
-                return path[::-1]
-            closed[node] = True
-            g = g_cost[node]
-            for nb, step in zip(table[node], steps):
-                if nb < 0 or closed[nb]:
-                    continue
-                cand = g + step
-                if cand < g_cost[nb] - 1e-12:
-                    g_cost[nb] = cand
-                    came[nb] = node
-                    heapq.heappush(open_q, (cand + h[nb], nb))
-        return None
+    def routes(self, position, targets):
+        """Shortest route length from position to each target, inf where
+        none stays inside; and the graph's points, the start first, then
+        the reflex vertices and the targets, with each point's predecessor
+        on its shortest route. The segments from the start and into the
+        targets are tested in one batch, and one Dijkstra search from the
+        start answers every target."""
+        nodes, a, b = self.reflex
+        k, m = len(nodes), len(targets)
+        pts = np.vstack([position, nodes, targets])
+        src = np.concatenate([np.zeros(k + m, dtype=int), np.repeat(np.arange(1, k + 1), m)])
+        dst = np.concatenate([np.arange(1, k + m + 1), np.tile(np.arange(k + 1, k + m + 1), k)])
+        clear = segments_in_polygon(pts[src], pts[dst], self.poly)
+        src = np.concatenate([src[clear], a + 1, b + 1])
+        dst = np.concatenate([dst[clear], b + 1, a + 1])
+        # a coo-built matrix keeps a zero-length edge, say from a start on a reflex vertex
+        graph = csr_matrix((np.hypot(*(pts[dst] - pts[src]).T), (src, dst)), shape=(len(pts), len(pts)))
+        dist, prev = dijkstra(graph, indices=0, return_predecessors=True)
+        return dist[k + 1 :], pts, prev
 
 
-def plan_transit(position, targets, poly: Polygon, delta: float, grid: _TransitGrid | None = None):
+def plan_transit(position, targets, poly: Polygon, delta: float, transits: _Transits | None = None):
     """Route from `position` to the best of `targets` inside the polygon.
 
-    Tries the straight segment to the euclidean-nearest target first;
-    when that leaves the polygon, targets are routed by A* on the delta
-    grid in order of straight-line distance, and the shortest realized
-    path wins, ties within 1e-12 m broken by target order. A route is
-    never shorter than its straight line, so routing stops at the first
-    target whose straight-line distance exceeds the best route so far:
-    neither it nor any later target can win, and the result is that of
-    routing to every target. Returns (waypoints, chosen target index);
-    waypoint spacing never exceeds delta.
+    Takes the straight segment to the euclidean-nearest target when it
+    stays inside; otherwise every target is routed on the shortest path
+    inside the polygon, and the one of least route length wins, the lowest
+    index among those within 1e-12 m of it. Returns (waypoints, chosen
+    target index); waypoint spacing never exceeds delta.
 
-    `grid` is shared by the transits of one plan. Its nodes and
-    neighbour table are built on the first transit that is not straight
-    and reused by later ones; a plan whose transits are all straight
-    never builds them.
+    `transits` is shared by the transits of one plan, which then build
+    its reflex-vertex graph once.
     """
     pos = np.asarray(position, dtype=float)
-    targets = [np.asarray(t, dtype=float) for t in targets]
-    if not targets:
+    targets = np.asarray(targets, dtype=float).reshape(-1, 2)
+    if not len(targets):
         raise ConfigError("plan_transit needs at least one target")
-    dists = [float(np.hypot(*(t - pos))) for t in targets]
-    nearest = min(range(len(targets)), key=lambda i: (dists[i], i))
-    direct = _densify_path(np.array([pos, targets[nearest]]), [1], delta)[0]
-    if segment_in_polygon(pos, targets[nearest], poly, step=delta / 4.0) and bool(
-        points_in_polygon(direct, poly).all()
-    ):
-        return direct, nearest
+    dists = np.hypot(*(targets - pos).T)
+    nearest = int(np.argmin(dists))
+    if segment_in_polygon(pos, targets[nearest], poly):
+        return _densify_path(np.array([pos, targets[nearest]]), [1], delta)[0], nearest
 
-    if grid is None:
-        grid = _TransitGrid(poly, delta, 0.0)
-    start = grid.reachable_node(pos)
-    if start is None:
-        raise GeometryError("transit start has no straight line to any grid node inside the polygon")
-    routes = {}
-    shortest = math.inf
-    for i in sorted(range(len(targets)), key=lambda i: (dists[i], i)):
-        # no route is shorter than its straight line (1e-9 m covers the
-        # rounding of its summed legs): this target and all after it lose
-        if dists[i] > shortest + 1e-9:
-            break
-        goal = grid.reachable_node(targets[i])
-        if goal is None:
-            continue
-        node_path = grid.astar(start, goal)
-        if node_path is None:
-            continue
-        way = _densify_path(np.vstack([pos, grid.world[node_path], targets[i]]), [len(node_path) + 1], delta)[0]
-        if not bool(points_in_polygon(way, poly).all()):
-            continue  # a grazing leg slipped outside between samples
-        length = _path_length(way)
-        routes[i] = (length, way)
-        shortest = min(shortest, length)
-    best = None
-    for i in sorted(routes):  # in target order, as if every target were routed
-        length, way = routes[i]
-        if best is None or length < best[0] - 1e-12:
-            best = (length, way, i)
-    if best is None:
+    lengths, pts, prev = (transits or _Transits(poly)).routes(pos, targets)
+    if not np.isfinite(lengths).any():
         raise GeometryError("no transit route reaches any target inside the polygon")
-    return best[1], best[2]
+    best = int(np.argmax(lengths <= lengths.min() + 1e-12))
+    path = [len(pts) - len(targets) + best]
+    while path[-1]:
+        path.append(int(prev[path[-1]]))
+    return _densify_path(pts[path[::-1]], [len(path) - 1], delta)[0], best
 
 
 def plan_coverage(poly: Polygon, start, delta: float, sweep_dir: float) -> PathPlan:
@@ -760,13 +621,13 @@ def plan_coverage(poly: Polygon, start, delta: float, sweep_dir: float) -> PathP
             warnings.warn(f"skipping cell {cell.index}: {exc}")
             skipped.append(cell.index)
 
-    grid = _TransitGrid(poly, delta, sweep_dir)
+    transits = _Transits(poly)
     by_cell = {c.index: c for c in cells}
     segments = []
     remaining = dict(sorted(corner_sets.items()))
     while remaining:
         flat = [(idx, ci) for idx in remaining for ci in range(4)]
-        way, choice = plan_transit(pos, [remaining[idx][ci] for idx, ci in flat], poly, delta, grid=grid)
+        way, choice = plan_transit(pos, [remaining[idx][ci] for idx, ci in flat], poly, delta, transits=transits)
         cell_idx, corner_idx = flat[choice]
         segments.append(PathSegment("transit", way, cell_index=cell_idx))
         mow = lawnmower_cell(by_cell[cell_idx], corner_idx, delta, sweep_dir)

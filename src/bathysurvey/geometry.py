@@ -12,9 +12,10 @@ Each polygon question has one routine, which every caller shares:
 points_in_polygon (containment), _closest_on_edges (closest point of
 each edge), nearest_boundary_points (closest boundary point and its
 distance), _edge_crossings (where a line meets each edge),
-segments_in_polygon (whether sampled straight segments stay inside),
-vertices_between (the boundary between two points on known edges) and
-_first_crossing (which edges touch or cross: whether a polygon is simple).
+segments_in_polygon (whether straight segments stay inside, decided
+exactly from where they meet the edges), vertices_between (the
+boundary between two points on known edges) and _first_crossing (which
+edges touch or cross: whether a polygon is simple).
 """
 
 from __future__ import annotations
@@ -29,12 +30,10 @@ from .errors import ConfigError, GeometryError
 
 TWO_PI = 2.0 * math.pi
 BOUNDARY_TOL = 1e-9
-#: segments whose samples go through one containment call
-_SEGMENT_CHUNK = 256
 #: edges whose pair tests against every edge go through one array pass
 _EDGE_BLOCK = 256
-#: point-edge pairs whose closest points go through one array pass
-_CLOSEST_BLOCK = 1 << 16
+#: point-edge or segment-edge pairs that go through one array pass
+_PAIR_BLOCK = 1 << 16
 #: distance within which vertices_between counts a vertex as a walk's end
 _VERTEX_SNAP = 1e-6
 
@@ -152,8 +151,10 @@ class Polygon:
 
 
 def _signed_area2(v: np.ndarray, ends: np.ndarray) -> float:
-    """Twice the signed area of the ring of edges v[k] -> ends[k]."""
-    return float(np.dot(v[:, 0], ends[:, 1]) - np.dot(ends[:, 0], v[:, 1]))
+    """Twice the signed area of the ring of edges v[k] -> ends[k]; not
+    finite when the products overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.dot(v[:, 0], ends[:, 1]) - np.dot(ends[:, 0], v[:, 1]))
 
 
 def _first_crossing(v: np.ndarray, ends: np.ndarray):
@@ -205,10 +206,10 @@ def nearest_boundary_points(points, poly: Polygon):
     """Closest point on the polygon boundary to each row of the (m, 2)
     points, (m, 2), and its distance, (m,): of each row's closest points
     on the edges, the first at the least hypot. Rows go through
-    _CLOSEST_BLOCK point-edge pairs at a time."""
+    _PAIR_BLOCK point-edge pairs at a time."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     closest, dist = np.empty_like(pts), np.empty(len(pts))
-    rows = max(1, _CLOSEST_BLOCK // len(poly))
+    rows = max(1, _PAIR_BLOCK // len(poly))
     for r0 in range(0, len(pts), rows):
         q = pts[r0 : r0 + rows]
         on_edges = _closest_on_edges(q, poly)[0]
@@ -256,14 +257,17 @@ def _crossing_parity(pts, a, b):
 def _edge_crossings(o: np.ndarray, d: np.ndarray, poly: Polygon):
     """t and s where the line o + t d meets each edge's line a + s (b - a),
     and the mask of edges not parallel to d; callers apply their own tolerances.
-    An origin of shape (..., 1, 2) gives t and s of shape (..., n), one row per origin."""
+    An origin, or a direction, of shape (..., 1, 2) gives t and s of shape
+    (..., n), one row per origin or direction. Parallel edges divide by
+    zero on purpose: their t and s are not finite and the mask drops them."""
     a = poly.vertices
     e = poly._edge_ends - a
-    denom = d[0] * e[:, 1] - d[1] * e[:, 0]
+    dx, dy = d[..., 0], d[..., 1]
+    denom = dx * e[:, 1] - dy * e[:, 0]
     w = a - o
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (w[..., 0] * e[:, 1] - w[..., 1] * e[:, 0]) / denom
-        s = (w[..., 0] * d[1] - w[..., 1] * d[0]) / denom
+        s = (w[..., 0] * dy - w[..., 1] * dx) / denom
     return t, s, np.abs(denom) > 1e-15
 
 
@@ -388,27 +392,40 @@ def arc_within_polygon(p, poly: Polygon, radius: float) -> tuple:
     return (start, end)
 
 
-def segment_in_polygon(p, q, poly: Polygon, step: float) -> bool:
-    """True if the straight segment p->q stays inside poly, sampled every `step`."""
-    return bool(segments_in_polygon(p, q, poly, step)[0])
+def segment_in_polygon(p, q, poly: Polygon) -> bool:
+    """True if the straight segment p->q stays inside poly (see segments_in_polygon)."""
+    return bool(segments_in_polygon(p, q, poly)[0])
 
 
-def segments_in_polygon(p, q, poly: Polygon, step: float) -> np.ndarray:
-    """Per row of the (m, 2) arrays p and q, True if the segment p->q stays
-    inside poly at max(2, ceil(length / step) + 1) evenly spaced samples,
-    ends included; segments with equal sample counts share containment
-    calls, _SEGMENT_CHUNK segments at a time."""
+def segments_in_polygon(p, q, poly: Polygon) -> np.ndarray:
+    """Per row of the (m, 2) arrays p and q, True if the segment p->q
+    stays inside poly; touching the boundary counts as inside.
+
+    The segment's contacts are where it meets an edge, at an edge
+    parameter in [0, 1] within 1e-9, so a vertex on the segment is met
+    through the edges it ends. Between consecutive contacts the segment
+    meets no edge it does not run along, so each piece lies wholly inside
+    or wholly outside: the segment stays inside when both ends and the
+    midpoint of every piece are inside. Those points go through one
+    containment call per _PAIR_BLOCK segment-edge pairs.
+    """
     p = np.atleast_2d(np.asarray(p, dtype=float))
     d = np.atleast_2d(np.asarray(q, dtype=float)) - p
-    k = np.maximum(2, np.ceil(np.hypot(d[:, 0], d[:, 1]) / max(step, 1e-9)).astype(int) + 1)
     clear = np.empty(len(p), dtype=bool)
-    for kk in sorted(set(k.tolist())):
-        ts = np.linspace(0.0, 1.0, kk)
-        group = np.nonzero(k == kk)[0]
-        for c in range(0, len(group), _SEGMENT_CHUNK):
-            g = group[c : c + _SEGMENT_CHUNK]
-            pts = p[g, None, :] + ts[None, :, None] * d[g, None, :]
-            clear[g] = points_in_polygon(pts.reshape(-1, 2), poly).reshape(len(g), -1).all(axis=1)
+    rows = max(1, _PAIR_BLOCK // len(poly))
+    for r0 in range(0, len(p), rows):
+        a, ad = p[r0 : r0 + rows], d[r0 : r0 + rows]
+        t, s, ok = _edge_crossings(a[:, None, :], ad[:, None, :], poly)
+        contact = ok & (s >= -1e-9) & (s <= 1.0 + 1e-9) & (t > 0.0) & (t < 1.0)
+        zeros, ones = np.zeros((len(a), 1)), np.ones((len(a), 1))
+        # piece ends along each segment: 0, its contacts in order, then 1 for every edge it does not meet
+        ends = np.concatenate([zeros, np.sort(np.where(contact, t, 1.0), axis=1), ones], axis=1)
+        frac = np.concatenate([zeros, ones, 0.5 * (ends[:, :-1] + ends[:, 1:])], axis=1)
+        test = frac < 1.0  # both ends, and the midpoints of the pieces before 1
+        test[:, 1] = True
+        row, f = np.nonzero(test)[0], frac[test]
+        inside = points_in_polygon(a[row] + f[:, None] * ad[row], poly)
+        clear[r0 : r0 + rows] = np.bincount(row[~inside], minlength=len(a)) == 0
     return clear
 
 

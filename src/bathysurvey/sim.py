@@ -92,8 +92,9 @@ class GaussianSumField:
 class GridField:
     """Regular depth grid with bilinear interpolation.
 
-    values[j, i] is the depth at (x0 + i * dx, y0 + j * dy). Queries
-    outside the grid raise GeometryError.
+    values[j, i] is the depth at (x0 + i * dx, y0 + j * dy). Depths that
+    are not finite raise ConfigError; queries outside the grid raise
+    GeometryError.
     """
 
     x0: float
@@ -108,6 +109,9 @@ class GridField:
             raise ConfigError(f"grid field needs a 2-D value array of at least 2x2, got {vals.shape}")
         if not (np.isfinite([self.x0, self.y0, self.dx, self.dy]).all() and self.dx > 0 and self.dy > 0):
             raise ConfigError(f"grid origin must be finite and spacing finite and positive, got {(self.x0, self.y0, self.dx, self.dy)}")
+        if not np.isfinite(vals).all():
+            j, i = np.argwhere(~np.isfinite(vals))[0]
+            raise ConfigError(f"grid depths must be finite, got {vals[j, i]} at row {j}, column {i}")
         object.__setattr__(self, "values", vals)
 
     def depth(self, p) -> np.ndarray:
@@ -205,6 +209,10 @@ def step_vessel(state: VesselState, psi_d: float, dt: float, max_turn_rate: floa
 
 # -- mission configuration ------------------------------------------------
 
+#: most control ticks a mission may run, max_sim_time * control_rate: a
+#: short mission at a high control rate errs instead of running for days
+_MAX_TICKS = 1_000_000
+
 
 @dataclass(frozen=True)
 class MissionConfig:
@@ -264,6 +272,7 @@ class MissionConfig:
             val = getattr(self, name)
             check(name, isinstance(val, numbers.Integral) and val >= 0, "a non-negative integer")
             object.__setattr__(self, name, int(val))
+        check("max_sim_time", self.max_sim_time * self.control_rate <= _MAX_TICKS, f"at most {_MAX_TICKS} ticks long at control_rate={self.control_rate}")
         check("arc_half_width", 0.0 < self.arc_half_width <= math.pi, "in (0, pi]")
         check("init_radius", math.isfinite(self.speed / self.init_radius), "large enough that speed / init_radius is finite")
         _check_sweep_args(self.track_spacing, self.sweep_dir)

@@ -6,14 +6,15 @@ package: factorizations go through numpy.linalg.cholesky, GP equations
 through explicit matrix inverses, log-likelihoods through slogdet,
 point-in-polygon through winding angles, ray crossings through
 exact per-edge parameter solves, and polygon simplicity through a
-scalar segment-pair test over every pair of edges. The exceptions are
-earlier searches, kept as the references for what replaced them, and
-they run the package's own helpers on purpose: the planner's loops
-transit_all_targets (its exhaustive transit search), sweep_per_line
-(one cast per sweep line), mow_per_leg (one densify per leg, one clamp
-per hop), reachable_per_candidate (one line-of-sight test per grid
-node), TupleGrid (the transit grid's tuple nodes, dict edge table
-and A*) and trace_boundary (a chain's vertices found by locating each
+scalar segment-pair test over every pair of edges. Shortest transits
+come from Dijkstra over the visibility graph of every vertex, its
+segments tested by sampled_segments_in_polygon. The
+exceptions are earlier searches, kept as the references for what
+replaced them, and they run the package's own helpers on purpose: the
+planner's loops sweep_per_line (one cast per sweep line) and mow_per_leg
+(one densify per leg, one clamp per hop), sampled_segments_in_polygon
+(segments tested at evenly spaced samples, which the exact contact test
+replaced), trace_boundary (a chain's vertices found by locating each
 end on its nearest edge, which the walk from the sweep cast's own edge
 indices replaced), and fit_three_hypers, the hyper fit over all three
 parameters that the profile-likelihood fit replaced.
@@ -320,169 +321,67 @@ def _on_segment_bbox(a, b, c, eps: float) -> bool:
     )
 
 
-def grid_dijkstra(nodes, start, goal, spacing, clear):
-    """Length of the shortest 8-connected path between grid nodes, or None.
+def sampled_segments_in_polygon(p, q, poly, step):
+    """geometry.segments_in_polygon as it was before its exact test: per
+    row of the (m, 2) arrays p and q, True if the segment p->q stays
+    inside poly at max(2, ceil(length / step) + 1) evenly spaced samples,
+    ends included, each through the package's points_in_polygon."""
+    from bathysurvey.geometry import points_in_polygon
 
-    Plain Dijkstra without a heuristic: a move to any of the eight
-    neighbouring index pairs costs `spacing` times its euclidean length
-    in index units, and is allowed when the neighbour is in `nodes` and
-    `clear(a, b)` says the edge between them is free.
+    p = np.atleast_2d(np.asarray(p, dtype=float))
+    d = np.atleast_2d(np.asarray(q, dtype=float)) - p
+    k = np.maximum(2, np.ceil(np.hypot(d[:, 0], d[:, 1]) / max(step, 1e-9)).astype(int) + 1)
+    clear = np.empty(len(p), dtype=bool)
+    for kk in sorted(set(k.tolist())):
+        group = np.nonzero(k == kk)[0]
+        pts = p[group, None, :] + np.linspace(0.0, 1.0, kk)[None, :, None] * d[group, None, :]
+        clear[group] = points_in_polygon(pts.reshape(-1, 2), poly).reshape(len(group), -1).all(axis=1)
+    return clear
+
+
+def shortest_transit(position, targets, poly, step):
+    """coverage.plan_transit's choice by brute force: (route length, target
+    index), or None when no target is reachable.
+
+    The straight segment to the euclidean-nearest target wins when it
+    stays inside. Otherwise plain Dijkstra runs over the visibility graph
+    of every polygon vertex, the start and the targets, each segment
+    decided by sampled_segments_in_polygon at `step`, and the least
+    route length wins, the lowest index among those within 1e-12 m of it.
     """
-    dist = {start: 0.0}
-    heap = [(0.0, start)]
+    pos = np.asarray(position, dtype=float)
+    targets = np.asarray(targets, dtype=float).reshape(-1, 2)
+    dists = np.hypot(*(targets - pos).T)
+    nearest = int(np.argmin(dists))
+    if sampled_segments_in_polygon(pos, targets[nearest], poly, step)[0]:
+        return float(dists[nearest]), nearest
+    n = len(poly.vertices)
+    pts = np.vstack([poly.vertices, pos, targets])  # the start is node n, target i node n + 1 + i
+    a, b = np.asarray([(a, b) for a in range(n + 1) for b in range(a + 1, len(pts))]).T
+    clear = sampled_segments_in_polygon(pts[a], pts[b], poly, step)
+    edges = {k: [] for k in range(len(pts))}
+    for i, j in zip(a[clear].tolist(), b[clear].tolist()):
+        length = math.dist(pts[i], pts[j])
+        edges[i].append((j, length))
+        if j <= n:  # a route only ever ends at a target
+            edges[j].append((i, length))
+    dist = {n: 0.0}
+    heap = [(0.0, n)]
     done = set()
     while heap:
         d, node = heapq.heappop(heap)
         if node in done:
             continue
-        if node == goal:
-            return d
         done.add(node)
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                nb = (node[0] + di, node[1] + dj)
-                if nb == node or nb not in nodes or nb in done or not clear(node, nb):
-                    continue
-                nd = d + spacing * math.hypot(di, dj)
-                if nd < dist.get(nb, math.inf):
-                    dist[nb] = nd
-                    heapq.heappush(heap, (nd, nb))
-    return None
-
-
-class TupleGrid:
-    """A transit grid's nodes, edge table and A* as coverage._TransitGrid
-    kept them before its node ids: nodes as index-pair tuples in a dict,
-    the clearance of every edge from its own sampled test in a dict keyed
-    by tuple pairs, and A* hashing tuples on every relaxation."""
-
-    def __init__(self, grid):
-        from bathysurvey.geometry import points_in_polygon
-
-        nt, ns = grid.shape
-        ij = np.stack(np.meshgrid(np.arange(nt), np.arange(ns), indexing="ij"), axis=-1).reshape(-1, 2)
-        inside = points_in_polygon(grid.to_world(ij), grid.poly)
-        self.grid = grid
-        self.node_list = [tuple(int(c) for c in p) for p in ij[inside]]
-        self.nodes = {n: k for k, n in enumerate(self.node_list)}
-        self.world = grid.to_world(np.asarray(self.node_list, dtype=float).reshape(-1, 2))
-        self.edges = self._edges()
-
-    def _edges(self):
-        """Clearance of every edge between neighbouring inside nodes, keyed
-        (low, high) in tuple order, each through segments_in_polygon at
-        step delta/3."""
-        from bathysurvey.geometry import segments_in_polygon
-
-        grid = self.grid
-        nt, ns = grid.shape
-        ij = np.asarray(self.node_list, dtype=int).reshape(-1, 2)
-        row = np.full(grid.shape, -1)
-        row[ij[:, 0], ij[:, 1]] = np.arange(len(ij))
-        lows, highs = [], []
-        for di, dj in ((0, 1), (1, -1), (1, 0), (1, 1)):  # the neighbours above a node in tuple order
-            ni, nj = ij[:, 0] + di, ij[:, 1] + dj
-            on_grid = np.flatnonzero((ni < nt) & (nj >= 0) & (nj < ns))
-            nb = row[ni[on_grid], nj[on_grid]]
-            lows.append(on_grid[nb >= 0])
-            highs.append(nb[nb >= 0])
-        lo, hi = np.concatenate(lows), np.concatenate(highs)
-        clear = segments_in_polygon(self.world[lo], self.world[hi], grid.poly, grid.delta / 3.0)
-        node_at = self.node_list
-        return {(node_at[a], node_at[b]): ok for a, b, ok in zip(lo.tolist(), hi.tolist(), clear.tolist())}
-
-    def astar(self, start, goal):
-        """Shortest 8-connected path between index pairs, or None; ties in
-        priority break on the index pair."""
-        if start not in self.nodes or goal not in self.nodes:
-            return None
-        nodes, edges, world = self.nodes, self.edges, self.world
-        h = np.hypot(*(world - world[nodes[goal]]).T).tolist()
-        delta = self.grid.delta
-        moves = [
-            (di, dj, delta * (math.sqrt(2.0) if di and dj else 1.0))
-            for di in (-1, 0, 1)
-            for dj in (-1, 0, 1)
-            if di or dj
-        ]
-        open_q = [(h[nodes[start]], start)]
-        g_cost = {start: 0.0}
-        came = {}
-        closed = set()
-        while open_q:
-            _, node = heapq.heappop(open_q)
-            if node in closed:
-                continue
-            if node == goal:
-                path = [node]
-                while node in came:
-                    node = came[node]
-                    path.append(node)
-                return path[::-1]
-            closed.add(node)
-            ni, nj = node
-            for di, dj, step in moves:
-                nb = (ni + di, nj + dj)
-                if nb not in nodes or nb in closed:
-                    continue
-                if not edges[(node, nb) if node < nb else (nb, node)]:
-                    continue
-                cand = g_cost[node] + step
-                if cand < g_cost.get(nb, math.inf) - 1e-12:
-                    g_cost[nb] = cand
-                    came[nb] = node
-                    heapq.heappush(open_q, (cand + h[nodes[nb]], nb))
+        for nb, length in edges[node]:
+            if d + length < dist.get(nb, math.inf):
+                dist[nb] = d + length
+                heapq.heappush(heap, (d + length, nb))
+    lengths = [dist.get(n + 1 + i, math.inf) for i in range(len(targets))]
+    least = min(lengths)
+    if least == math.inf:
         return None
-
-
-def transit_all_targets(position, targets, poly, delta, grid=None):
-    """plan_transit as it was before its target pruning: A* to every target.
-
-    Same contract as coverage.plan_transit, on the same transit grid: the
-    straight leg to the nearest target when it stays inside, otherwise
-    an A* route to every target, the shortest realized route winning
-    and ties within 1e-12 m going to the lower target index. Routes come
-    from TupleGrid's A*.
-    """
-    from bathysurvey.coverage import _TransitGrid, _densify_path, _path_length
-    from bathysurvey.errors import ConfigError, GeometryError
-    from bathysurvey.geometry import points_in_polygon, segment_in_polygon
-
-    pos = np.asarray(position, dtype=float)
-    targets = [np.asarray(t, dtype=float) for t in targets]
-    if not targets:
-        raise ConfigError("plan_transit needs at least one target")
-    dists = [float(np.hypot(*(t - pos))) for t in targets]
-    nearest = min(range(len(targets)), key=lambda i: (dists[i], i))
-    direct = _densify_path(np.array([pos, targets[nearest]]), [1], delta)[0]
-    if segment_in_polygon(pos, targets[nearest], poly, step=delta / 4.0) and bool(
-        points_in_polygon(direct, poly).all()
-    ):
-        return direct, nearest
-
-    if grid is None:
-        grid = _TransitGrid(poly, delta, 0.0)
-    start = grid.reachable_node(pos)
-    if start is None:
-        raise GeometryError("transit start has no straight line to any grid node inside the polygon")
-    tuples = TupleGrid(grid)
-    best = None
-    for i in range(len(targets)):
-        goal = grid.reachable_node(targets[i])
-        if goal is None:
-            continue
-        node_path = tuples.astar(tuples.node_list[start], tuples.node_list[goal])
-        if node_path is None:
-            continue
-        way = _densify_path(np.vstack([pos, grid.to_world(node_path), targets[i]]), [len(node_path) + 1], delta)[0]
-        if not bool(points_in_polygon(way, poly).all()):
-            continue  # a grazing leg slipped outside between samples
-        length = _path_length(way)
-        if best is None or length < best[0] - 1e-12:
-            best = (length, way, i)
-    if best is None:
-        raise GeometryError("no transit route reaches any target inside the polygon")
-    return best[1], best[2]
+    return least, next(i for i, length in enumerate(lengths) if length <= least + 1e-12)
 
 
 def sweep_per_line(poly, delta, sweep_dir):
@@ -590,22 +489,6 @@ def mow_per_leg(cell, entry_corner, delta, sweep_dir):
         pts.append(hop[-1])
         pts.extend(track[1:])
     return np.asarray(pts, dtype=float).reshape(-1, 2)
-
-
-def reachable_per_candidate(grid, point):
-    """coverage._TransitGrid.reachable_node testing one candidate node at
-    a time, nearest first, each by its sampled line of sight."""
-    from bathysurvey.errors import GeometryError
-    from bathysurvey.geometry import segment_in_polygon
-
-    world = grid.world
-    if not len(world):
-        raise GeometryError("no transit grid nodes fall inside the polygon")
-    p = np.asarray(point, dtype=float)
-    for k in np.argsort(np.hypot(*(world - p).T), kind="stable"):
-        if segment_in_polygon(p, world[int(k)], grid.poly, step=grid.delta / 3.0):
-            return int(k)
-    return None
 
 
 def shoelace_area(verts):

@@ -2,11 +2,13 @@
 
 import json
 import math
+import time
 import warnings
 
 import numpy as np
 import pytest
 
+from bathysurvey import cli
 from bathysurvey.cli import main
 
 SQUARE_TXT = "0,0\n60,0\n60,60\n0,60\n"
@@ -104,6 +106,20 @@ def test_run_bad_setting_exits_2(tmp_path, capsys):
     code = main(["run", "--set", "warp_speed=9", "--out", str(tmp_path / "x")])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_a_mission_of_too_many_ticks_exits_2_at_once(tmp_path, capsys, monkeypatch):
+    # 5 s at 1e9 Hz is 5e9 ticks: it ran for days instead of erring
+    def never(*args):
+        raise AssertionError("the mission started")
+
+    monkeypatch.setattr(cli, "run_mission", never)
+    t0 = time.perf_counter()
+    code = main(["run", "--set", "control_rate=1e9", "--set", "max_sim_time=5", "--out", str(tmp_path / "x")])
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "max_sim_time" in err and "Traceback" not in err
 
 
 def test_run_with_a_negative_zero_noise_runs_without_noise(tmp_path, capsys):

@@ -27,7 +27,6 @@ from bathysurvey.coverage import (
 from bathysurvey.errors import ConfigError, GeometryError
 from bathysurvey.geometry import (
     Polygon,
-    nearest_boundary_points,
     point_in_polygon,
     points_in_polygon,
     segment_in_polygon,
@@ -227,14 +226,10 @@ def _outcome(fn, *args):
 
 
 #: star 143 has hops that clamp onto one outline vertex, so waypoints repeat
-#: and are dropped; star 10 has a cell whose bottom chain runs backwards;
-#: from edge midpoints of star 0 the first node in sight shares its chunk
-#: of candidates with other nodes in sight; each has a transit-grid edge
-#: that leaves the polygon
+#: and are dropped; star 10 has a cell whose bottom chain runs backwards
 SWEEP_EXAMPLES = [
     (_star(143, 13, 3.0, True), 2.0, 0.0),
     (_star(10, 12, 3.0, True), 2.0, 0.0),
-    (_star(0, 16, 3.0, False), 4.0, 0.0),
 ]
 
 
@@ -313,46 +308,6 @@ def test_repeated_waypoints_drop_against_the_last_one_kept(steps):
     assert coverage._drop_repeats(way, droppable).tobytes() == way[kept].tobytes()
 
 
-@settings(max_examples=25)
-@given(_sweep_cases())
-@example(SWEEP_EXAMPLES[2])
-def test_reachable_node_matches_the_per_candidate_oracle(case):
-    """Testing the candidates in growing chunks picks the same node as
-    testing them one by one, from the vertices and edge midpoints, where
-    the nearest nodes are often out of sight, from points inside and from
-    a corner of the bounding box."""
-    poly, delta, sweep_dir = case
-    grid = coverage._TransitGrid(poly, delta, sweep_dir)
-    x_lo, y_lo, x_hi, y_hi = poly.bounds
-    gx, gy = np.meshgrid(np.linspace(x_lo, x_hi, 5), np.linspace(y_lo, y_hi, 5))
-    lattice = np.column_stack([gx.ravel(), gy.ravel()])
-    midpoints = 0.5 * (poly.vertices + np.roll(poly.vertices, -1, axis=0))
-    for p in [*poly.vertices, *midpoints, *lattice[points_in_polygon(lattice, poly)], (x_lo, y_lo)]:
-        assert _outcome(grid.reachable_node, p) == _outcome(oracles.reachable_per_candidate, grid, p)
-
-
-def test_reachable_node_rejects_an_outside_point_without_a_line_of_sight_test(monkeypatch):
-    grid = coverage._TransitGrid(U_SHAPE, 2.0, 0.0)
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return segments_in_polygon(*args)
-
-    monkeypatch.setattr(coverage, "segments_in_polygon", counted)
-    # in the notch of the U, between its arms: outside, with nodes all round
-    assert grid.reachable_node((15.0, 35.0)) is None
-    assert calls == []
-    assert oracles.reachable_per_candidate(grid, (15.0, 35.0)) is None
-    # 0.5 m from the outer wall, its nearest node 1.1 m away: sight is tested
-    assert grid.reachable_node((0.5, 35.0)) == oracles.reachable_per_candidate(grid, (0.5, 35.0)) is not None
-    assert len(calls) >= 1
-    # 5 m from every wall, its nearest node 1.4 m away: in sight untested
-    calls.clear()
-    assert grid.reachable_node((5.0, 35.0)) == oracles.reachable_per_candidate(grid, (5.0, 35.0))
-    assert calls == []
-
-
 def test_plan_transit_direct():
     way, idx = plan_transit((1.0, 1.0), [(18.0, 9.0), (19.0, 1.0)], RECT, 2.0)
     assert idx == 1
@@ -369,134 +324,73 @@ def test_plan_transit_routes_around_notch():
     way, idx = plan_transit((5.0, 35.0), [(25.0, 35.0)], U_SHAPE, 2.0)
     assert idx == 0
     assert points_in_polygon(way, U_SHAPE, tol=1e-6).all()
-    length = float(np.hypot(*np.diff(way, axis=0).T).sum())
-    assert length > 50.0  # forced down through the base and back up
+    # forced down through the base and back up, bending only at its two inner corners
+    assert _path_length(way) == pytest.approx(2.0 * math.hypot(5.0, 25.0) + 10.0, abs=1e-9)
+    assert way[[0, -1]].tolist() == [[5.0, 35.0], [25.0, 35.0]]
+    for corner in ([10.0, 10.0], [20.0, 10.0]):
+        assert corner in way.tolist()
     assert np.hypot(*np.diff(way, axis=0).T).max() <= 2.0 + 1e-9
     with pytest.raises(ConfigError):
         plan_transit((5.0, 35.0), [], U_SHAPE, 2.0)
 
 
-#: index offsets from a transit-grid node to its neighbours, in A*'s relaxation order
-MOVES = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if di or dj]
-#: a nonconvex star whose notches block a few grid edges at delta = 4
+def test_a_transit_from_a_reflex_vertex_routes():
+    # a zero-length edge joins the start to the vertex it sits on
+    way, idx = plan_transit((10.0, 10.0), [(25.0, 35.0)], U_SHAPE, 2.0)
+    assert _path_length(way) == pytest.approx(10.0 + math.hypot(5.0, 25.0), abs=1e-9)
+
+
+def test_a_transit_from_outside_the_polygon_has_no_route():
+    with pytest.raises(GeometryError, match="no transit route reaches any target"):
+        plan_transit((15.0, 35.0), [(5.0, 35.0), (25.0, 35.0)], U_SHAPE, 2.0)
+
+
+#: a nonconvex star whose notches block a few straight transits at delta = 4
 STAR = Polygon(oracles.star_polygon(np.random.default_rng(0), 16, r_lo=10.0))
-
-
-def _edge_checks(grid):
-    """Every edge of the transit grid as (low id, high id, move from the
-    low node, clear by segment_in_polygon from the low node at step
-    delta/3, low node farther than _SURE_CLEAR spacings from the boundary),
-    the segments sampled in one segments_in_polygon call."""
-    index = {p: k for k, p in enumerate(map(tuple, grid.ij.tolist()))}
-    far = nearest_boundary_points(grid.world, grid.poly)[1] > coverage._SURE_CLEAR * grid.delta
-    edges = []
-    for (i, j), a in index.items():
-        for m, (di, dj) in enumerate(MOVES):
-            b = index.get((i + di, j + dj))
-            if b is not None and a < b:
-                edges.append((a, b, m))
-    lo, hi, _ = np.asarray(edges, dtype=int).reshape(-1, 3).T
-    clear = segments_in_polygon(grid.world[lo], grid.world[hi], grid.poly, grid.delta / 3.0)
-    return [(a, b, m, ok, bool(far[a])) for (a, b, m), ok in zip(edges, clear.tolist())]
-
-
-def _check_neighbour_table(grid):
-    """Assert the grid's neighbour table holds exactly the clear edges of
-    _edge_checks, each from both ends; returns the edge checks."""
-    edges = _edge_checks(grid)
-    expected = np.full((len(grid.ij), len(MOVES)), -1)
-    for a, b, m, clear, _ in edges:
-        if clear:
-            expected[a, m], expected[b, len(MOVES) - 1 - m] = b, a
-    assert np.asarray(grid.neighbours).reshape(expected.shape).tolist() == expected.tolist()
-    # the distance test only marks edges clear that sampling finds clear
-    assert all(clear for *_, clear, far in edges if far)
-    return edges
-
-
-@pytest.mark.parametrize("poly, delta, sweep_dir", [(U_SHAPE, 2.0, 0.0), (STAR, 4.0, 0.7)], ids=["u_shape", "star"])
-def test_transit_grid_edge_table_matches_segment_checks(poly, delta, sweep_dir):
-    grid = coverage._TransitGrid(poly, delta, sweep_dir)
-    edges = _check_neighbour_table(grid)
-    # each edge is decided by the distance test or sampled, and sampled
-    # edges come out both ways, so the comparison can tell them apart
-    assert {far for *_, far in edges} == {True, False}
-    assert {clear for *_, clear, far in edges if not far} == {True, False}
-
-
-@settings(max_examples=25)
-@given(_sweep_cases())
-@example(SWEEP_EXAMPLES[2])
-def test_neighbour_table_matches_sampled_edge_checks(case):
-    """The neighbour table holds an edge exactly when sampling finds it
-    clear, whether the distance test or sampling decided it."""
-    _check_neighbour_table(coverage._TransitGrid(*case))
-
-
 #: a corridor that winds inward: heading straight for the goal leads into dead ends
 SPIRAL = Polygon(
     [(0, 0), (40, 0), (40, 40), (0, 40), (0, 22), (30, 22), (30, 26), (6, 26), (6, 34), (34, 34), (34, 14), (0, 14)]
 )
 
 
-@pytest.mark.parametrize(
-    "poly, delta, sweep_dir",
-    [(U_SHAPE, 2.0, 0.0), (SPIRAL, 2.0, 0.0), (STAR, 4.0, 0.7)],
-    ids=["u_shape", "spiral", "star"],
-)
-def test_astar_path_lengths_match_dijkstra_oracle(poly, delta, sweep_dir):
-    """A* over node ids finds the same node path as the tuple A* it
-    replaced, ties included, and a shortest one by plain Dijkstra."""
-    grid = coverage._TransitGrid(poly, delta, sweep_dir)
-    tuples = oracles.TupleGrid(grid)
-    checked = {}
+def test_reflex_graph_built_only_when_a_transit_is_blocked(monkeypatch):
+    built = []
 
-    def clear(a, b):
-        if (a, b) not in checked:
-            checked[a, b] = segment_in_polygon(grid.to_world(a), grid.to_world(b), poly, step=delta / 3.0)
-        return checked[a, b]
+    class Recorded(coverage._Transits):
+        def __init__(self, poly):
+            super().__init__(poly)
+            built.append(self)
 
-    pairs = np.random.default_rng(3).integers(len(grid.ij), size=(24, 2)).tolist()
-    if poly is U_SHAPE:  # across the notch
-        pairs.append([grid.reachable_node((5.0, 35.0)), grid.reachable_node((25.0, 35.0))])
-    routed = 0
-    for start, goal in pairs:
-        path = grid.astar(start, goal)
-        a, b = tuples.node_list[start], tuples.node_list[goal]
-        expected = tuples.astar(a, b)
-        if expected is None:
-            assert path is None and oracles.grid_dijkstra(tuples.nodes, a, b, delta, clear) is None
-            continue
-        assert [tuples.node_list[k] for k in path] == expected
-        assert path[0] == start and path[-1] == goal
-        steps = np.diff(grid.ij[path], axis=0)
-        assert np.abs(steps).max(initial=0) <= 1
-        assert all(clear(a, b) for a, b in zip(expected[:-1], expected[1:]))
-        length = delta * float(np.hypot(*steps.T).sum())
-        assert length == pytest.approx(oracles.grid_dijkstra(tuples.nodes, a, b, delta, clear), abs=1e-9)
-        routed += 1
-    assert routed >= 20
-    assert grid.astar(0, len(grid.ij)) is None
-
-
-def test_transit_grid_built_only_when_a_transit_needs_it(monkeypatch):
-    grids = []
-
-    class Recorded(coverage._TransitGrid):
-        def __init__(self, *args):
-            super().__init__(*args)
-            grids.append(self)
-
-    monkeypatch.setattr(coverage, "_TransitGrid", Recorded)
+    monkeypatch.setattr(coverage, "_Transits", Recorded)
     plan_coverage(RECT, (1.0, 1.0), 2.0, 0.0)  # every transit is straight
-    assert len(grids) == 1
-    assert "ij" not in grids[0].__dict__
+    assert len(built) == 1
+    assert "reflex" not in built[0].__dict__
     plan_transit((5.0, 35.0), [(25.0, 35.0)], U_SHAPE, 2.0)  # blocked by the notch
-    assert len(grids) == 2
-    assert {"ij", "neighbours"} <= set(grids[1].__dict__)
+    assert len(built) == 2
+    assert "reflex" in built[1].__dict__
 
 
-def _blocked_starts(rng, poly, delta, targets, count):
+def test_a_plan_tests_its_reflex_pairs_once(monkeypatch):
+    """One batch of segments for the pairs of reflex vertices, then one per
+    blocked transit, however many transits the plan routes."""
+    straight, batches = [], []
+
+    def recorded(p, q, poly):
+        straight.append(segment_in_polygon(p, q, poly))
+        return straight[-1]
+
+    def counted(p, q, poly):
+        batches.append(len(p))
+        return segments_in_polygon(p, q, poly)
+
+    monkeypatch.setattr(coverage, "segment_in_polygon", recorded)
+    monkeypatch.setattr(coverage, "segments_in_polygon", counted)
+    plan_coverage(SPIRAL, (2.0, 38.0), 2.0, -1.2)
+    assert straight.count(False) == 3
+    assert len(batches) == 1 + straight.count(False)
+
+
+def _blocked_starts(rng, poly, targets, count):
     """Up to `count` random points inside the polygon whose straight leg
     to the nearest target leaves it, so plan_transit has to search."""
     x_lo, y_lo, x_hi, y_hi = poly.bounds
@@ -507,7 +401,7 @@ def _blocked_starts(rng, poly, delta, targets, count):
         if not point_in_polygon(p, poly):
             continue
         nearest = min(targets, key=lambda t: math.dist(p, t))
-        if not segment_in_polygon(p, nearest, poly, step=delta / 4.0):
+        if not segment_in_polygon(p, nearest, poly):
             out.append(tuple(p))
     return out
 
@@ -516,10 +410,10 @@ def _transit_cases():
     """(polygon, delta, starts, targets): every shrunk corner of every cell
     as a target, from starts whose nearest target is out of sight."""
     rng = np.random.default_rng(8)
-    shapes = [(U_SHAPE, 2.0, 0.0), (STAR, 4.0, 0.7)]
+    shapes = [(U_SHAPE, 2.0, 0.0), (SPIRAL, 2.0, 0.0), (STAR, 4.0, 0.7)]
     shapes += [
         (Polygon(oracles.star_polygon(rng, int(rng.integers(10, 20)), r_lo=8.0)), 4.0, float(rng.uniform(-1.5, 1.5)))
-        for _ in range(24)
+        for _ in range(8)
     ]
     for poly, delta, sweep_dir in shapes:
         cells, _ = partition_monotone(poly, delta, sweep_dir)
@@ -529,98 +423,84 @@ def _transit_cases():
                 targets.extend(shrink_corners(cell, delta, sweep_dir))
             except GeometryError:
                 continue  # sliver cell, skipped by the planner too
-        yield poly, delta, _blocked_starts(rng, poly, delta, targets, 3), targets
+        yield poly, delta, _blocked_starts(rng, poly, targets, 3), targets
 
 
-def test_pruned_transit_matches_all_targets_oracle():
+def test_transit_matches_the_visibility_graph_oracle():
+    """The chosen target and its route length, within 1e-9 m, are those of
+    Dijkstra over the visibility graph of every vertex, its segments
+    sampled every 20 cm; every leg of the route stays inside."""
     searched = 0
     for poly, delta, starts, targets in _transit_cases():
         for start in starts:
-            try:
-                expected = oracles.transit_all_targets(start, targets, poly, delta)
-            except GeometryError as exc:
-                with pytest.raises(GeometryError, match=str(exc)):
+            expected = oracles.shortest_transit(start, targets, poly, 0.2)
+            if expected is None:
+                with pytest.raises(GeometryError, match="no transit route"):
                     plan_transit(start, targets, poly, delta)
                 continue
             way, idx = plan_transit(start, targets, poly, delta)
             assert idx == expected[1]
-            assert way.tobytes() == expected[0].tobytes()
+            assert _path_length(way) == pytest.approx(expected[0], abs=1e-9)
+            assert way[0].tolist() == list(start) and way[-1].tolist() == targets[idx].tolist()
+            assert np.hypot(*np.diff(way, axis=0).T).max() <= delta + 1e-9
+            assert segments_in_polygon(way[:-1], way[1:], poly).all()
             searched += 1
-    assert searched >= 50  # every start searches, so this counts A* comparisons
-
-
-def test_blocked_transit_skips_targets_that_cannot_win(monkeypatch):
-    # a slot from the top wall blocks the way to the nearest target; the
-    # far targets lie beyond the detour's length
-    poly = Polygon([(0, 0), (100, 0), (100, 20), (12, 20), (12, 5), (10, 5), (10, 20), (0, 20)])
-    targets = [(17.0, 15.0), (90.0, 10.0), (95.0, 15.0), (80.0, 5.0), (60.0, 18.0), (70.0, 2.0)]
-    calls = []
-    astar = coverage._TransitGrid.astar
-
-    def counted(self, start, goal):
-        calls.append(goal)
-        return astar(self, start, goal)
-
-    monkeypatch.setattr(coverage._TransitGrid, "astar", counted)
-    way, idx = plan_transit((5.0, 15.0), targets, poly, 2.0)
-    assert 0 < len(calls) < len(targets)
-    expected = oracles.transit_all_targets((5.0, 15.0), targets, poly, 2.0)
-    assert idx == expected[1] == 0
-    assert way.tobytes() == expected[0].tobytes()
+    assert searched >= 20  # every start searches, so this counts routed transits
 
 
 def test_blocked_transit_tie_goes_to_the_lower_target_index():
-    # around the inner corner of an L, both targets lie 8 diagonal and 17
-    # straight grid steps away; the farther one in a straight line comes first
-    poly = Polygon([(0, 0), (60, 0), (60, 20), (20, 20), (20, 60), (0, 60)])
-    start, targets = (10.0, 50.0), [(26.0, 0.0), (40.0, 14.0)]
-    way, idx = plan_transit(start, targets, poly, 2.0)
-    assert idx == 0
-    assert _path_length(way) == pytest.approx(2.0 * (17.0 + 8.0 * math.sqrt(2.0)), abs=1e-9)
-    expected = oracles.transit_all_targets(start, targets, poly, 2.0)
-    assert way.tobytes() == expected[0].tobytes() and idx == expected[1]
+    # an upside-down T, mirrored about x = 0: from the top of the stem, the
+    # two feet are out of sight and their routes are equal to the bit
+    poly = Polygon([(-40, 0), (40, 0), (40, 20), (5, 20), (5, 60), (-5, 60), (-5, 20), (-40, 20)])
+    left, right = (-30.0, 5.0), (30.0, 5.0)
+    for targets in ([left, right], [right, left]):
+        way, idx = plan_transit((0.0, 50.0), targets, poly, 2.0)
+        assert idx == 0 and way[-1].tolist() == list(targets[0])
+        assert _path_length(way) == pytest.approx(math.hypot(5.0, 30.0) + math.hypot(25.0, 15.0), abs=1e-9)
+        assert oracles.shortest_transit((0.0, 50.0), targets, poly, 0.05)[1] == 0
 
 
 def test_blocked_transit_routes_a_target_just_inside_the_bound():
-    # the target round the corner is nearer in a straight line, but its
-    # route is 0.14 m longer than the straight run down to the other
+    # the target round the corner is nearer in a straight line, and its
+    # route round the inner corner is 2.8 m shorter than the straight run
+    # down to the other
     poly = Polygon([(0, 0), (60, 0), (60, 20), (20, 20), (20, 80), (0, 80)])
     start, targets = (10.0, 60.0), [(36.0, 20.0), (10.0, 0.0)]
     way, idx = plan_transit(start, targets, poly, 2.0)
-    assert idx == 1 and _path_length(way) == pytest.approx(60.0, abs=1e-9)
-    expected = oracles.transit_all_targets(start, targets, poly, 2.0)
-    assert way.tobytes() == expected[0].tobytes() and idx == expected[1]
+    assert idx == 0 and _path_length(way) == pytest.approx(math.sqrt(1700.0) + 16.0, abs=1e-9)
+    assert oracles.shortest_transit(start, targets, poly, 0.05) == (pytest.approx(math.sqrt(1700.0) + 16.0), 0)
 
 
 #: sha256 of plan_coverage(...).waypoints.tobytes(), or the error a plan
 #: raises, for 12 notched stars (rng 2, 10 + k vertices, r_lo 8 m) at sweep
 #: directions 0 and 1.1, delta 4 m, from the origin. Pinned from the
-#: exhaustive transit search; a change that moves any plan must say why.
+#: shortest transits on the reflex-vertex graph; a change that moves any
+#: plan must say why.
 PLAN_DIGESTS = {
     (0, 0.0): "1d974f7992c84fc89a16b21bcc4be9f56a658b8cb0fd820eeda2a9a575fadf60",
     (0, 1.1): "1b19bbdfcb13dcc3cf1fa7a103eaf1065f1ff8a3b9c12251709fe174d98163b7",
     (1, 0.0): "7ac23b69b93ef4318b9857af5b1a2107071b906381e98c5ae88d401ae7f4779c",
     (1, 1.1): "ca1484384f972398fdad9e7e44528ae66f7400c279d469007d39c7ea34f0e293",
-    (2, 0.0): "f2ff10c522b4ee570cd4a40d453275f2b29e9a4b26179a186457a15fc6e1671d",
-    (2, 1.1): "225ab3fc57fc7d9e90823f5c6303f4a879792dfe7242b27caac3fa1219eb55f6",
-    (3, 0.0): "c37641b2ac6015fbe4038f8b5e0e23c16a4bf1baa40e9ab761f36135ec5ea87f",
-    (3, 1.1): "6c0782b19ba6afdd58f24abe98800416bed940c7d0ef662d7006c37cb397b7f1",
-    (4, 0.0): "a5961971929949e038e798860d232083d46bb5d3f513f9cc1d021e787d9499e8",
+    (2, 0.0): "700d8b1bb3e17a0d3c2f5ac6d0e51b70c2df2bc17e3238ce1f0da3066fa8dc29",
+    (2, 1.1): "2254a0145bccd6f51b856453cae31a959022f53118b8a5e4d5edca14c077de1c",
+    (3, 0.0): "1a2a8b576c280c819523adfd09c05c7212125144cd15aa57f0c180230a8eabf6",
+    (3, 1.1): "91484f5572e63193e8b28675146412b8208558bca1c1a70da0fd8704be492096",
+    (4, 0.0): "79884aca3b9c06bde4420f1d2904b2ad4fb2e5f8c4e56bcaf8baaae6e91717fe",
     (4, 1.1): "9782218e2d3dbf1584b43abca7fe0a1266b806c7fee1c563cf403255026aeb72",
-    (5, 0.0): "23c49327ae970d4183fc8870766681c84101e7df056fd23cc2e17c342620437a",
-    (5, 1.1): "531722d4af49347fdf3d59deeb61ee70807c98497db7f729100eb3bc900b1aab",
-    (6, 0.0): "79dd23e0bcb5f9e43a3f17a42844650febd18a08eddce6f40b738c73ce0b51e5",
+    (5, 0.0): "33edf4c1c25d08a4967fd8476588d444eb3b691eda672c5d005b9710d8558d3c",
+    (5, 1.1): "39edeba2855fc4c88c9d56dde45920394e4e99be4e7f608e8f7ea68b4068f35e",
+    (6, 0.0): "0f3fc6f602db65a4977cd01e20feca91150955a4856baa5bd6530fd99a83680d",
     (6, 1.1): "5031ccc6f8423c455ff6815ab90a604812c87e65b2546b28b94ef109f09b0db6",
-    (7, 0.0): "86aa2b3eaad3f136f601272730d183be98db41a9a346517926fba4f36735a9e2",
-    (7, 1.1): "48f2d5a8a4ba87b84780b8bf6f16fad80efa8e1e80d2b47fc33c086686477e25",
-    (8, 0.0): "4ee5b86bd753abb530e86ef7f0cbba75e28aa080c8ebfa21b6dc282e48797cce",
-    (8, 1.1): "f66ea58a31cfcd560f2ace6a06b591c185ba95b89c1f8fd95213463e09d9e9e9",
-    (9, 0.0): "GeometryError: no transit route reaches any target inside the polygon",
-    (9, 1.1): "94dafbff07d36524b317e2c412ae45fed419b1e95b6b6777dc8c0440fc5cb608",
-    (10, 0.0): "8e5c345771ddb0f7b6cb6960ac39f1c715545a9c70b5658af547acf6fbc56203",
-    (10, 1.1): "2751998aa6343cb0fa16d8217221915782b823092c7caeccd2e1df04760478bd",
+    (7, 0.0): "efb28f75318b9c02714786e12d85257be8c4714cc1f99c3b4dea1a68ab44b16a",
+    (7, 1.1): "635ea399d10c0cccffee1619e5b213f4ebf2c4492992701fea083b304e4dedfa",
+    (8, 0.0): "eaffc2405ba222feacbe92d5753178ae07a1cc3a83ff0d098354227c821a6785",
+    (8, 1.1): "e28da3e7d382a56b88495c3d7fff1a67a51d90ea1ffd21df6398b9688ab43783",
+    (9, 0.0): "b3c61bb2a2cd6c4d35fa9e460c59ffbcda8eb4736d13c49268e284079579a4d7",
+    (9, 1.1): "85c89f4bf9e9b3224de8669df047f23eaadf6c12f3e8feddcb5b09e8fefb2e5c",
+    (10, 0.0): "bcadd988d33f78c611ed3fefce8f9db9ab28ac416c1474e1cb85f5aea722e1e3",
+    (10, 1.1): "a42ddb0b3cfb6f555831862b067984a69492f836f50e2b08b6ca2f5a040329db",
     (11, 0.0): "7eb1b9945fc676e821aa3f83a13152dd89f7cbfd85b5e45d25b55990e7f71b5b",
-    (11, 1.1): "8cae37f02e6e1dfc821b2d270b93276724472d21572f943f4ce40390e6228bdc",
+    (11, 1.1): "1ccc9bcfddcb65a1e8dca027b2177865ab1f45f982c4275db8b89015750b98e9",
 }
 
 
@@ -637,6 +517,21 @@ def test_plans_match_pinned_digests():
             except GeometryError as exc:
                 got[k, sweep_dir] = f"{type(exc).__name__}: {exc}"
     assert got == PLAN_DIGESTS
+
+
+@pytest.mark.filterwarnings("ignore:skipping cell")
+def test_every_transit_leg_of_the_pinned_plans_stays_inside():
+    rng = np.random.default_rng(2)
+    for k in range(12):
+        poly = Polygon(oracles.star_polygon(rng, 10 + k, r_lo=8.0, r_hi=60.0))
+        for sweep_dir in (0.0, 1.1):
+            try:
+                plan = plan_coverage(poly, (0.0, 0.0), 4.0, sweep_dir)
+            except GeometryError:
+                continue
+            for seg in plan.segments:
+                if seg.kind == "transit":
+                    assert segments_in_polygon(seg.points[:-1], seg.points[1:], poly).all()
 
 
 def test_plan_coverage_rectangle():

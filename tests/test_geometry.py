@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mutations
@@ -280,7 +280,7 @@ def test_nearest_boundary_point_matches_distance_oracle():
 def test_nearest_boundary_points_match_one_point_at_a_time(monkeypatch):
     """Points in blocks of a few rows give each row's closest edge point,
     the first at the least hypot, and that hypot, to the byte."""
-    monkeypatch.setattr(geometry, "_CLOSEST_BLOCK", 40)  # 2 to 10 rows a block
+    monkeypatch.setattr(geometry, "_PAIR_BLOCK", 40)  # 2 to 10 rows a block
     rng = np.random.default_rng(23)
     for _ in range(20):
         poly = Polygon(oracles.star_polygon(rng, int(rng.integers(4, 15))))
@@ -313,35 +313,109 @@ def test_arc_within_polygon_bounds():
 
 
 def test_segment_in_polygon_sampling():
-    assert segment_in_polygon((1, 1), (9, 9), SQUARE, step=0.5)
-    assert not segment_in_polygon((1, 1), (15, 1), SQUARE, step=0.5)
+    assert segment_in_polygon((1, 1), (9, 9), SQUARE)
+    assert not segment_in_polygon((1, 1), (15, 1), SQUARE)
     # crossing the U notch fails, hugging one prong passes
-    assert not segment_in_polygon((5, 35), (25, 35), U_SHAPE, step=0.5)
-    assert segment_in_polygon((5, 35), (5, 5), U_SHAPE, step=0.5)
+    assert not segment_in_polygon((5, 35), (25, 35), U_SHAPE)
+    assert segment_in_polygon((5, 35), (5, 5), U_SHAPE)
+    # along an edge, through a reflex vertex, and between two vertices round the notch
+    assert segment_in_polygon((0, 0), (30, 0), U_SHAPE)
+    assert segment_in_polygon((10, 10), (20, 10), U_SHAPE)
+    assert segment_in_polygon((5, 15), (15, 5), U_SHAPE)
+    assert not segment_in_polygon((10, 40), (20, 40), U_SHAPE)
 
 
-def test_segments_in_polygon_matches_winding_oracle():
-    """Over 256 segments of one sample count (two containment chunks)
-    plus segments of mixed counts, each against the winding oracle at
-    every one of its samples."""
+#: the 100 m square with a notch 0.5 m wide cut down from the top edge to y = 10
+NOTCHED = Polygon([(0, 0), (100, 0), (100, 100), (55.25, 100), (55.25, 10), (54.75, 10), (54.75, 100), (0, 100)])
+
+
+def test_a_segment_across_a_notch_narrower_than_a_sampling_step_is_not_clear():
+    assert not segment_in_polygon((10, 50), (90, 50), NOTCHED)
+    assert segment_in_polygon((10, 5), (90, 5), NOTCHED)  # below the notch
+    # samples every 10 m step over the notch; samples every 0.1 m find it
+    assert oracles.sampled_segments_in_polygon((10, 50), (90, 50), NOTCHED, 10.0)[0]
+    assert not oracles.sampled_segments_in_polygon((10, 50), (90, 50), NOTCHED, 0.1)[0]
+
+
+def test_segments_in_polygon_matches_winding_oracle(monkeypatch):
+    """Random segments in blocks of a few rows, each clear exactly when
+    both its ends are inside by winding angle and it crosses no edge by
+    the scalar segment-pair test."""
+    monkeypatch.setattr(geometry, "_PAIR_BLOCK", 40)  # 2 to 6 rows a block
     rng = np.random.default_rng(23)
-    step = 6.0
     for _ in range(3):
         poly = Polygon(oracles.star_polygon(rng, int(rng.integers(6, 14))))
         p = rng.uniform(-70.0, 70.0, (420, 2))
         ang = rng.uniform(-math.pi, math.pi, 420)
-        length = np.concatenate([rng.uniform(0.5, step, 300), rng.uniform(step, 90.0, 120)])
+        length = np.concatenate([rng.uniform(0.5, 6.0, 300), rng.uniform(6.0, 90.0, 120)])
         q = p + length[:, None] * np.column_stack([np.sin(ang), np.cos(ang)])
-        counts = np.maximum(2, np.ceil(length / step).astype(int) + 1)
-        assert (counts == 2).sum() > 256 and len(np.unique(counts)) > 5
+        edges = list(zip(poly.vertices, poly._edge_ends))
         expected = [
-            all(oracles.winding_inside(a + f * (b - a), poly.vertices) for f in np.linspace(0.0, 1.0, k))
-            for a, b, k in zip(p, q, counts)
+            oracles.winding_inside(a, poly.vertices)
+            and oracles.winding_inside(b, poly.vertices)
+            and not any(oracles._segments_intersect(a, b, c, d) for c, d in edges)
+            for a, b in zip(p, q)
         ]
-        got = segments_in_polygon(p, q, poly, step)
+        got = segments_in_polygon(p, q, poly)
         assert got.tolist() == expected
         assert any(expected) and not all(expected)
-        assert [segment_in_polygon(a, b, poly, step) for a, b in zip(p[:40], q[:40])] == expected[:40]
+        assert [segment_in_polygon(a, b, poly) for a, b in zip(p[:40], q[:40])] == expected[:40]
+    assert segments_in_polygon(np.empty((0, 2)), np.empty((0, 2)), SQUARE).shape == (0,)
+
+
+@st.composite
+def _featured_stars(draw):
+    """(polygon, feature width): a random star, one of whose edges may
+    carry a notch cut in or a spike out, narrower than the old sampling
+    step of a third of the track spacing, as far as BOUNDARY_TOL; and
+    the point at mid-depth of the feature, and the edge direction."""
+    n = draw(st.integers(6, 14))
+    v = oracles.star_polygon(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    i = draw(st.integers(0, n - 1))
+    a, b = v[i], v[(i + 1) % n]
+    e = (b - a) / np.hypot(*(b - a))
+    inward = np.array([-e[1], e[0]])  # left of a ccw edge
+    kind = draw(st.sampled_from(["notch", "spike", "plain"]))
+    width = draw(st.sampled_from([5e-10, 0.05, 0.4, 1.2]))
+    depth = draw(st.floats(2.0, 8.0)) * (1.0 if kind == "notch" else -1.0)
+    m = 0.5 * (a + b)
+    if kind == "notch":
+        feature = [m - 0.5 * width * e, m - 0.5 * width * e + depth * inward, m + 0.5 * width * e + depth * inward, m + 0.5 * width * e]
+    elif kind == "spike":
+        feature = [m - 0.5 * width * e, m + depth * inward, m + 0.5 * width * e]
+    else:
+        feature, width = [], 1.0
+    try:
+        poly = Polygon(np.insert(v, i + 1, feature, axis=0) if feature else v)
+    except GeometryError:
+        assume(False)
+    return poly, width, m + 0.5 * depth * inward, e
+
+
+@settings(max_examples=60)
+@given(_featured_stars(), st.sampled_from(["random", "vertex", "edge", "across"]), st.integers(0, 2**32 - 1))
+def test_segments_in_polygon_match_the_sampled_oracle(star, kind, seed):
+    """The exact test agrees with samples every quarter of the feature
+    width, on segments at random, through vertices, along edges, and
+    across the notch or spike."""
+    poly, width, mid, e = star
+    rng = np.random.default_rng(seed)
+    v, ends = poly.vertices, poly._edge_ends
+    k = rng.integers(len(v), size=12)
+    x_lo, y_lo, x_hi, y_hi = poly.bounds
+    if kind == "random":
+        p, q = rng.uniform((x_lo, y_lo), (x_hi, y_hi), (2, 12, 2))
+    elif kind == "vertex":  # ending at a vertex, or through it
+        p = rng.uniform((x_lo, y_lo), (x_hi, y_hi), (12, 2))
+        q = v[k] + rng.choice([0.0, 0.5, 1.0], 12)[:, None] * (v[k] - p)
+    elif kind == "edge":  # along an edge, cut short or run past its ends
+        s = rng.choice([-0.5, 0.0, 0.3, 1.0, 1.5], (2, 12))
+        p, q = (v[k] + s[i][:, None] * (ends[k] - v[k]) for i in (0, 1))
+    else:  # across the feature at mid-depth
+        reach = rng.uniform(0.5, 20.0, (2, 12))
+        p, q = mid - reach[0][:, None] * e, mid + reach[1][:, None] * e
+    expected = oracles.sampled_segments_in_polygon(p, q, poly, max(width, 0.04) / 4.0)
+    assert segments_in_polygon(p, q, poly).tolist() == expected.tolist()
 
 
 def test_douglas_peucker_known_shape():

@@ -78,6 +78,15 @@ def test_grid_field_bilinear():
         GridField(0.0, 0.0, -1.0, 1.0, vals)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_a_grid_with_a_depth_that_is_not_finite_is_refused(bad):
+    # validate_field passed such a grid, and depth returned NaN next to the cell
+    vals = np.full((401, 401), 20.0)
+    vals[137, 200] = bad
+    with pytest.raises(ConfigError, match="finite"):
+        GridField(0.0, 0.0, 10.0, 10.0, vals)
+
+
 def test_validate_field():
     validate_field(GaussianSumField(offset=2.0), ((0, 0), (10, 10)))
     with pytest.raises(ConfigError, match="negative"):
