@@ -130,7 +130,7 @@ def cmd_partition(args) -> int:
             "sweep_dir": args.sweep_dir,
         },
     )
-    cells, _record = partition_monotone(poly, args.delta, args.sweep_dir)
+    cells = partition_monotone(poly, args.delta, args.sweep_dir)
     cells_to_geojson(cells, out / "cells.geojson")
     print(f"{len(cells)} monotone cells (delta={args.delta} m, sweep_dir={args.sweep_dir} rad)")
     print(f"cells written to {out / 'cells.geojson'}")

@@ -1,16 +1,17 @@
 """Monotone decomposition of a survey polygon and lawnmower path planning.
 
 A sweep direction splits the plane into sweep coordinate t (along the
-sweep bearing) and line coordinate s (along sweep bearing + pi/2). Sweep
-lines are laid on a global grid of spacing delta anchored at the
-polygon's sweep minimum; whenever the number of polygon crossings
-changes between consecutive lines, every open cell is closed with the
-previous line's crossings and new cells open on the current line. Each
-resulting cell is monotone along the sweep, so any line orthogonal to
-the sweep crosses it at most twice.
+sweep bearing) and line coordinate s (along sweep bearing + pi/2). The
+boundary is cut at its turning vertices, where it turns back along the
+sweep, into chains monotone in t. Cells open and close at the chain
+ends: a cell is a maximal t-interval over which one pair of chains
+bounds a piece of the polygon from below and above. The cells tile the
+polygon, and each is monotone along the sweep, so any line orthogonal
+to the sweep crosses it at most twice.
 
-Tracklines sit on the global grid, which keeps spacing exactly delta
-across interior cell interfaces. Only at the polygon's own sweep
+Tracklines sit on a global grid of spacing delta anchored at the
+polygon's sweep minimum, so their spacing stays exactly delta across
+interior cell interfaces. Only at the polygon's own sweep
 extremes are tracks inset: the first track one delta inside the hull,
 the last on the largest grid position at least delta/2 short of it, so
 every point of the delta-inset polygon stays within delta/2 of a track.
@@ -35,27 +36,23 @@ from scipy.sparse.csgraph import dijkstra
 
 from . import files
 from .errors import ConfigError, GeometryError
-from .geometry import (
-    Polygon,
-    bearing_to_unit,
-    nearest_boundary_points,
-    point_in_polygon,
-    points_in_polygon,
-    rays_cross_polygon,
-    segment_in_polygon,
-    segments_in_polygon,
-    vertices_between,
-)
+from .geometry import Polygon, bearing_to_unit, point_in_polygon, segment_in_polygon, segments_in_polygon
 
-#: relative nudge applied to sweep lines that would pass through a vertex
-_VERTEX_NUDGE = 1e-9
+#: relative slack below delta at which a cell's sweep span still fits a single centered track
+_SINGLE_TRACK_SLACK = 1e-9
 #: relative slack when snapping trackline positions onto the sweep grid
 _GRID_SNAP = 1e-7
 
 
 def sweep_frame(sweep_dir: float) -> tuple[np.ndarray, np.ndarray]:
-    """Unit axes (u, v): u along the sweep bearing, v along the line bearing."""
+    """Unit axes (u, v): u along the sweep bearing, v along the line bearing.
+
+    A sweep along a coordinate axis to within the rounding of its bearing,
+    such as -pi/2, runs exactly along it, so the polygon's edges across
+    the sweep keep one sweep coordinate along their length.
+    """
     u = bearing_to_unit(sweep_dir)
+    u[np.abs(u) < 1e-15] = 0.0
     v = bearing_to_unit(sweep_dir + math.pi / 2)
     return u, v
 
@@ -65,7 +62,7 @@ class Cell:
     """One sweep-monotone cell, stored as its two boundary chains.
 
     top_chain (high s) and bottom_chain (low s) each run by increasing
-    sweep coordinate from the opening line to the closing line.
+    sweep coordinate from t_open to t_close.
     opens_at_min / closes_at_max mark cells touching the polygon's own
     sweep extremes; grid_origin is the global sweep minimum anchoring
     the trackline grid.
@@ -97,20 +94,6 @@ class Cell:
 
     def outline(self) -> Polygon:
         return Polygon(self.boundary)
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    """Diagnostic record of one polygon sweep: line positions, crossings
-    and the edge each crossing lies on."""
-
-    sweep_dir: float
-    delta: float
-    t_origin: float
-    ts: np.ndarray
-    crossings: list
-    edges: list
-    counts: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -203,99 +186,100 @@ def _check_sweep_args(delta: float, sweep_dir: float) -> None:
         raise ConfigError(f"sweep direction must lie in [-pi/2, pi/2), got {sweep_dir}")
 
 
-def sweep_polygon(poly: Polygon, delta: float, sweep_dir: float) -> SweepRecord:
-    """Cast the global grid of sweep lines across the polygon.
+def _monotone_chains(vt: np.ndarray) -> list:
+    """The ring's vertex indices cut into chains at its turning vertices,
+    each chain ordered by increasing sweep coordinate.
 
-    Lines sit at t_origin + k * delta plus one final line at the sweep
-    maximum. Lines that would pass exactly through a vertex are nudged
-    forward by 1e-9 * delta, except the final line which is nudged
-    backward so the closing crossings stay inside. Every line is cast in
-    one array pass; a line with an odd crossing count, a residual
-    tangency, is re-nudged and cast on its own up to three times.
+    Edge i, from vertex i to i + 1, runs forward or backward by the sign
+    of its change in t; an edge of constant t takes the sign of the
+    signed edge before it. A chain is each run of one sign, ends included.
+    """
+    n = len(vt)
+    ring = np.arange(2 * n) % n
+    sign = np.sign(vt[ring[1 : n + 1]] - vt)
+    signed = np.flatnonzero(sign)
+    sign = sign[signed[np.searchsorted(signed, ring[:n], side="right") - 1]]
+    starts = np.flatnonzero(sign != sign[ring[n - 1 : 2 * n - 1]]).tolist()
+    chains = []
+    for a, b in zip(starts, starts[1:] + [starts[0] + n]):
+        idx = ring[a : b + 1]
+        chains.append(idx if sign[a] > 0 else idx[::-1])
+    return chains
+
+
+def _chain_point(pts: np.ndarray, ct: np.ndarray, b: int, t: float) -> np.ndarray:
+    """The point at sweep coordinate t on the chain edge from vertex b - 1
+    to vertex b: the vertex at t, else a + f (b - a)."""
+    a = b - 1
+    if ct[a] == t:
+        return pts[a]
+    if ct[b] == t:
+        return pts[b]
+    return pts[a] + (t - ct[a]) / (ct[b] - ct[a]) * (pts[b] - pts[a])
+
+
+def partition_monotone(poly: Polygon, delta: float, sweep_dir: float) -> list:
+    """Split the polygon into sweep-monotone cells.
+
+    The boundary is cut into monotone chains at its turning vertices
+    (_monotone_chains). Between consecutive chain ends, the chains alive
+    there, sorted by s at the interval's midpoint, pair up as (bottom,
+    top). A cell is a maximal run of intervals with one pair, so the cells
+    tile the polygon and each is monotone by construction. Cells are
+    indexed in opening order, bottom to top within an interval. A cell's
+    chain holds its polygon chain's vertices strictly inside
+    (t_open, t_close), between the chain's points at t_open and t_close.
     """
     _check_sweep_args(delta, sweep_dir)
     u, v = sweep_frame(sweep_dir)
     vt = poly.vertices @ u
-    vs = poly.vertices @ v
     t_min, t_max = float(vt.min()), float(vt.max())
     if t_max - t_min <= delta:
         raise ConfigError(
             f"track spacing {delta} is not below the polygon extent {t_max - t_min:.6g} along the sweep"
         )
-    s_lo = float(vs.min())
-    pad = max(delta, 1.0)
-    nudge = _VERTEX_NUDGE * delta
+    chains = _monotone_chains(vt)
+    cts = [vt[c] for c in chains]
+    pts = [poly.vertices[c] for c in chains]
+    lo, hi = np.array([[ct[0], ct[-1]] for ct in cts]).T
+    events = np.unique(np.concatenate([lo, hi]))
+    mids = 0.5 * (events[:-1] + events[1:])
+    alive = (lo[:, None] < mids) & (mids < hi[:, None])
+    # a midpoint that rounds onto an event leaves out the chains ending or
+    # starting there, in pairs, so the count of those alive stays even
+    s_mid = np.where(alive, [np.interp(mids, ct, p @ v) for ct, p in zip(cts, pts)], np.inf)
+    order = np.argsort(s_mid, axis=0)
 
-    ts = []
-    t = t_min
-    while t < t_max - nudge:
-        ts.append(t)
-        t += delta
-    ts.append(t_max)
-    ts = np.asarray(ts)
-    steps = np.full(len(ts), nudge)
-    steps[-1] = -nudge
-    ts = np.where((np.abs(vt - ts[:, None]) <= nudge).any(axis=1), ts + steps, ts)
+    runs, live = [], {}  # [bottom, top, t_open, t_close] per cell; each open pair's run
+    for k, count in enumerate(alive.sum(axis=0).tolist()):
+        pairs = list(zip(order[:count:2, k].tolist(), order[1:count:2, k].tolist()))
+        for pair in [p for p in live if p not in pairs]:
+            runs[live.pop(pair)][3] = float(events[k])
+        for pair in pairs:
+            if pair not in live:
+                live[pair] = len(runs)
+                runs.append([*pair, float(events[k]), None])
+    for i in live.values():
+        runs[i][3] = float(events[-1])
 
-    bearing = math.atan2(v[0], v[1])
+    def clipped(c, t0, t1):  # chain c from its point at t0 to its point at t1
+        ct = cts[c]
+        i, j = int(np.searchsorted(ct, t0, side="right")), int(np.searchsorted(ct, t1, side="left"))
+        return np.concatenate([[_chain_point(pts[c], ct, i, t0)], pts[c][i:j], [_chain_point(pts[c], ct, j, t1)]])
 
-    def cast(lines):  # s-sorted crossing points of the sweep lines at these t, and their edges
-        return rays_cross_polygon(lines[:, None] * u + (s_lo - pad) * v, bearing, poly)
-
-    crossings, edges = cast(ts)
-    for i in np.flatnonzero([len(c) % 2 for c in crossings]):
-        tries = 0
-        while len(crossings[i]) % 2 == 1 and tries < 3:  # tangency survived the nudge
-            ts[i] += steps[i]
-            (crossings[i],), (edges[i],) = cast(ts[i : i + 1])
-            tries += 1
-        if len(crossings[i]) % 2 == 1:
-            raise GeometryError(f"sweep line at t={ts[i]} crosses the polygon an odd number of times")
-    counts = np.array([len(c) for c in crossings])
-    return SweepRecord(sweep_dir, delta, t_min, ts, crossings, edges, counts)
-
-
-def partition_monotone(poly: Polygon, delta: float, sweep_dir: float):
-    """Split the polygon into sweep-monotone cells.
-
-    Returns (cells, sweep record). Cells are indexed in opening order,
-    bottom to top within one sweep line. Each run of consecutive lines
-    with one crossing count holds one cell per pair of crossings, open
-    from the run's first line to its last, so a crossing-count change
-    closes every open cell on the line before it. The strip between an
-    event line and its predecessor, narrower than delta, belongs to no
-    cell. A cell's chain walks the polygon's vertices from the edge of
-    its opening crossing to the edge of its closing one.
-    """
-    record = sweep_polygon(poly, delta, sweep_dir)
-    ts, crossings, edges = record.ts, record.crossings, record.edges
-    # runs of lines with one crossing count, from line a to line b
-    firsts = np.flatnonzero(np.diff(record.counts, prepend=-1)).tolist()
-    lasts = [i - 1 for i in firsts[1:]] + [len(ts) - 1]
-
-    def chain(p, e, q, f):  # the boundary from p on edge e ccw to q on edge f
-        return np.concatenate([[p], vertices_between(poly, p, e, q, f), [q]])
-
-    cells = []
-    for a, b in zip(firsts, lasts):
-        for j in range(0, len(crossings[a]), 2):
-            (c0, c1), (e0, e1) = crossings[a][j : j + 2], edges[a][j : j + 2]
-            (c3, c2), (e3, e2) = crossings[b][j : j + 2], edges[b][j : j + 2]
-            # the bottom chain is copied out of its reversed view: a matrix
-            # product over a view can round otherwise
-            cells.append(
-                Cell(
-                    index=len(cells),
-                    top_chain=chain(c1, e1, c2, e2),
-                    bottom_chain=chain(c3, e3, c0, e0)[::-1].copy(),
-                    t_open=float(ts[a]),
-                    t_close=float(ts[b]),
-                    opens_at_min=a == 0,
-                    closes_at_max=b == len(ts) - 1,
-                    grid_origin=record.t_origin,
-                )
-            )
-    return cells, record
+    return [
+        Cell(
+            index=index,
+            top_chain=clipped(top, t0, t1),
+            bottom_chain=clipped(bottom, t0, t1),
+            t_open=t0,
+            t_close=t1,
+            opens_at_min=t0 == t_min,
+            closes_at_max=t1 == t_max,
+            grid_origin=t_min,
+        )
+        for index, (bottom, top, t0, t1) in enumerate(runs)
+    ]
 
 
 def _track_positions(cell: Cell, delta: float) -> np.ndarray:
@@ -315,7 +299,7 @@ def _track_positions(cell: Cell, delta: float) -> np.ndarray:
     k1 = math.floor((t_last - cell.grid_origin) / delta + snap)
     if k1 < k0:
         span = cell.t_close - cell.t_open
-        if span >= delta * (1.0 - _VERTEX_NUDGE):  # room for a single centered track
+        if span >= delta * (1.0 - _SINGLE_TRACK_SLACK):  # room for a single centered track
             return np.array([0.5 * (cell.t_open + cell.t_close)])
         raise GeometryError(
             f"cell {cell.index} spans {span:.6g} along the sweep, narrower than the track spacing"
@@ -329,37 +313,38 @@ def _chain_coords(cell: Cell, sweep_dir: float):
     return cell.top_chain @ u, cell.top_chain @ v, cell.bottom_chain @ u, cell.bottom_chain @ v
 
 
-def _span_at(t: float, chains, delta: float) -> tuple:
-    """Shrunk s-interval of the cell at sweep coordinate t.
+def _chain_s(t, ct: np.ndarray, cs: np.ndarray, inner) -> np.ndarray:
+    """The chain's s at the sweep coordinates t by linear interpolation.
+    Where t falls on an edge of constant t, np.interp reads the edge's
+    last end; the inner of its two ends (np.minimum on a top chain,
+    np.maximum on a bottom one) bounds the cell on both sides of it."""
+    s = np.interp(t, ct, cs)
+    first = np.minimum(np.searchsorted(ct, t), len(ct) - 1)  # the chain's first vertex at or after t
+    return np.where(ct[first] == t, inner(s, cs[first]), s)
 
-    The monotone chains give the outline's s-extent by linear
-    interpolation; both ends pull in by delta, and a span too narrow to
+
+def _span_at(t, chains, delta: float) -> tuple:
+    """Shrunk s-intervals (lo, hi) of the cell at the sweep coordinates t.
+
+    The monotone chains give the outline's s-extent, one interpolation
+    per chain; both ends pull in by delta, and a span too narrow to
     shrink collapses to its midpoint.
     """
     top_t, top_s, bot_t, bot_s = chains
-    s_hi = float(np.interp(t, top_t, top_s))
-    s_lo = float(np.interp(t, bot_t, bot_s))
+    s_hi = _chain_s(t, top_t, top_s, np.minimum)
+    s_lo = _chain_s(t, bot_t, bot_s, np.maximum)
     a, b = s_lo + delta, s_hi - delta
-    if a > b:
-        a = b = 0.5 * (s_lo + s_hi)
-    return a, b
-
-
-def _cell_track_geometry(cell: Cell, delta: float, sweep_dir: float):
-    """Trackline sweep positions and shrunk s-intervals for one cell."""
-    chains = _chain_coords(cell, sweep_dir)
-    ts = _track_positions(cell, delta)
-    spans = [_span_at(float(t), chains, delta) for t in ts]
-    return ts, spans
+    narrow = a > b
+    mid = 0.5 * (s_lo + s_hi)
+    return np.where(narrow, mid, a), np.where(narrow, mid, b)
 
 
 def shrink_corners(cell: Cell, delta: float, sweep_dir: float) -> np.ndarray:
     """Corner points of the shrunk cell: endpoints of the first and last
     tracklines, indexed like the cell corners."""
     u, v = sweep_frame(sweep_dir)
-    ts, spans = _cell_track_geometry(cell, delta, sweep_dir)
-    (a0, b0), (a1, b1) = spans[0], spans[-1]
-    t0, t1 = float(ts[0]), float(ts[-1])
+    t0, t1 = _track_positions(cell, delta)[[0, -1]]
+    (a0, a1), (b0, b1) = _span_at(np.array([t0, t1]), _chain_coords(cell, sweep_dir), delta)
     return np.asarray(
         [
             t0 * u + a0 * v,
@@ -382,27 +367,25 @@ def _densify_path(way, sizes, delta: float) -> list:
     a leg after the first starts where the previous one ended,
     a + 1.0 (b - a), which can differ from its station in the last bit.
     """
-    xy = np.asarray(way, dtype=float).reshape(-1, 2).tolist()
-    legs, later, firsts, k = [], [], [], 0
-    for size in sizes:
-        firsts.append(len(legs))
-        x, y = xy[k]
-        for bx, by in xy[k + 1 : k + 1 + size]:
-            legs.append((x, y, bx - x, by - y))
-            later.append(len(legs) > firsts[-1] + 1)
-            x, y = x + (bx - x), y + (by - y)
-        k += 1 + size
-    legs = np.asarray(legs, dtype=float).reshape(-1, 4)
-    n = np.maximum(1, np.ceil(np.hypot(legs[:, 2], legs[:, 3]) / delta - 1e-12)).astype(int)
-    later = np.asarray(later, dtype=int)  # 1 for a leg whose first point is the previous leg's last
+    way = np.asarray(way, dtype=float).reshape(-1, 2)
+    sizes = np.asarray(sizes, dtype=int)
+    first = np.cumsum(sizes) - sizes  # each path's first leg
+    path = np.repeat(np.arange(len(sizes)), sizes)  # each leg's path
+    place = np.arange(len(path)) - first[path]  # each leg's place along its path
+    a, b = way[np.arange(len(path)) + path], way[np.arange(len(path)) + path + 1]
+    for k in range(1, int(sizes.max())):  # the k-th legs of all paths start where their (k-1)-th ended
+        kth = np.flatnonzero(place == k)
+        a[kth] = a[kth - 1] + (b[kth - 1] - a[kth - 1])
+    d = b - a
+    n = np.maximum(1, np.ceil(np.hypot(d[:, 0], d[:, 1]) / delta - 1e-12)).astype(int)
+    later = (place > 0).astype(int)  # 1 for a leg whose first point is the previous leg's last
     count = n + 1 - later
     stop = np.cumsum(count)
     leg = np.repeat(np.arange(len(n)), count)
     frac = (np.arange(len(leg)) - (stop - count - later)[leg]) * (1.0 / n)[leg] + 0.0
     frac[stop - 1] = 1.0
-    ad = legs[leg]
-    pts = ad[:, :2] + frac[:, None] * ad[:, 2:]
-    return _split(pts, stop[np.asarray(firsts[1:], dtype=int) - 1])
+    pts = a[leg] + frac[:, None] * d[leg]
+    return _split(pts, stop[first[1:] - 1])
 
 
 def _split(pts: np.ndarray, cuts) -> list:
@@ -421,8 +404,8 @@ def _hop_stations(chains, ts: np.ndarray, high_side: np.ndarray, delta: float, u
     """Intermediate waypoints of the hop from each track ts[k] to the next,
     on the shrunk boundary on its high side when high_side[k], else its low side.
 
-    A straight chord between adjacent track endpoints can clip a notch
-    vertex poking into the cell between two sweep lines, so the hop
+    A straight chord between adjacent track endpoints can clip a chain
+    vertex poking into the cell between the two tracks, so the hop
     follows the delta-inset chain instead: one station per chain vertex
     strictly between the tracks keeps every leg on the inset curve.
     Returns one (k, 2) array per hop.
@@ -431,53 +414,13 @@ def _hop_stations(chains, ts: np.ndarray, high_side: np.ndarray, delta: float, u
     knots = np.unique(np.concatenate([top_t, bot_t]))
     t_from, t_to = ts[:-1], ts[1:]
     first = np.searchsorted(knots, np.minimum(t_from, t_to) + 1e-12, side="right")
-    stop = np.searchsorted(knots, np.maximum(t_from, t_to) - 1e-12, side="left")
-    at, side, per_hop = [], [], []
-    for k, (i, j) in enumerate(zip(first.tolist(), stop.tolist())):
-        between = knots[i:j].tolist()
-        if t_to[k] < t_from[k]:
-            between.reverse()
-        for t in between:
-            a, b = _span_at(t, chains, delta)
-            at.append(t)
-            side.append(b if high_side[k] else a)
-        per_hop.append(len(between))
-    pts = np.asarray(at)[:, None] * u + np.asarray(side)[:, None] * v
-    return _split(pts.reshape(-1, 2), np.cumsum(per_hop)[:-1])
-
-
-def _clamp_to_cell(points: np.ndarray, outline: Polygon) -> np.ndarray:
-    """Pull waypoints that left the cell back onto its outline.
-
-    The boundary may double back on itself by less than the grid spacing
-    between two sweep lines; such a notch is below the partition's
-    resolution, so the chains misread it and a hop leg can stray. Any
-    stray point hugs the outline instead, which lies on or inside the
-    survey polygon.
-    """
-    out = points.copy()
-    stray = ~points_in_polygon(points, outline)
-    out[stray] = nearest_boundary_points(points[stray], outline)[0]
-    return out
-
-
-def _drop_repeats(way: np.ndarray, droppable: np.ndarray) -> np.ndarray:
-    """The waypoints without each droppable one that lies within 1e-9 m
-    of the last waypoint kept before it."""
-    repeat = np.zeros(len(way), dtype=bool)
-    repeat[1:] = ~(np.hypot(*np.diff(way, axis=0).T) > 1e-9)
-    repeat &= droppable
-    if not repeat.any():
-        return way
-    # once one is dropped, the last kept point is no longer the previous one
-    keep = np.ones(len(way), dtype=bool)
-    last = int(np.argmax(repeat)) - 1
-    for i in range(last + 1, len(way)):
-        if droppable[i] and not np.hypot(*(way[i] - way[last])) > 1e-9:
-            keep[i] = False
-        else:
-            last = i
-    return way[keep]
+    per_hop = np.maximum(np.searchsorted(knots, np.maximum(t_from, t_to) - 1e-12, side="left") - first, 0)
+    hop = np.repeat(np.arange(len(per_hop)), per_hop)
+    step = np.arange(len(hop)) - (np.cumsum(per_hop) - per_hop)[hop]  # a station's place in its hop
+    at = knots[np.where((t_to < t_from)[hop], (first + per_hop - 1)[hop] - step, first[hop] + step)]
+    lo, hi = _span_at(at, chains, delta)
+    pts = at[:, None] * u + np.where(high_side[hop], hi, lo)[:, None] * v
+    return _split(pts, np.cumsum(per_hop)[:-1])
 
 
 def lawnmower_cell(cell: Cell, entry_corner: int, delta: float, sweep_dir: float) -> np.ndarray:
@@ -486,40 +429,31 @@ def lawnmower_cell(cell: Cell, entry_corner: int, delta: float, sweep_dir: float
     Tracks run along the line direction, joined by hops that follow the
     shrunk cell boundary to the next track; waypoints are spaced at most
     delta apart, the first waypoint is the entry corner and the last is
-    the far end of the final trackline. All tracks, then all hops, are
-    densified in one pass each, and all hop points clamped in one.
+    the far end of the final trackline. All tracks and hops are
+    densified in one pass.
     """
     if entry_corner not in (0, 1, 2, 3):
         raise ConfigError(f"entry corner must be 0..3, got {entry_corner}")
     u, v = sweep_frame(sweep_dir)
-    ts, spans = _cell_track_geometry(cell, delta, sweep_dir)
+    chains = _chain_coords(cell, sweep_dir)
+    ts = _track_positions(cell, delta)
     if entry_corner in (2, 3):  # enter on the closing side: run tracks backwards
         ts = ts[::-1]
-        spans = spans[::-1]
-    lo, hi = np.asarray(spans, dtype=float).T
+    lo, hi = _span_at(ts, chains, delta)
     up = (np.arange(len(ts)) % 2 == 0) == (entry_corner in (0, 3))  # track runs to high s
     starts = ts[:, None] * u + np.where(up, lo, hi)[:, None] * v
     ends = ts[:, None] * u + np.where(up, hi, lo)[:, None] * v
-    tracks = _densify_path(np.stack([starts, ends], axis=1), [1] * len(ts), delta)
-    if len(tracks) == 1:  # no hop; such a cell can be thinner than the distinct-vertex tolerance of its outline
-        return tracks[0]
-    stations = _hop_stations(_chain_coords(cell, sweep_dir), ts, up[:-1], delta, u, v)
-    # each hop runs from where one track ended through its stations to the next track's first point
-    hop_ways = [part for prev, st, nxt in zip(tracks, stations, tracks[1:]) for part in (prev[-1:], st, nxt[:1])]
-    hops = _densify_path(np.concatenate(hop_ways), [len(st) + 1 for st in stations], delta)
-    parts = [tracks[0]]
-    for hop, track in zip(hops, tracks[1:]):
-        parts += [hop[1:], track[1:]]  # the hop's last point stands in for the track's first
-    sizes = [len(part) for part in parts]
-    on_hop = np.repeat(np.arange(len(parts)) % 2 == 1, sizes)
-    way = np.concatenate(parts)
-    way[on_hop] = _clamp_to_cell(way[on_hop], cell.outline())
-    # clamping can collapse neighbours onto one outline vertex; a
-    # duplicated waypoint would read as a zero-length trackline. A hop's
-    # last point stays: it starts the next track.
-    droppable = on_hop.copy()
-    droppable[np.cumsum(sizes)[1::2] - 1] = False
-    return _drop_repeats(way, droppable)
+    stations = _hop_stations(chains, ts, up[:-1], delta, u, v)
+    # each track, then its hop from where the densified track ended through
+    # the hop's stations to the next track's start
+    tracks, turns = np.stack([starts, ends], axis=1), starts + (ends - starts)
+    ways, sizes = [tracks[0]], [1]
+    for k in range(len(ts) - 1):
+        ways += [turns[k : k + 1], stations[k], tracks[k + 1, :1], tracks[k + 1]]
+        sizes += [len(stations[k]) + 1, 1]
+    pieces = _densify_path(np.concatenate(ways), sizes, delta)
+    # a piece's first point is the last one of the piece before
+    return np.concatenate([pieces[0], *(piece[1:] for piece in pieces[1:])])
 
 
 class _Transits:
@@ -606,8 +540,7 @@ def plan_coverage(poly: Polygon, start, delta: float, sweep_dir: float) -> PathP
     Cells narrower than the track spacing after shrinking are skipped
     with a warning and listed on the returned plan.
     """
-    _check_sweep_args(delta, sweep_dir)
-    cells, _ = partition_monotone(poly, delta, sweep_dir)
+    cells = partition_monotone(poly, delta, sweep_dir)
     pos = np.asarray(start, dtype=float)
     if not point_in_polygon(pos, poly):
         raise GeometryError(f"coverage start {tuple(pos)} lies outside the polygon")

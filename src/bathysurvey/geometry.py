@@ -13,8 +13,7 @@ points_in_polygon (containment), _closest_on_edges (closest point of
 each edge), nearest_boundary_points (closest boundary point and its
 distance), _edge_crossings (where a line meets each edge),
 segments_in_polygon (whether straight segments stay inside, decided
-exactly from where they meet the edges), vertices_between (the
-boundary between two points on known edges) and _first_crossing (which
+exactly from where they meet the edges) and _first_crossing (which
 edges touch or cross: whether a polygon is simple).
 """
 
@@ -34,8 +33,6 @@ BOUNDARY_TOL = 1e-9
 _EDGE_BLOCK = 256
 #: point-edge or segment-edge pairs that go through one array pass
 _PAIR_BLOCK = 1 << 16
-#: distance within which vertices_between counts a vertex as a walk's end
-_VERTEX_SNAP = 1e-6
 
 
 def normalize_bearing(psi: float) -> float:
@@ -271,29 +268,6 @@ def _edge_crossings(o: np.ndarray, d: np.ndarray, poly: Polygon):
     return t, s, np.abs(denom) > 1e-15
 
 
-def rays_cross_polygon(origins, bearing: float, poly: Polygon) -> tuple:
-    """Points where each ray from a row of the (m, 2) origins, all on one
-    bearing, crosses the polygon boundary, and the edges they lie on; all
-    rays in one array pass.
-
-    Edges are half-open along the polygon orientation (first endpoint
-    included, second excluded) so a crossing at a shared vertex counts
-    once. Returns two lists with one entry per ray: its (k, 2) crossing
-    points, sorted by distance along it, and their (k,) edge indices.
-    """
-    o = np.asarray(origins, dtype=float)
-    d = bearing_to_unit(bearing)
-    t, s, ok = _edge_crossings(o[:, None, :], d, poly)
-    hit = ok & (s >= -1e-12) & (s < 1.0 - 1e-12) & (t >= -1e-12)
-    t = np.where(hit, t, np.inf)
-    edges = np.argsort(t, axis=1, kind="stable")  # each ray's crossings first, in order
-    ts = np.take_along_axis(t, edges, axis=1)
-    ts[np.isinf(ts)] = 0.0
-    pts = o[:, None, :] + ts[:, :, None] * d[None, :]
-    counts = hit.sum(axis=1).tolist()
-    return [p[:k] for p, k in zip(pts, counts)], [e[:k] for e, k in zip(edges, counts)]
-
-
 def crossed_edge(poly: Polygon, p_from, p_to) -> int:
     """Index of the polygon edge crossed first by the segment p_from -> p_to."""
     p = np.asarray(p_from, dtype=float)
@@ -319,24 +293,6 @@ def edge_vertex_ahead(poly: Polygon, edge: int, direction: int) -> np.ndarray:
     v = poly.vertices
     n = len(v)
     return v[(edge + 1) % n] if direction == 1 else v[edge % n]
-
-
-def vertices_between(poly: Polygon, p_from, e_from: int, p_to, e_to: int) -> np.ndarray:
-    """Polygon vertices strictly between boundary point p_from on edge
-    e_from and p_to on edge e_to, walking ccw, as a (k, 2) array.
-
-    The walk passes vertices e_from + 1 to e_to, leaving out any within
-    _VERTEX_SNAP of either point. Points on one edge give none when p_to
-    lies ahead of p_from, else the full loop.
-    """
-    n = len(poly)
-    count = (e_to - e_from) % n
-    if count == 0:
-        ahead = (np.asarray(p_to) - p_from) @ (poly._edge_ends[e_from] - poly.vertices[e_from])
-        count = 0 if ahead >= 0.0 else n
-    w = poly.vertices[(e_from + 1 + np.arange(count)) % n]
-    far = (np.hypot(*(w - p_from).T) > _VERTEX_SNAP) & (np.hypot(*(w - p_to).T) > _VERTEX_SNAP)
-    return w[far]
 
 
 def arc_within_polygon(p, poly: Polygon, radius: float) -> tuple:

@@ -4,19 +4,18 @@ Every function here is a direct transcription of a textbook formula or
 a deliberate brute-force computation, sharing no code path with the
 package: factorizations go through numpy.linalg.cholesky, GP equations
 through explicit matrix inverses, log-likelihoods through slogdet,
-point-in-polygon through winding angles, ray crossings through
-exact per-edge parameter solves, and polygon simplicity through a
+point-in-polygon through winding angles, and polygon simplicity through a
 scalar segment-pair test over every pair of edges. Shortest transits
 come from Dijkstra over the visibility graph of every vertex, its
 segments tested by sampled_segments_in_polygon. The
 exceptions are earlier searches, kept as the references for what
 replaced them, and they run the package's own helpers on purpose: the
-planner's loops sweep_per_line (one cast per sweep line) and mow_per_leg
-(one densify per leg, one clamp per hop), sampled_segments_in_polygon
+planner's loop mow_per_leg (one densify per leg, one span read per hop
+station), sampled_segments_in_polygon
 (segments tested at evenly spaced samples, which the exact contact test
 replaced), trace_boundary (a chain's vertices found by locating each
-end on its nearest edge, which the walk from the sweep cast's own edge
-indices replaced), and fit_three_hypers, the hyper fit over all three
+end on its nearest edge, which the partition's own monotone chains
+replaced), and fit_three_hypers, the hyper fit over all three
 parameters that the profile-likelihood fit replaced.
 """
 
@@ -163,31 +162,6 @@ def winding_inside(p, verts, tol=1e-9):
         return True
     total = np.arctan2(cross, dot).sum()
     return bool(abs(total) > np.pi)
-
-
-def ray_hits(origin, bearing, verts):
-    """Exact forward crossings of a compass-bearing ray with polygon edges.
-
-    Solves origin + t*d = a + s*(b-a) per edge and keeps t>0, 0<=s<1.
-    Returns hit points sorted by distance.
-    """
-    o = np.asarray(origin, dtype=float)
-    d = np.array([np.sin(bearing), np.cos(bearing)])
-    pts = []
-    v = np.asarray(verts, dtype=float)
-    for a, b in zip(v, np.roll(v, -1, axis=0)):
-        e = b - a
-        denom = d[0] * e[1] - d[1] * e[0]
-        if abs(denom) < 1e-14:
-            continue
-        w = a - o
-        # from t*d - s*e = w: cross with e gives t, cross with d gives s
-        t = (w[0] * e[1] - w[1] * e[0]) / denom
-        s = (w[0] * d[1] - w[1] * d[0]) / denom
-        if t > 1e-12 and -1e-12 <= s < 1.0 - 1e-12:
-            pts.append((t, o + t * d))
-    pts.sort(key=lambda h: h[0])
-    return [p for _, p in pts]
 
 
 def polygon_by_walk(verts):
@@ -384,56 +358,6 @@ def shortest_transit(position, targets, poly, step):
     return least, next(i for i, length in enumerate(lengths) if length <= least + 1e-12)
 
 
-def sweep_per_line(poly, delta, sweep_dir):
-    """coverage.sweep_polygon as a loop over its sweep lines, each nudged
-    off a vertex, cast and re-cast on its own. Returns (ts, crossings)."""
-    from bathysurvey.coverage import _VERTEX_NUDGE, _check_sweep_args, sweep_frame
-    from bathysurvey.errors import ConfigError, GeometryError
-    from bathysurvey.geometry import _edge_crossings, bearing_to_unit
-
-    def line_crossings(t):
-        o = t * u + (s_lo - pad) * v
-        d = bearing_to_unit(math.atan2(v[0], v[1]))
-        tt, ss, ok = _edge_crossings(o, d, poly)
-        hits = np.sort(tt[ok & (ss >= -1e-12) & (ss < 1.0 - 1e-12) & (tt >= -1e-12)])
-        return o + hits[:, None] * d[None, :]
-
-    _check_sweep_args(delta, sweep_dir)
-    u, v = sweep_frame(sweep_dir)
-    vt = poly.vertices @ u
-    vs = poly.vertices @ v
-    t_min, t_max = float(vt.min()), float(vt.max())
-    if t_max - t_min <= delta:
-        raise ConfigError(
-            f"track spacing {delta} is not below the polygon extent {t_max - t_min:.6g} along the sweep"
-        )
-    s_lo = float(vs.min())
-    pad = max(delta, 1.0)
-    nudge = _VERTEX_NUDGE * delta
-    ts = []
-    t = t_min
-    while t < t_max - nudge:
-        ts.append(t)
-        t += delta
-    ts.append(t_max)
-    out_ts, crossings = [], []
-    for i, t in enumerate(ts):
-        step = -nudge if i == len(ts) - 1 else nudge
-        if np.any(np.abs(vt - t) <= nudge):
-            t += step
-        pts = line_crossings(t)
-        tries = 0
-        while len(pts) % 2 == 1 and tries < 3:
-            t += step
-            pts = line_crossings(t)
-            tries += 1
-        if len(pts) % 2 == 1:
-            raise GeometryError(f"sweep line at t={t} crosses the polygon an odd number of times")
-        out_ts.append(t)
-        crossings.append(pts)
-    return np.asarray(out_ts), crossings
-
-
 def _densify(a, b, delta):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -443,19 +367,18 @@ def _densify(a, b, delta):
 
 def mow_per_leg(cell, entry_corner, delta, sweep_dir):
     """coverage.lawnmower_cell as a loop over its tracks: each track and
-    each hop leg densified on its own, each hop clamped to the cell
-    outline on its own, repeated waypoints dropped one at a time."""
-    from bathysurvey.coverage import _cell_track_geometry, _chain_coords, _span_at, sweep_frame
+    each hop leg densified on its own, each hop station's span read on
+    its own."""
+    from bathysurvey.coverage import _chain_coords, _span_at, _track_positions, sweep_frame
     from bathysurvey.errors import ConfigError
-    from bathysurvey.geometry import nearest_boundary_point, points_in_polygon
 
     if entry_corner not in (0, 1, 2, 3):
         raise ConfigError(f"entry corner must be 0..3, got {entry_corner}")
     u, v = sweep_frame(sweep_dir)
     chains = _chain_coords(cell, sweep_dir)
     top_t, _, bot_t, _ = chains
-    outline = None
-    ts, spans = _cell_track_geometry(cell, delta, sweep_dir)
+    ts = _track_positions(cell, delta)
+    spans = [_span_at(float(t), chains, delta) for t in ts]
     if entry_corner in (2, 3):
         ts, spans = ts[::-1], spans[::-1]
     low_first = entry_corner in (0, 3)
@@ -478,15 +401,7 @@ def mow_per_leg(cell, entry_corner, delta, sweep_dir):
             s_lo, s_hi = _span_at(float(k), chains, delta)
             way.extend(_densify(way[-1], float(k) * u + (s_hi if high_side else s_lo) * v, delta)[1:])
         way.extend(_densify(way[-1], track[0], delta)[1:])
-        if outline is None:
-            outline = cell.outline()
-        hop = way[1:]
-        inside = points_in_polygon(np.asarray(hop), outline)
-        hop = [p if ok else nearest_boundary_point(p, outline) for p, ok in zip(hop, inside)]
-        for q in hop[:-1]:
-            if np.hypot(*(q - pts[-1])) > 1e-9:
-                pts.append(q)
-        pts.append(hop[-1])
+        pts.extend(way[1:])  # the hop's last point stands in for the track's first
         pts.extend(track[1:])
     return np.asarray(pts, dtype=float).reshape(-1, 2)
 

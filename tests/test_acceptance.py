@@ -159,8 +159,8 @@ def test_criterion_5_tracklines_on_random_polygons():
 def test_criterion_6_partition_counts_and_canonical_cells(canonical_run):
     rect = Polygon([(0, 0), (20, 0), (20, 10), (0, 10)])
     u_shape = Polygon([(0, 0), (30, 0), (30, 40), (20, 40), (20, 10), (10, 10), (10, 40), (0, 40)])
-    n_rect = len(partition_monotone(rect, 2.0, 0.0)[0])
-    n_u = len(partition_monotone(u_shape, 2.0, 0.0)[0])
+    n_rect = len(partition_monotone(rect, 2.0, 0.0))
+    n_u = len(partition_monotone(u_shape, 2.0, 0.0))
     log, _wall = canonical_run
     ok = n_rect == 1 and n_u == 3 and log.closed and len(log.cells) >= 1
     assert _report(

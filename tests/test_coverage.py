@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import oracles
 from bathysurvey import coverage
 from bathysurvey.coverage import (
+    Cell,
     PathPlan,
     _path_length,
     cells_to_geojson,
@@ -22,7 +23,6 @@ from bathysurvey.coverage import (
     plan_transit,
     shrink_corners,
     sweep_frame,
-    sweep_polygon,
 )
 from bathysurvey.errors import ConfigError, GeometryError
 from bathysurvey.geometry import (
@@ -46,33 +46,21 @@ def test_sweep_frame_axes():
     assert v == pytest.approx([0.0, 1.0])
 
 
-def test_sweep_polygon_rectangle():
-    rec = sweep_polygon(RECT, 2.0, 0.0)
-    assert rec.t_origin == pytest.approx(0.0)
-    assert np.all(np.diff(rec.ts) > 0)
-    # grid lines every delta plus the closing line at the far hull
-    assert rec.ts[:-1] == pytest.approx(np.arange(0.0, 10.0, 2.0), abs=1e-6)
-    assert rec.ts[-1] == pytest.approx(10.0, abs=1e-6)
-    assert np.all(rec.counts == 2)
-    for pts in rec.crossings:
-        assert np.all(np.diff(pts @ sweep_frame(0.0)[1]) > 0)
-
-
-def test_sweep_polygon_argument_validation():
+def test_partition_argument_validation():
     with pytest.raises(ConfigError):
-        sweep_polygon(RECT, 0.0, 0.0)
+        partition_monotone(RECT, 0.0, 0.0)
     with pytest.raises(ConfigError):
-        sweep_polygon(RECT, 2.0, math.pi / 2)
-    with pytest.raises(ConfigError):
-        sweep_polygon(RECT, 12.0, 0.0)  # spacing above the sweep extent
+        partition_monotone(RECT, 2.0, math.pi / 2)
+    with pytest.raises(ConfigError, match="track spacing 12.0 is not below the polygon extent 10 along the sweep"):
+        partition_monotone(RECT, 12.0, 0.0)  # spacing above the sweep extent
 
 
 def test_partition_rectangle_single_cell():
-    cells, rec = partition_monotone(RECT, 2.0, 0.0)
+    cells = partition_monotone(RECT, 2.0, 0.0)
     assert len(cells) == 1
     c = cells[0]
     assert c.opens_at_min and c.closes_at_max
-    assert c.grid_origin == pytest.approx(rec.t_origin)
+    assert c.grid_origin == 0.0 and (c.t_open, c.t_close) == (0.0, 10.0)
     assert c.outline().area == pytest.approx(RECT.area, rel=1e-6)
     # corner order: opening low-s, opening high-s, closing high-s, closing low-s
     assert c.corners[0] == pytest.approx([0.0, 0.0], abs=1e-6)
@@ -82,7 +70,7 @@ def test_partition_rectangle_single_cell():
 
 
 def test_partition_u_shape_three_cells():
-    cells, _ = partition_monotone(U_SHAPE, 2.0, 0.0)
+    cells = partition_monotone(U_SHAPE, 2.0, 0.0)
     assert len(cells) == 3
     areas = sorted(c.outline().area for c in cells)
     assert sum(areas) <= U_SHAPE.area * (1 + 1e-9)
@@ -95,39 +83,20 @@ def test_partition_u_shape_three_cells():
 def test_partition_vertex_on_grid_line():
     # merge vertex at y = 4 sits exactly on the delta = 2 grid
     poly = Polygon([(0, 0), (20, 0), (20, 10), (10, 4), (0, 10)])
-    cells, _ = partition_monotone(poly, 2.0, 0.0)
+    cells = partition_monotone(poly, 2.0, 0.0)
     assert len(cells) == 3
     for c in cells:
         c.outline()  # every boundary must still form a simple polygon
 
 
-def test_partition_random_stars_cells_tile_polygon():
-    rng = np.random.default_rng(40)
-    for _ in range(25):
-        poly = Polygon(oracles.star_polygon(rng, int(rng.integers(5, 12)), r_lo=8.0, r_hi=20.0))
-        cells, _ = partition_monotone(poly, 1.5, float(rng.uniform(-1.5, 1.5)))
-        assert cells
-        total = 0.0
-        for c in cells:
-            try:
-                outline = c.outline()
-            except GeometryError:
-                continue  # sliver cell collapsed to a segment at an event line
-            total += outline.area
-            inside = points_in_polygon(oracles.densify_ring(c.boundary, 0.5), poly, tol=1e-6)
-            assert inside.all()
-        assert total <= poly.area * (1 + 1e-9)
-        assert total >= 0.5 * poly.area  # event strips may drop slivers only
-
-
 def test_shrink_corners_rectangle_exact():
-    cells, _ = partition_monotone(RECT, 2.0, 0.0)
+    cells = partition_monotone(RECT, 2.0, 0.0)
     got = shrink_corners(cells[0], 2.0, 0.0)
     assert got == pytest.approx(np.array([[2.0, 2.0], [18.0, 2.0], [18.0, 8.0], [2.0, 8.0]]), abs=1e-6)
 
 
 def test_lawnmower_rectangle_serpentine():
-    cells, _ = partition_monotone(RECT, 2.0, 0.0)
+    cells = partition_monotone(RECT, 2.0, 0.0)
     pts = lawnmower_cell(cells[0], 0, 2.0, 0.0)
     corners = shrink_corners(cells[0], 2.0, 0.0)
     assert pts[0] == pytest.approx(corners[0], abs=1e-6)
@@ -145,7 +114,7 @@ def test_lawnmower_rectangle_serpentine():
 
 
 def test_lawnmower_entry_corner_reverses():
-    cells, _ = partition_monotone(RECT, 2.0, 0.0)
+    cells = partition_monotone(RECT, 2.0, 0.0)
     corners = shrink_corners(cells[0], 2.0, 0.0)
     for entry in range(4):
         pts = lawnmower_cell(cells[0], entry, 2.0, 0.0)
@@ -154,10 +123,26 @@ def test_lawnmower_entry_corner_reverses():
         lawnmower_cell(cells[0], 4, 2.0, 0.0)
 
 
+def test_hops_stay_inside_at_a_step_of_the_boundary():
+    # the east side steps out along the sweep line y = 6, on a track: np.interp
+    # reads the step's far end, which a hop from the track below cuts past
+    poly = Polygon([(0, 0), (10, 0), (12, 6), (20, 6), (14, 12), (0, 12)])
+    (cell,) = partition_monotone(poly, 2.0, 0.0)
+    for corner in range(4):
+        assert points_in_polygon(lawnmower_cell(cell, corner, 2.0, 0.0), poly).all()
+
+
+def test_an_east_west_sweep_runs_along_the_axis():
+    # every north-south line cuts the U in one interval, and its walls keep one sweep coordinate
+    u, _ = sweep_frame(-math.pi / 2)
+    assert u.tolist() == [-1.0, 0.0]
+    assert len(partition_monotone(U_SHAPE, 2.0, -math.pi / 2)) == 1
+
+
 def test_single_centered_track():
     # sweep span 2.5 fits no grid track but is wide enough to center one
     poly = Polygon([(0, 0), (20, 0), (20, 2.5), (0, 2.5)])
-    cells, _ = partition_monotone(poly, 2.0, 0.0)
+    cells = partition_monotone(poly, 2.0, 0.0)
     pts = lawnmower_cell(cells[0], 0, 2.0, 0.0)
     assert np.unique(np.round(pts[:, 1], 9)) == pytest.approx([1.25])
 
@@ -182,7 +167,7 @@ def test_tracks_sit_on_global_grid():
         poly = Polygon(oracles.star_polygon(rng, int(rng.integers(5, 10)), r_lo=10.0, r_hi=20.0))
         delta = 1.5
         sweep = float(rng.uniform(-1.5, 1.5))
-        cells, rec = partition_monotone(poly, delta, sweep)
+        cells = partition_monotone(poly, delta, sweep)
         u, _ = sweep_frame(sweep)
         for cell in cells:
             try:
@@ -192,7 +177,7 @@ def test_tracks_sit_on_global_grid():
             ts = _trackline_positions(pts, u)
             if len(ts) < 2:
                 continue  # lone centered track may float off the grid
-            ks = (ts - rec.t_origin) / delta
+            ks = (ts - cell.grid_origin) / delta
             assert np.abs(ks - np.round(ks)).max() < 1e-5
             assert np.diff(ts) == pytest.approx(delta, abs=1e-6)
 
@@ -200,7 +185,7 @@ def test_tracks_sit_on_global_grid():
 def _star(seed: int, n: int, r_lo: float, lattice: bool) -> Polygon:
     """A star polygon of radius r_lo to 30 m, notched when r_lo is small,
     its vertices rounded to whole metres when `lattice`: at sweep 0 and a
-    whole-metre spacing they then sit exactly on sweep lines."""
+    whole-metre spacing they then sit exactly on track positions."""
     v = oracles.star_polygon(np.random.default_rng(seed), n, r_lo=r_lo, r_hi=30.0)
     return Polygon(np.round(v) if lattice else v)
 
@@ -225,28 +210,109 @@ def _outcome(fn, *args):
         return f"{type(exc).__name__}: {exc}"
 
 
-#: star 143 has hops that clamp onto one outline vertex, so waypoints repeat
-#: and are dropped; star 10 has a cell whose bottom chain runs backwards
+#: lattice stars whose vertices sit on track positions: a partition read from
+#: crossings on the lines gave star 143 hops that left their cell, and star
+#: 10 a cell whose bottom chain ran backwards
 SWEEP_EXAMPLES = [
     (_star(143, 13, 3.0, True), 2.0, 0.0),
     (_star(10, 12, 3.0, True), 2.0, 0.0),
 ]
 
 
+def _runs_forward(cell: Cell, sweep_dir: float) -> bool:
+    """Whether both chains of the cell never decrease in sweep coordinate."""
+    u, _ = sweep_frame(sweep_dir)
+    return all((np.diff(chain @ u) >= 0.0).all() for chain in (cell.top_chain, cell.bottom_chain))
+
+
 @settings(max_examples=100)
 @given(_sweep_cases())
 @example(SWEEP_EXAMPLES[0])
 @example(SWEEP_EXAMPLES[1])
-def test_sweep_lines_match_the_per_line_oracle(case):
-    """All sweep lines cast at once give the same lines and crossings, to
-    the byte, as casting them one at a time."""
-    got, expected = _outcome(sweep_polygon, *case), _outcome(oracles.sweep_per_line, *case)
-    if isinstance(expected, str):
-        assert got == expected
-        return
-    assert got.ts.tobytes() == expected[0].tobytes()
-    assert [c.tobytes() for c in got.crossings] == [c.tobytes() for c in expected[1]]
-    assert got.counts.tolist() == [len(c) for c in expected[1]]
+def test_cells_tile_the_polygon(case):
+    """Every cell outline is a simple polygon, the cell areas sum to the
+    polygon's, both chains of every cell run forward along the sweep, and
+    every waypoint mowed from each corner lies inside its cell."""
+    poly, delta, sweep_dir = case
+    try:
+        cells = partition_monotone(*case)
+    except ConfigError:
+        assume(False)
+    outlines = [cell.outline() for cell in cells]
+    assert sum(outline.area for outline in outlines) == pytest.approx(poly.area, rel=1e-9)
+    for cell, outline in zip(cells, outlines):
+        assert _runs_forward(cell, sweep_dir)
+        for corner in range(4):
+            try:
+                way = lawnmower_cell(cell, corner, delta, sweep_dir)
+            except GeometryError:
+                continue  # narrower than the track spacing: the planner skips it
+            assert points_in_polygon(way, outline).all()
+
+
+#: two star polygons with their sweep directions whose boundary turns back
+#: between two sweep lines 10 m apart; a partition read from crossings on
+#: those lines broke the first plan's transits and the second's cell outline
+TURNING_SHAPES = {
+    "notch_between_lines": (
+        [
+            (-97.86517810220732, 65.31537944833094),
+            (-190.76328884202204, 42.901583417214965),
+            (-74.05896994369667, -8.02663142326967),
+            (-120.19650297981704, -68.09184823469754),
+            (-115.99208618726816, -131.36366277043066),
+            (-36.957710478858885, -78.48517451980607),
+            (-47.86563245508357, -163.69385308696312),
+            (19.556927085565533, -135.8089049678178),
+            (37.83224895405562, -88.00117615497263),
+            (140.12887137950383, -142.08095166681133),
+            (113.05575827513863, -68.9129462778075),
+            (148.6104312518968, -24.005292643409945),
+            (104.57183356225048, 22.923967287472763),
+            (171.24733742150556, 60.47376954159044),
+            (51.92849620750188, 58.97294034605685),
+            (49.953109054461265, 100.122439215013),
+            (17.003829479527035, 115.4785997310086),
+            (-9.684990993366625, 175.04960780502196),
+            (-54.115015303342034, 102.81034086380438),
+            (-131.56032182870447, 142.1002536780038),
+        ],
+        0.4377224400317197,
+    ),
+    "vertex_past_a_line": (
+        [
+            (-38.56680776704518, 58.57539064113658),
+            (-101.54405843696333, 53.34381437549716),
+            (-124.01145364767478, 20.534809847668036),
+            (-147.2606331114686, -16.13145500881142),
+            (-143.4483423981084, -94.17183490335663),
+            (-110.25462576934862, -103.75977580636729),
+            (-45.813377050063764, -87.46405901637667),
+            (11.67038904567056, -149.5937353016344),
+            (28.782126705352574, -104.49366919002657),
+            (53.88492155562006, -64.34682877868794),
+            (103.13742232853832, -67.81377858738767),
+            (91.20289995750909, -12.916319789089904),
+            (128.94091825547926, 4.519262416652765),
+            (98.78200116572683, 43.14779281437493),
+            (109.49633382218212, 145.07773227761442),
+            (50.92045041780835, 137.75042831039568),
+            (11.212697465950313, 140.35765251080952),
+            (-51.53405704676523, 157.18772914188213),
+        ],
+        -0.7993711279514123,
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore:skipping cell")
+@pytest.mark.parametrize("name", TURNING_SHAPES)
+def test_a_turn_between_sweep_lines_plans(name):
+    vertices, sweep_dir = TURNING_SHAPES[name]
+    poly = Polygon(vertices)
+    plan = plan_coverage(poly, (0.0, 0.0), 10.0, sweep_dir)
+    assert all(_runs_forward(cell, sweep_dir) for cell in plan.cells)
+    assert points_in_polygon(plan.waypoints, poly).all()
 
 
 @settings(max_examples=100)
@@ -254,13 +320,13 @@ def test_sweep_lines_match_the_per_line_oracle(case):
 @example(SWEEP_EXAMPLES[0])
 @example(SWEEP_EXAMPLES[1])
 def test_chains_walked_by_edge_index_match_the_boundary_search(case):
-    """Each cell's chains, walked from the edges the sweep cast found,
+    """Each cell's chains, clipped from the polygon's monotone chains,
     hold the same points, to the byte, as the chains between the same
     ends when a search over every edge locates each end; the outline
     runs up the top chain and back along the bottom one."""
     poly = case[0]
     try:
-        cells, _ = partition_monotone(*case)
+        cells = partition_monotone(*case)
     except (ConfigError, GeometryError):
         assume(False)
     for cell in cells:
@@ -278,10 +344,11 @@ def test_chains_walked_by_edge_index_match_the_boundary_search(case):
 @example(SWEEP_EXAMPLES[1])
 def test_lawnmower_matches_the_per_leg_oracle(case):
     """Every cell mowed from every corner gives the same waypoints, to the
-    byte, as densifying each leg and clamping each hop on its own."""
+    byte, as densifying each leg and reading each hop station's span on
+    its own."""
     poly, delta, sweep_dir = case
     try:
-        cells, _ = partition_monotone(poly, delta, sweep_dir)
+        cells = partition_monotone(poly, delta, sweep_dir)
     except (ConfigError, GeometryError):
         assume(False)
     for cell in cells:
@@ -290,22 +357,6 @@ def test_lawnmower_matches_the_per_leg_oracle(case):
             expected = _outcome(oracles.mow_per_leg, cell, corner, delta, sweep_dir)
             assert type(got) is type(expected)
             assert got == expected if isinstance(got, str) else got.tobytes() == expected.tobytes()
-
-
-@settings(max_examples=100)
-@given(st.lists(st.tuples(st.sampled_from([0.0, 4e-10, 6e-10, 1e-9, 1.5e-9, 1.0]), st.booleans()), max_size=12))
-def test_repeated_waypoints_drop_against_the_last_one_kept(steps):
-    """Waypoints along a line, each a chosen step past the previous one;
-    a droppable one goes when it lies within 1e-9 m of the last one kept,
-    tested one at a time, even after a run of drops."""
-    x = np.cumsum([0.0, *(step for step, _ in steps)])
-    way = np.column_stack([x, np.zeros_like(x)])
-    droppable = np.array([False, *(flag for _, flag in steps)])
-    kept = [0]
-    for i in range(1, len(way)):
-        if not (droppable[i] and not np.hypot(*(way[i] - way[kept[-1]])) > 1e-9):
-            kept.append(i)
-    assert coverage._drop_repeats(way, droppable).tobytes() == way[kept].tobytes()
 
 
 def test_plan_transit_direct():
@@ -385,7 +436,7 @@ def test_a_plan_tests_its_reflex_pairs_once(monkeypatch):
 
     monkeypatch.setattr(coverage, "segment_in_polygon", recorded)
     monkeypatch.setattr(coverage, "segments_in_polygon", counted)
-    plan_coverage(SPIRAL, (2.0, 38.0), 2.0, -1.2)
+    plan_coverage(SPIRAL, (38.0, 2.0), 2.0, -0.5)
     assert straight.count(False) == 3
     assert len(batches) == 1 + straight.count(False)
 
@@ -416,7 +467,7 @@ def _transit_cases():
         for _ in range(8)
     ]
     for poly, delta, sweep_dir in shapes:
-        cells, _ = partition_monotone(poly, delta, sweep_dir)
+        cells = partition_monotone(poly, delta, sweep_dir)
         targets = []
         for cell in cells:
             try:
@@ -474,33 +525,33 @@ def test_blocked_transit_routes_a_target_just_inside_the_bound():
 #: sha256 of plan_coverage(...).waypoints.tobytes(), or the error a plan
 #: raises, for 12 notched stars (rng 2, 10 + k vertices, r_lo 8 m) at sweep
 #: directions 0 and 1.1, delta 4 m, from the origin. Pinned from the
-#: shortest transits on the reflex-vertex graph; a change that moves any
+#: cells between the polygon's monotone chains; a change that moves any
 #: plan must say why.
 PLAN_DIGESTS = {
-    (0, 0.0): "1d974f7992c84fc89a16b21bcc4be9f56a658b8cb0fd820eeda2a9a575fadf60",
-    (0, 1.1): "1b19bbdfcb13dcc3cf1fa7a103eaf1065f1ff8a3b9c12251709fe174d98163b7",
-    (1, 0.0): "7ac23b69b93ef4318b9857af5b1a2107071b906381e98c5ae88d401ae7f4779c",
-    (1, 1.1): "ca1484384f972398fdad9e7e44528ae66f7400c279d469007d39c7ea34f0e293",
-    (2, 0.0): "700d8b1bb3e17a0d3c2f5ac6d0e51b70c2df2bc17e3238ce1f0da3066fa8dc29",
-    (2, 1.1): "2254a0145bccd6f51b856453cae31a959022f53118b8a5e4d5edca14c077de1c",
-    (3, 0.0): "1a2a8b576c280c819523adfd09c05c7212125144cd15aa57f0c180230a8eabf6",
-    (3, 1.1): "91484f5572e63193e8b28675146412b8208558bca1c1a70da0fd8704be492096",
-    (4, 0.0): "79884aca3b9c06bde4420f1d2904b2ad4fb2e5f8c4e56bcaf8baaae6e91717fe",
-    (4, 1.1): "9782218e2d3dbf1584b43abca7fe0a1266b806c7fee1c563cf403255026aeb72",
-    (5, 0.0): "33edf4c1c25d08a4967fd8476588d444eb3b691eda672c5d005b9710d8558d3c",
-    (5, 1.1): "39edeba2855fc4c88c9d56dde45920394e4e99be4e7f608e8f7ea68b4068f35e",
-    (6, 0.0): "0f3fc6f602db65a4977cd01e20feca91150955a4856baa5bd6530fd99a83680d",
-    (6, 1.1): "5031ccc6f8423c455ff6815ab90a604812c87e65b2546b28b94ef109f09b0db6",
-    (7, 0.0): "efb28f75318b9c02714786e12d85257be8c4714cc1f99c3b4dea1a68ab44b16a",
-    (7, 1.1): "635ea399d10c0cccffee1619e5b213f4ebf2c4492992701fea083b304e4dedfa",
-    (8, 0.0): "eaffc2405ba222feacbe92d5753178ae07a1cc3a83ff0d098354227c821a6785",
-    (8, 1.1): "e28da3e7d382a56b88495c3d7fff1a67a51d90ea1ffd21df6398b9688ab43783",
-    (9, 0.0): "b3c61bb2a2cd6c4d35fa9e460c59ffbcda8eb4736d13c49268e284079579a4d7",
-    (9, 1.1): "85c89f4bf9e9b3224de8669df047f23eaadf6c12f3e8feddcb5b09e8fefb2e5c",
-    (10, 0.0): "bcadd988d33f78c611ed3fefce8f9db9ab28ac416c1474e1cb85f5aea722e1e3",
-    (10, 1.1): "a42ddb0b3cfb6f555831862b067984a69492f836f50e2b08b6ca2f5a040329db",
-    (11, 0.0): "7eb1b9945fc676e821aa3f83a13152dd89f7cbfd85b5e45d25b55990e7f71b5b",
-    (11, 1.1): "1ccc9bcfddcb65a1e8dca027b2177865ab1f45f982c4275db8b89015750b98e9",
+    (0, 0.0): "bf3c6de94974e68b717b18fe093c5f90b46754909580ac0614d9970a40a7919c",
+    (0, 1.1): "322f9b1ae699ffd5bdf465bc82ffd55f3c1ecad7b295a236c9480ea1b9832a4b",
+    (1, 0.0): "cfce9d76059f9faf1d00f4acb0ec5fea050c0b82f5c6042cb6d489e8d0626cdb",
+    (1, 1.1): "7df221bd640e49c142d10dc71a6091207700101898adf2935f538246c3a0120a",
+    (2, 0.0): "8120750341f48f526be959e5d7499e75d31bbac0acdac1693e5c4dc6efbe0b6c",
+    (2, 1.1): "a7f847eefb796f454dd29b3e8c658edff9e7c66a170dab690fdb9d6f7a1fa3b3",
+    (3, 0.0): "fdcc5c77db00247971f596dfecff8a1a90eaf68057aa5f58e087f62e7f3811a7",
+    (3, 1.1): "2b256276fee2fad01f0c46d9e60b9819e2f97f46a3228fb7e930d3c4b84dbf29",
+    (4, 0.0): "146b23a8e52841aa2e1f753d21032d731892e40d7380b5b8f0daf67d52396520",
+    (4, 1.1): "edd8fc87e6c01ee39e3fdfb2cfda966f3fb406bd9618b1e43e814558278f8b4b",
+    (5, 0.0): "5436858993dd4d716118a5d1930ec96be624d8b053e56332ef1e27c28d20756f",
+    (5, 1.1): "d7be8277cd481252606791f88509c286d85fea83221971008cba5b618557f6c8",
+    (6, 0.0): "5442b0b2a4e51e891e27d65a942012464caecc19520ffa923af5d89bfc2cb831",
+    (6, 1.1): "e4c889d64fa3082855fba26d9cb8c4a8ebd2bce6ca98be9010363457ac10ea5f",
+    (7, 0.0): "22bf50f326b46705f3bcf1523c8bd9d300076423ab02494aa137ef1420857039",
+    (7, 1.1): "ffeb6b1434af0a557775da29c4a839394d9746903970d3d902720e711bcccaf0",
+    (8, 0.0): "e5bd47ed6913c69245b60ff39530301b788c3f051df13580df02370b575d6439",
+    (8, 1.1): "62bae088d0bc8a88a3ff1530842ff9aba23f9e2f92a0ca7eccc2fd16cdcd04b1",
+    (9, 0.0): "2dc260e3c5241247e020879b59578f95fc274f437e1711d5fdcb02bd4265959f",
+    (9, 1.1): "29f47e66196199284446b1ecbb903d1df3368ff90bdfc89cbeb6c08ae1f41258",
+    (10, 0.0): "c636379a55bb8ab07f222a963a0b0101f6d2e0408ae7075ca80b0c39ddd97b9b",
+    (10, 1.1): "4f6ff9d6f660a00a33ac0998a955d131428f044c0f95ebecada1d92857bd4520",
+    (11, 0.0): "c2608e7dde520d86c1cb0919ef3cf855841dd6746ff1744b55b0e7ed28180b23",
+    (11, 1.1): "d5f8bc7dcfae94ac45c17eaacf5bcd4f0c16f034ef9b6dd11a0966372f2c4748",
 }
 
 

@@ -27,12 +27,10 @@ from bathysurvey.geometry import (
     normalize_bearing,
     point_in_polygon,
     points_in_polygon,
-    rays_cross_polygon,
     save_polygon,
     segment_in_polygon,
     segments_in_polygon,
     simplify_closed_curve,
-    vertices_between,
 )
 from bathysurvey.geometry import _first_crossing
 
@@ -203,31 +201,6 @@ def test_point_on_boundary_counts_inside():
     assert not point_in_polygon((10.0 + 1e-6, 5.0), SQUARE, tol=1e-9)
 
 
-def test_ray_crossings_match_exact_oracle():
-    rng = np.random.default_rng(21)
-    for _ in range(25):
-        poly = Polygon(oracles.star_polygon(rng, int(rng.integers(4, 10))))
-        origin = rng.uniform(-80, 80, 2)
-        bearing = rng.uniform(-math.pi, math.pi)
-        (got,), (edges,) = rays_cross_polygon([origin], bearing, poly)
-        ref = oracles.ray_hits(origin, bearing, poly.vertices)
-        assert len(got) == len(ref) == len(edges)
-        for g, r in zip(got, ref):
-            assert np.hypot(*(g - r)) < 1e-9
-        for g, e in zip(got, edges):  # each crossing lies on the edge handed back with it
-            a, b = poly.vertices[e], poly.vertices[(e + 1) % len(poly)]
-            s = np.dot(g - a, b - a) / np.dot(b - a, b - a)
-            assert -1e-12 <= s < 1.0 and np.hypot(*(a + s * (b - a) - g)) < 1e-9
-
-
-def test_ray_interior_origin_odd_crossings():
-    rng = np.random.default_rng(22)
-    for _ in range(40):
-        bearing = rng.uniform(-math.pi, math.pi)
-        (hits,), (edges,) = rays_cross_polygon([(5.0, 5.0)], bearing, SQUARE)
-        assert len(hits) == len(edges) == 1
-
-
 def test_crossed_edge_and_traversal_helpers():
     # edges ccw from (0,0): 0 south, 1 east, 2 north, 3 west
     assert crossed_edge(SQUARE, (5, 5), (5, -5)) == 0
@@ -243,21 +216,6 @@ def test_crossed_edge_and_traversal_helpers():
     assert edge_vertex_ahead(SQUARE, 0, -1) == pytest.approx([0.0, 0.0])
     with pytest.raises(GeometryError):
         next_edge(SQUARE, 0, 2)
-
-
-def test_vertices_between_walks_by_edge_index():
-    # edges ccw from (0,0): 0 south, 1 east, 2 north, 3 west; from
-    # mid-south to mid-north the walk passes the two east corners
-    out = vertices_between(SQUARE, np.array([5.0, 0.0]), 0, np.array([5.0, 10.0]), 2)
-    assert [tuple(p) for p in out] == [(10.0, 0.0), (10.0, 10.0)]
-    # same edge, ahead: nothing between
-    assert vertices_between(SQUARE, np.array([2.0, 0.0]), 0, np.array([8.0, 0.0]), 0).tolist() == []
-    # same edge but behind: full ccw lap
-    out = vertices_between(SQUARE, np.array([8.0, 0.0]), 0, np.array([2.0, 0.0]), 0)
-    assert [tuple(p) for p in out] == [(10.0, 0.0), (10.0, 10.0), (0.0, 10.0), (0.0, 0.0)]
-    # a vertex within the snap of an end is that end, not a vertex between
-    out = vertices_between(SQUARE, np.array([5.0, 0.0]), 0, np.array([10.0, 1e-7]), 1)
-    assert out.tolist() == []
 
 
 def test_nearest_boundary_point_and_distance():
