@@ -346,13 +346,14 @@ class GpModel:
         """Log marginal likelihood of the data with its hyper gradient.
 
         Factors K_y afresh, without the jitter an append may have added;
-        raises FactorizationError when that factorization fails.
+        raises FactorizationError when that factorization fails, and
+        ConfigError when two soundings lie too far apart for it.
         """
         st = self._state
         if st.n == 0:
             raise EmptyModelError("log marginal likelihood requires observations")
         try:
-            value, grad = _lml_and_grad(st.hypers, st.y_centered, cdist(st.X, st.X, "sqeuclidean"))
+            value, grad = _lml_and_grad(st.hypers, st.y_centered, _squared_distances(st.X))
         except np.linalg.LinAlgError as exc:
             raise FactorizationError(f"covariance not positive definite: {exc}") from exc
         return LmlReport(value, grad, st.hypers, st.n)
@@ -367,6 +368,8 @@ class GpModel:
         column that is not positive definite gets one jitter retry,
         1e-10 * sigma_f2 on its new diagonal; if that also fails the
         whole batch is rejected with FactorizationError and the model is
+        unchanged. Depths so large that the model's weights (alpha)
+        overflow are rejected whole with ConfigError, the model
         unchanged.
         """
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -377,8 +380,11 @@ class GpModel:
             raise ConfigError("append rejects non-finite observations")
         if len(ys) == 0:
             return
-        with self._lock:
-            self._state = _extended(self._state, xs, ys)
+        with self._lock, np.errstate(over="ignore", invalid="ignore"):
+            st = _extended(self._state, xs, ys)
+            if not (math.isfinite(st.y_mean) and np.isfinite(st.alpha).all()):
+                raise ConfigError("depths too large to model: the model's weights overflow")
+            self._state = st
 
     def set_hypers(self, hypers: HyperParams) -> None:
         """Swap hyper-parameters, refactoring K_y from scratch."""
@@ -404,7 +410,8 @@ class GpModel:
         A checkpoint without the subtract_mean column, as written before
         the column existed, comes back centred: missions and `gp-fit`
         saved centred models. Depths so large that the model's weights
-        overflow are refused, as every other bad file is, with ConfigError.
+        overflow are refused by `append`, as every other bad file is, with
+        ConfigError.
         """
         rows = files.read_rows(path)
         heads = (_CHECKPOINT_COLUMNS, _CHECKPOINT_COLUMNS[:3])
@@ -418,8 +425,6 @@ class GpModel:
         if len(rows) > 3:
             data = np.array([files.numbers(path, row, 3) for row in rows[3:]])
             model.append(data[:, :2], data[:, 2])
-            if not np.isfinite(model.alpha).all():
-                raise ConfigError(f"{path}: depths too large to model, its weights overflow")
         return model
 
 
@@ -512,6 +517,18 @@ class _UnitFactor(NamedTuple):
         yc^T K_y^-1 yc = q / sigma_f2 and log |K_y| = n log sigma_f2 + logdet."""
         n = self.n
         return -0.5 * self.q / sigma_f2 - 0.5 * (n * math.log(sigma_f2) + self.logdet) - 0.5 * n * LOG_2PI
+
+
+def _squared_distances(x: np.ndarray) -> np.ndarray:
+    """Pairwise squared distances of the inputs, for the likelihood.
+
+    Raises ConfigError when one overflows: the length-scale gradient
+    would read 0 * inf there.
+    """
+    d2 = cdist(x, x, "sqeuclidean")
+    if not np.isfinite(d2).all():
+        raise ConfigError("soundings too far apart to fit: their squared distance overflows")
+    return d2
 
 
 def _unit_factor(lam: float, ell: float, yc: np.ndarray, d2: np.ndarray) -> _UnitFactor:
@@ -632,7 +649,8 @@ def optimize_hypers(model, max_iter: int = 60) -> HyperFit:
     the model; apply the result with model.set_hypers(fit.hypers).
     Returns the best point evaluated, so the fitted likelihood is never
     below the starting one. Non-convergence degrades to a warning with
-    converged=False rather than an error.
+    converged=False rather than an error; soundings whose squared
+    distance overflows raise ConfigError.
 
     The likelihood has a pure-noise local optimum (tiny signal variance,
     arbitrary length scale) that can trap a warm start when early data
@@ -653,7 +671,7 @@ def optimize_hypers(model, max_iter: int = 60) -> HyperFit:
     n = st.n
     x = st.X.copy()
     yc = st.y_centered.copy()
-    d2 = cdist(x, x, "sqeuclidean")
+    d2 = _squared_distances(x)
     best = {"lml": -np.inf, "theta": None, "evals": 0}
 
     def objective(log_x):

@@ -1,12 +1,14 @@
 """Synthetic seafloor, kinematic vessel, and the full survey mission.
 
 The mission loop is single threaded and fully deterministic for a fixed
-seed and configuration: sonar noise is the only stochastic input, hyper
-refits run inline against the model snapshot at the scheduled tick and
-their result is applied at the next tick boundary, and planning happens
-once, between two ticks, when the traced contour closes. Scheduled
-refits run only while the follower steers by the model; those that fall
-due during coverage collapse into one refit at mission end.
+seed and configuration: sonar noise is the only stochastic input, each
+hyper fit runs inline at its scheduled tick and applies in that tick,
+and planning happens once, between two ticks, when the traced contour
+closes. Scheduled refits run only while the follower steers by the
+model; those that fall due during coverage collapse into one refit at
+mission end. From closure on, the trace's z_predicted reads the model
+as it stood at closure, so on coverage rows it checks the traced model
+against water it had not sounded.
 """
 
 from __future__ import annotations
@@ -452,18 +454,23 @@ def run_mission(cfg: MissionConfig, field, poly: Polygon) -> MissionLog:
     closes, trace simplification and coverage planning between two
     ticks, then waypoint following to the end of the plan. Hypers are
     fitted at init end, then refitted at init end plus multiples of the
-    refit period while the follower steers by the model, each refit on
-    the then-current data and applied at the next tick. Refits that fall
-    due after the loop closes would steer nothing, so they are replaced
-    by one refit on all the data once the plan is done, applied to the
-    delivered model and logged as the last hyper_history row; a mission
-    with no refit due after the loop closes gets none. Any survey
-    error ends the mission with the partial log and the reason recorded
-    (an aborted mission keeps the hypers it had).
+    refit period while the follower steers by the model; each fit runs
+    on the then-current data, is logged in hyper_history and applies at
+    once. Refits that fall due after the loop closes would steer
+    nothing, so they are replaced by one refit on all the data once the
+    plan is done, which the delivered model carries as the last
+    hyper_history row; a mission with no refit due after the loop
+    closes gets none. Every sounding goes to log.measurements and to
+    the delivered log.model. A trace row's z_predicted is the model's
+    mean at the vessel; from closure on it reads the model as it stood
+    at closure, so on coverage rows it is a prediction on water that
+    model had not sounded. Any survey error ends the mission with the
+    partial log and the reason recorded; the delivered model then holds
+    every sounding taken and the hypers of the last fit.
     """
     start = np.asarray(cfg.start, dtype=float)
     if not point_in_polygon(start, poly):
-        raise GeometryError(f"mission start {tuple(start)} lies outside the survey polygon")
+        raise GeometryError(f"mission start {cfg.start} lies outside the survey polygon")
     x_lo, y_lo, x_hi, y_hi = poly.bounds
     margin = cfg.search_radius + cfg.init_radius
     validate_field(field, ((x_lo - margin, y_lo - margin), (x_hi + margin, y_hi + margin)))
@@ -475,6 +482,13 @@ def run_mission(cfg: MissionConfig, field, poly: Polygon) -> MissionLog:
     # back into its own wake
     model = GpModel(subtract_mean=True)
     log.model = model
+    traced_model = model  # what z_predicted reads: frozen at closure
+
+    def refit(**options) -> None:
+        """Fit the hypers on the data so far, log the fit and apply it."""
+        fit = optimize_hypers(model, **options)
+        log.hyper_history.append((t, fit.hypers, fit.lml, fit.converged, model.n))
+        model.set_hypers(fit.hypers)
 
     dt = 1.0 / cfg.control_rate
     eps_t = 1e-9 * dt
@@ -484,7 +498,6 @@ def run_mission(cfg: MissionConfig, field, poly: Polygon) -> MissionLog:
     state = VesselState(Pose(start[0], start[1], 0.0), cfg.speed, 0.0)
     follower: ContourFollower | None = None
     phase = "init"
-    pending_hypers = None
     next_refit = cfg.init_duration
     final_refit = False
     next_sonar = 0.0
@@ -497,9 +510,6 @@ def run_mission(cfg: MissionConfig, field, poly: Polygon) -> MissionLog:
             t = state.clock
             if t > cfg.max_sim_time + eps_t:
                 raise MissionAbort(f"mission exceeded max_sim_time={cfg.max_sim_time} s in phase {phase}")
-            if pending_hypers is not None:
-                model.set_hypers(pending_hypers)
-                pending_hypers = None
 
             pose = state.pose
             pos = pose.position
@@ -512,9 +522,7 @@ def run_mission(cfg: MissionConfig, field, poly: Polygon) -> MissionLog:
                 z_last = z
 
             if phase == "init" and t >= cfg.init_duration - eps_t:
-                fit = optimize_hypers(model)
-                log.hyper_history.append((t, fit.hypers, fit.lml, fit.converged, model.n))
-                model.set_hypers(fit.hypers)
+                refit()
                 next_refit = cfg.init_duration + cfg.refit_period
                 follower = ContourFollower(cfg, poly, model, initial_heading=pose.psi)
                 phase = "contour"
@@ -538,6 +546,7 @@ def run_mission(cfg: MissionConfig, field, poly: Polygon) -> MissionLog:
                     waypoints = log.plan.waypoints
                     wp_i = 0
                     phase = "coverage"
+                    traced_model = model.snapshot()
             else:  # coverage
                 mode = "coverage"
                 found = True
@@ -549,7 +558,7 @@ def run_mission(cfg: MissionConfig, field, poly: Polygon) -> MissionLog:
                 else:
                     psi_d = bearing_between(pos, waypoints[wp_i])
 
-            z_pred = float(model.predict_mean(pos)[0]) if model.n else math.nan
+            z_pred = float(traced_model.predict_mean(pos)[0]) if traced_model.n else math.nan
             log.trace.append((t, float(pos[0]), float(pos[1]), pose.psi, mode, z, z_pred, found))
 
             if phase == "done":
@@ -559,9 +568,7 @@ def run_mission(cfg: MissionConfig, field, poly: Polygon) -> MissionLog:
                 if phase == "contour":
                     # warm-started from the current hypers; capped iterations keep
                     # the O(n^3)-per-evaluation refit cost bounded as data grows
-                    fit = optimize_hypers(model, max_iter=25)
-                    log.hyper_history.append((t, fit.hypers, fit.lml, fit.converged, model.n))
-                    pending_hypers = fit.hypers
+                    refit(max_iter=25)
                 else:
                     # coverage follows fixed waypoints, so no refit there steers
                     # the vessel; one fit at mission end stands in for them all
@@ -571,9 +578,7 @@ def run_mission(cfg: MissionConfig, field, poly: Polygon) -> MissionLog:
             state = step_vessel(state, psi_d, dt, cfg.max_turn_rate)
 
         if final_refit:
-            fit = optimize_hypers(model, max_iter=25)
-            log.hyper_history.append((t, fit.hypers, fit.lml, fit.converged, model.n))
-            model.set_hypers(fit.hypers)
+            refit(max_iter=25)
     except MissionAbort as exc:
         log.aborted = str(exc)
     except SurveyError as exc:

@@ -9,12 +9,12 @@ SEPARATORS = [" ", "\t", ";", ",,", ", ", "|"]
 
 
 @st.composite
-def mutated_lines(draw, rows):
-    """The text of the rows, one comma-separated line each, with one
-    defect: a token replaced, a row dropped or duplicated, or the
-    separators of one line or of all lines swapped."""
+def mutated_lines(draw, rows, sep=","):
+    """The text of the rows, one line each with its tokens joined by sep,
+    with one defect: a token replaced, a row dropped or duplicated, or
+    the separators of one line or of all lines swapped."""
     lines = [list(row) for row in rows]
-    seps = [","] * len(lines)
+    seps = [sep] * len(lines)
     kind = draw(st.sampled_from(["token", "drop", "duplicate", "separator"]))
     i = draw(st.integers(0, len(lines) - 1))
     if kind == "token":
@@ -24,8 +24,8 @@ def mutated_lines(draw, rows):
         del lines[i], seps[i]
     elif kind == "duplicate":
         lines.insert(i, list(lines[i]))
-        seps.insert(i, ",")
+        seps.insert(i, sep)
     else:
-        sep = draw(st.sampled_from(SEPARATORS))
-        seps = [sep] * len(lines) if draw(st.booleans()) else seps[:i] + [sep] + seps[i + 1 :]
+        swapped = draw(st.sampled_from(SEPARATORS))
+        seps = [swapped] * len(lines) if draw(st.booleans()) else seps[:i] + [swapped] + seps[i + 1 :]
     return "".join(sep.join(row) + "\n" for sep, row in zip(seps, lines))

@@ -7,9 +7,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mutations
 from bathysurvey import cli
 from bathysurvey.cli import main
+from bathysurvey.errors import ConfigError
 
 SQUARE_TXT = "0,0\n60,0\n60,60\n0,60\n"
 
@@ -231,6 +235,39 @@ def test_gp_fit_reads_a_first_row_in_exponent_form(tmp_path, capsys):
     data.write_text("1e-3,0,5.0\n10,0,5.2\n0,10,4.9\n10,10,5.1\n")
     assert main(["gp-fit", str(data), "--out", str(tmp_path / "fit")]) == 0
     assert "fitted 4 points" in capsys.readouterr().out
+
+
+#: valid sounding files, without and with the time column
+POINT_FILES = [
+    [["x", "y", "depth"], ["0", "0", "5.0"], ["10", "0", "5.2"], ["0", "10", "4.9"], ["10", "10", "5.1"]],
+    [["t", "x", "y", "depth"], ["0", "0", "0", "5.0"], ["1", "10", "0", "5.2"], ["2", "0", "10", "4.9"], ["3", "10", "10", "5.1"]],
+]
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(POINT_FILES).flatmap(mutations.mutated_lines))
+def test_mutated_points_load_or_exit_2(tmp_path_factory, text):
+    """A sounding file with one defect loads as m points and m depths or
+    raises ConfigError, and `bathysurvey gp-fit` on it exits 0 or 2."""
+    base = tmp_path_factory.mktemp("points")
+    path = base / "soundings.csv"
+    path.write_text(text)
+    try:
+        xy, depth = cli._load_points(path)
+    except ConfigError:
+        pass
+    else:
+        assert xy.shape == (len(depth), 2) and len(depth) >= 1
+    assert main(["gp-fit", str(path), "--out", str(base / "fit")]) in (0, 2)
+
+
+def test_gp_fit_of_a_point_too_far_away_exits_2(tmp_path, capsys):
+    # it fitted: the length-scale gradient was NaN, so the fit stopped
+    # early at its start and exit 0 wrote that as the fitted model
+    data = tmp_path / "soundings.csv"
+    data.write_text("x,y,depth\n1e308,0,5.0\n10,0,5.2\n0,10,4.9\n10,10,5.1\n")
+    assert main(["gp-fit", str(data), "--out", str(tmp_path / "fit")]) == 2
+    assert "too far apart" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["run", "plan", "gp-fit"])

@@ -1,6 +1,7 @@
 """GP engine against independent linear-algebra oracles."""
 
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -581,6 +582,43 @@ def test_checkpoint_with_overflowing_weights_is_refused(tmp_path):
     path.write_text("sigma_f2,sigma_n2,length_scale,subtract_mean\n2.0,0.01,8.0,1\nx,y,depth\n1,2,1e308\n3.5,2,5.5\n")
     with pytest.raises(ConfigError, match="depths too large to model"):
         GpModel.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("subtract_mean", [False, True])
+def test_append_refuses_depths_whose_weights_overflow(subtract_mean):
+    # three soundings near 1e308 on a fresh model left alpha non-finite
+    # without an error, and every prediction NaN
+    far = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    huge = np.array([1e308, -1e308, 1.5e308])
+    q = np.array([[1.0, 1.0], [20.0, 1.0]])
+    model = GpModel(H, subtract_mean=subtract_mean)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="weights overflow"):
+            model.append(far, huge)
+        assert model.n == 0
+        model.append(np.array([[3.0, 4.0], [20.0, 0.0]]), np.array([2.0, 1.0]))
+        l0, mean0 = model.L.copy(), model.predict_mean(q)
+        with pytest.raises(ConfigError, match="weights overflow"):
+            model.append(far, huge)
+    assert model.n == 2
+    assert np.array_equal(model.L, l0)
+    assert np.array_equal(model.predict_mean(q), mean0)
+
+
+def test_a_fit_refuses_soundings_whose_squared_distance_overflows():
+    # a point 1e200 m off gave every other point an infinite squared
+    # distance, so the length-scale gradient read 0 * inf = NaN and the
+    # fit stopped early at its start
+    model = GpModel(H, subtract_mean=True)
+    model.append(np.array([[0.0, 0.0], [5.0, 0.0], [1e200, 0.0]]), np.array([4.0, 5.0, 4.5]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="too far apart"):
+            optimize_hypers(model)
+        with pytest.raises(ConfigError, match="too far apart"):
+            model.log_marginal_likelihood()
+    assert model.predict_mean(np.array([[1e200, 0.0]]))[0] == pytest.approx(4.5, abs=0.2)
 
 
 def test_op_count_model():

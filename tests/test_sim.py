@@ -397,6 +397,45 @@ def test_mutated_grid_loads_or_raises_config_error(tmp_path_factory, text):
         pass
 
 
+#: a valid scenario: the sloped plane with one mound over a 60 m square,
+#: one 'key=value' per line
+SCENARIO_LINES = [
+    ["[mission]"],
+    ["target_depth", "4.5"],
+    ["track_spacing", "8.0"],
+    ["start", "30, 48"],
+    ["init_duration", "3.0"],
+    ["noise_std", "0.01"],
+    ["seed", "3"],
+    ["max_sim_time", "5.0"],
+    ["[field]"],
+    ["kind", "gaussian_sum"],
+    ["offset", "7.0"],
+    ["gradient_y", "-0.08"],
+    ["bumps", "30 20 1 5"],
+    ["[polygon]"],
+    ["file", "square.txt"],
+]
+
+
+@settings(max_examples=120)
+@given(mutations.mutated_lines(SCENARIO_LINES, sep="="))
+def test_mutated_scenario_loads_or_exits_with_a_typed_error(tmp_path_factory, text):
+    """A scenario with one defect loads or raises ConfigError or
+    GeometryError, and `bathysurvey run` on it, held to 5 s of mission,
+    exits with the code of a typed error or of the time limit."""
+    base = tmp_path_factory.mktemp("scenario")
+    (base / "square.txt").write_text("0,0\n60,0\n60,60\n0,60\n")
+    path = base / "scenario.ini"
+    path.write_text(text)
+    try:
+        load_scenario(path)
+    except (ConfigError, GeometryError):
+        pass
+    code = main(["run", "--scenario", str(path), "--set", "max_sim_time=5", "--out", str(base / "run")])
+    assert code in (2, 3, 5)
+
+
 @pytest.mark.parametrize("header", ["0,0,nan,1", "nan,0,1,1", "0,inf,1,1", "0,0,1,-inf"])
 def test_grid_field_rejects_a_non_finite_header(tmp_path, header):
     path = tmp_path / "grid.csv"
@@ -423,7 +462,8 @@ def test_mission_timeout_returns_partial_log():
 
 def test_mission_start_outside_polygon():
     cfg = MissionConfig(start=(-10.0, -10.0))
-    with pytest.raises(GeometryError):
+    # the message named the start as (np.float64(-10.0), np.float64(-10.0))
+    with pytest.raises(GeometryError, match=r"mission start \(-10\.0, -10\.0\) lies outside"):
         run_mission(cfg, GaussianSumField(offset=5.0), SQUARE)
 
 
@@ -471,6 +511,28 @@ def test_saved_mission_model_reloads_as_the_mission_model(tmp_path, canonical_ru
     assert np.abs(clone.predict_mean(q) - log.model.predict_mean(q)).max() < 1e-6
 
 
+#: a mission on a sloped plane whose deep region is the south half: its
+#: refits fall at t = 40, 100 and 160 s, and its loop closes at t = 217 s
+PLANE_FIELD = GaussianSumField(offset=7.0, gradient_y=-1.0 / 12.0)
+PLANE_MISSION = MissionConfig(
+    target_depth=4.5,
+    search_radius=5.0,
+    track_spacing=8.0,
+    start=(30.0, 48.0),
+    refit_period=60.0,
+    init_duration=40.0,
+    noise_std=0.01,
+    seed=3,
+    max_sim_time=1500.0,
+)
+
+
+def _plane_mission_until(max_sim_time: float):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return run_mission(replace(PLANE_MISSION, max_sim_time=max_sim_time), PLANE_FIELD, SQUARE)
+
+
 def test_plane_mission_tracks_and_walls():
     """Full mission on a sloped plane: the deep region is the south half.
 
@@ -479,21 +541,8 @@ def test_plane_mission_tracks_and_walls():
     intersection. Steady contour tracking must hold the depth error
     within gradient * search_radius once captured.
     """
-    field = GaussianSumField(offset=7.0, gradient_y=-1.0 / 12.0)
-    cfg = MissionConfig(
-        target_depth=4.5,
-        search_radius=5.0,
-        track_spacing=8.0,
-        start=(30.0, 48.0),
-        refit_period=60.0,
-        init_duration=40.0,
-        noise_std=0.01,
-        seed=3,
-        max_sim_time=1500.0,
-    )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        log = run_mission(cfg, field, SQUARE)
+    field, cfg = PLANE_FIELD, PLANE_MISSION
+    log = _plane_mission_until(cfg.max_sim_time)
 
     assert log.aborted is None
     assert log.closed
@@ -543,6 +592,50 @@ def test_refits_stop_when_the_loop_closes(canonical_run):
     assert t == log.trace[-1][0]
     assert n == len(log.measurements)
     assert log.model.hypers == hypers
+
+    # coverage rows predict from the model as the loop closed: its last
+    # steering hypers and the soundings up to closure, not those of the
+    # water being surveyed
+    traced = GpModel(steering[-1][1], subtract_mean=True)
+    sounded = np.array([m for m in log.measurements if m[0] <= closure_t])
+    traced.append(sounded[:, 1:3], sounded[:, 3])
+    coverage = np.array([(x, y, zp) for _, x, y, _, mode, _, zp, _ in log.trace if mode == "coverage"])
+    assert len(coverage) > 100
+    assert np.abs(coverage[:, 2] - traced.predict_mean(coverage[:, :2])).max() < 1e-6
+
+
+def test_a_mission_aborted_in_coverage_delivers_every_sounding():
+    log = _plane_mission_until(222.0)
+    assert "in phase coverage" in log.aborted
+    assert sum(row[4] == "coverage" for row in log.trace) == 5
+    assert log.model.n == len(log.measurements) == len(log.trace)
+    assert np.array_equal(log.model.train_y, [m[3] for m in log.measurements])
+    # the refit due at t = 220 waits for a mission end that never comes
+    assert [row[0] for row in log.hyper_history] == [40.0, 100.0, 160.0]
+    assert log.model.hypers == log.hyper_history[-1][1]
+
+
+def test_a_refit_applies_in_the_tick_that_logs_it():
+    # the t = 100 refit's hypers waited for the next tick, where the time
+    # limit aborted first: hypers.csv named hypers the model never had
+    log = _plane_mission_until(100.0)
+    assert "max_sim_time" in log.aborted
+    assert [row[0] for row in log.hyper_history] == [40.0, 100.0]
+    assert log.model.hypers == log.hyper_history[-1][1]
+
+
+def test_sonar_noise_that_overflows_the_model_aborts_the_mission_at_once():
+    # soundings near 1e308 left the model's weights inf: z_predicted read
+    # NaN from the second tick, and the mission ran on until a sounding
+    # itself overflowed
+    cfg, field, poly = canonical_scenario()
+    cfg = apply_overrides(cfg, {"noise_std": "1e308", "max_sim_time": "30"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log = run_mission(cfg, field, poly)
+    assert "weights overflow" in log.aborted
+    assert len(log.trace) == log.model.n == len(log.measurements) == 1
+    assert math.isfinite(log.trace[0][6])
 
 
 def test_refit_period_past_mission_end_keeps_init_fit_only():
