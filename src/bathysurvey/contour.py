@@ -5,9 +5,10 @@ state machine: Contour mode searches an arc of candidate headings for
 the one whose predicted depth best matches the target; Boundary mode
 walks the survey polygon's edges when the contour leaves the region,
 rejoining the contour once the water ahead turns shallower than the
-target. Every visited position after first contact is appended to the
-traced boundary, and the trace is complete when it re-approaches its
-own early points.
+target and Contour mode's own waypoint lies inside the polygon. Every
+visited position after first contact is appended to the traced
+boundary, and the trace is complete when it re-approaches its own early
+points.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import numpy as np
 from .geometry import (
     Arc,
     Polygon,
-    arc_within_polygon,
     bearing_between,
     bearing_to_unit,
     crossed_edge,
@@ -31,6 +31,7 @@ from .geometry import (
     next_edge,
     normalize_bearing,
     point_in_polygon,
+    points_in_polygon,
 )
 
 #: fixed number of arc subdivisions searched per tick
@@ -96,6 +97,13 @@ def solve_arc_heading(model, target_depth, heading, position, radius, psi_start,
 
     Returns the winning Cartesian waypoint at `radius`.
     """
+    psi, _ = _ranked_arc(model, target_depth, heading, position, radius, psi_start, psi_end)
+    return np.asarray(position, dtype=float) + radius * bearing_to_unit(float(psi[0]))
+
+
+def _ranked_arc(model, target_depth, heading, position, radius, psi_start, psi_end) -> tuple:
+    """The candidate bearings of solve_arc_heading's arc and their depth
+    errors, best first in its ranking."""
     arc = Arc((float(position[0]), float(position[1])), float(radius), float(psi_start), float(psi_end))
     psi = arc.bearings(ARC_SPLITS)
     depths = np.asarray(model.predict_mean(arc.points(ARC_SPLITS)))
@@ -112,8 +120,8 @@ def solve_arc_heading(model, target_depth, heading, position, radius, psi_start,
         cand_z[crossing] = target_depth
     z_err = np.abs(cand_z - target_depth)
     psi_err = np.abs([normalize_bearing(p - heading) for p in cand_psi])
-    best = np.lexsort((psi_err, z_err))[0]
-    return np.asarray(position, dtype=float) + radius * bearing_to_unit(float(cand_psi[best]))
+    order = np.lexsort((psi_err, z_err))
+    return cand_psi[order], z_err[order]
 
 
 def closure_index(trace, position, loop_buffer: int, closure_radius: float) -> int | None:
@@ -167,16 +175,8 @@ class ContourFollower:
         st.heading_ema = ema_heading(st.heading_ema, pose.psi, dt, cfg.ema_half_life)
 
         if st.mode is Mode.CONTOUR:
-            waypoint = solve_arc_heading(
-                self.model,
-                cfg.target_depth,
-                st.heading_ema,
-                pos,
-                cfg.search_radius,
-                st.heading_ema - cfg.arc_half_width,
-                st.heading_ema + cfg.arc_half_width,
-            )
-            if not point_in_polygon(waypoint, poly):
+            waypoint, inside = self._contour_waypoint(pos)
+            if not inside:
                 st.mode = Mode.BOUNDARY
                 st.edge = crossed_edge(poly, pos, waypoint)
                 if st.direction is None:
@@ -188,12 +188,11 @@ class ContourFollower:
                 st.edge = next_edge(poly, st.edge, st.direction)
                 waypoint = edge_vertex_ahead(poly, st.edge, st.direction)
             ahead_depth = float(self.model.predict_mean(waypoint)[0])
-            if ahead_depth < cfg.target_depth:  # shallower ahead: contour re-enters the region
-                st.mode = Mode.CONTOUR
-                psi_s, psi_e = arc_within_polygon(pos, poly, cfg.search_radius)
-                waypoint = solve_arc_heading(
-                    self.model, cfg.target_depth, st.heading_ema, pos, cfg.search_radius, psi_s, psi_e
-                )
+            if ahead_depth < cfg.target_depth:  # shallower ahead: the contour may re-enter the region
+                arc_waypoint, inside = self._contour_waypoint(pos)
+                if inside:  # else the next arc search would leave the polygon again
+                    st.mode = Mode.CONTOUR
+                    waypoint = arc_waypoint
 
         if not st.found_contour and (
             st.mode is Mode.BOUNDARY or abs(z_measured - cfg.target_depth) < cfg.depth_tolerance
@@ -202,6 +201,31 @@ class ContourFollower:
         if st.found_contour:
             st.trace.append(pos.copy())
         return bearing_between(pos, waypoint)
+
+    def _contour_waypoint(self, pos) -> tuple:
+        """Contour mode's waypoint from `pos`, and whether it lies inside
+        the polygon.
+
+        The waypoint is the arc search's winner over the heading EMA
+        +- arc_half_width. A winner outside yields to the first candidate
+        inside among those tied with it on depth error, in heading order;
+        when none is inside, the outside winner is returned.
+        """
+        cfg, poly = self.cfg, self.poly
+        heading, radius = self.state.heading_ema, cfg.search_radius
+        psi, z_err = _ranked_arc(
+            self.model, cfg.target_depth, heading, pos, radius, heading - cfg.arc_half_width, heading + cfg.arc_half_width
+        )
+        winner = np.asarray(pos, dtype=float) + radius * bearing_to_unit(float(psi[0]))
+        if point_in_polygon(winner, poly):
+            return winner, True
+        tied = psi[1:][z_err[1:] == z_err[0]]
+        if len(tied):
+            pts = pos + radius * np.column_stack([np.sin(tied), np.cos(tied)])
+            inside = np.flatnonzero(points_in_polygon(pts, poly))
+            if len(inside):
+                return pts[inside[0]], True
+        return winner, False
 
     def _pick_direction(self, edge: int) -> int:
         # head toward whichever edge endpoint sits over deeper predicted water

@@ -295,59 +295,6 @@ def edge_vertex_ahead(poly: Polygon, edge: int, direction: int) -> np.ndarray:
     return v[(edge + 1) % n] if direction == 1 else v[edge % n]
 
 
-def arc_within_polygon(p, poly: Polygon, radius: float) -> tuple:
-    """Maximal bearing interval whose radius-r points around p stay inside poly.
-
-    Returns (psi_start, psi_end) with the arc swept clockwise from start
-    to end. A fully inside circle gives the full span centered due north,
-    (-pi, pi). Raises GeometryError if no bearing stays inside.
-    """
-    p = np.asarray(p, dtype=float)
-    if radius <= 0.0:
-        raise GeometryError(f"radius must be positive, got {radius}")
-    hits = []
-    for a, b in zip(poly.vertices, poly._edge_ends):
-        e = b - a
-        w = a - p
-        qa = float(e @ e)
-        qb = 2.0 * float(w @ e)
-        qc = float(w @ w) - radius * radius
-        disc = qb * qb - 4.0 * qa * qc
-        if disc < 0.0 or qa <= 0.0:
-            continue
-        root = math.sqrt(disc)
-        for t in ((-qb - root) / (2 * qa), (-qb + root) / (2 * qa)):
-            if -1e-12 <= t <= 1.0 + 1e-12:
-                q = a + t * e
-                hits.append(math.atan2(q[0] - p[0], q[1] - p[1]))
-    if not hits:
-        if point_in_polygon(p + radius * np.array([0.0, 1.0]), poly):
-            return (-math.pi, math.pi)
-        raise GeometryError(f"no bearing at radius {radius} from {tuple(p)} stays inside the polygon")
-    bearings = np.array(sorted(normalize_bearing(h) for h in hits))
-    m = len(bearings)
-    spans = np.diff(np.append(bearings, bearings[0] + TWO_PI))
-    mid = bearings + 0.5 * spans
-    inside = points_in_polygon(p + radius * np.column_stack([np.sin(mid), np.cos(mid)]), poly)
-    if not inside.any():
-        raise GeometryError(f"no bearing at radius {radius} from {tuple(p)} stays inside the polygon")
-    if inside.all():
-        return (-math.pi, math.pi)
-    # longest circular run of inside gaps
-    best_span, best_start = -1.0, 0
-    for i in range(m):
-        if inside[i] and not inside[i - 1]:
-            j, total = i, 0.0
-            while inside[j % m]:
-                total += spans[j % m]
-                j += 1
-            if total > best_span:
-                best_span, best_start = total, i
-    start = float(bearings[best_start])
-    end = normalize_bearing(start + best_span)
-    return (start, end)
-
-
 def segment_in_polygon(p, q, poly: Polygon) -> bool:
     """True if the straight segment p->q stays inside poly (see segments_in_polygon)."""
     return bool(segments_in_polygon(p, q, poly)[0])

@@ -110,16 +110,28 @@ def _follower(model, **kw):
 
 
 def test_contour_to_boundary_transition():
-    # flat field ties to the east heading; the waypoint leaves through the
-    # east edge, so one step latches boundary mode aimed at a vertex
-    fol = _follower(FLAT)
+    # deep east, z=3 at x=10.5: every target crossing on the arc lies past
+    # the east edge, so one step latches boundary mode aimed at a vertex
+    fol = _follower(StubModel(lambda p: p[0] - 7.5))
     psi_d = fol.step(Pose(9.0, 5.0, math.pi / 2), 3.0, 1.0)
     st = fol.state
     assert st.mode is Mode.BOUNDARY
     assert st.edge == 1
-    assert st.direction == 1  # flat depths tie toward counter-clockwise
+    assert st.direction == 1  # both ends of the east edge read alike: counter-clockwise
     assert st.found_contour
     assert psi_d == pytest.approx(bearing_between((9.0, 5.0), (10.0, 10.0)))
+
+
+def test_an_outside_winner_yields_to_a_tied_candidate_inside():
+    # flat field: every candidate ties on depth error, and the east winner
+    # leaves the polygon, so the tied candidate nearest east inside it wins
+    fol = _follower(FLAT)
+    psi_d = fol.step(Pose(9.0, 5.0, math.pi / 2), 3.0, 1.0)
+    assert fol.state.mode is Mode.CONTOUR
+    wp = np.array([9.0, 5.0]) + 2.0 * np.array([math.sin(psi_d), math.cos(psi_d)])
+    assert point_in_polygon(wp, SQUARE)
+    step = math.pi / 50  # one arc subdivision
+    assert abs(abs(psi_d - math.pi / 2) - math.acos(0.5)) < step
 
 
 def test_boundary_to_contour_on_shallow_vertex():
@@ -142,6 +154,22 @@ def test_boundary_to_contour_on_shallow_vertex():
     assert fol2.state.mode is Mode.CONTOUR
     wp = np.array([2.0, 1.0]) + 2.0 * np.array([math.sin(psi_d), math.cos(psi_d)])
     assert point_in_polygon(wp, SQUARE)
+
+
+def test_boundary_holds_while_the_contour_waypoint_lies_outside():
+    # the vertex ahead, (10, 0), reads shallow, but the target crossing
+    # runs along y = -0.5, south of the south edge: the arc search from
+    # (2, 0.5) would leave the polygon again, so the edge walk goes on
+    fol = _follower(StubModel(lambda p: 2.5 - p[1]))
+    fol.state.mode = Mode.BOUNDARY
+    fol.state.direction = 1
+    fol.state.edge = 0
+    fol.state.found_contour = True
+    for x in (2.0, 3.0, 4.0):
+        psi_d = fol.step(Pose(x, 0.5, math.pi / 2), 2.0, 1.0)
+        assert fol.state.mode is Mode.BOUNDARY
+        assert fol.state.edge == 0
+        assert psi_d == pytest.approx(bearing_between((x, 0.5), (10.0, 0.0)))
 
 
 def test_boundary_advances_past_near_vertex():

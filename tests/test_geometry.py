@@ -14,7 +14,6 @@ from bathysurvey.errors import ConfigError, GeometryError
 from bathysurvey.geometry import (
     Arc,
     Polygon,
-    arc_within_polygon,
     bearing_between,
     bearing_to_unit,
     crossed_edge,
@@ -250,24 +249,6 @@ def test_nearest_boundary_points_match_one_point_at_a_time(monkeypatch):
             k = int(np.argmin(gaps))
             assert c.tobytes() == on_edges[k].tobytes() and d == gaps[k]
     assert [a.shape for a in nearest_boundary_points(np.empty((0, 2)), SQUARE)] == [(0, 2), (0,)]
-
-
-def test_arc_within_polygon_bounds():
-    # deep interior: full circle
-    psi_s, psi_e = arc_within_polygon((5.0, 5.0), SQUARE, 2.0)
-    assert (psi_s, psi_e) == pytest.approx((-math.pi, math.pi))
-    # near the west edge: arc must exclude westward bearings
-    psi_s, psi_e = arc_within_polygon((1.0, 5.0), SQUARE, 3.0)
-    arc = Arc((1.0, 5.0), 3.0, psi_s, psi_e)
-    pts = arc.points(50)
-    assert points_in_polygon(pts, SQUARE).all()
-    assert arc.span < 2 * math.pi
-    # and the excluded complement actually leaves the polygon
-    comp = Arc((1.0, 5.0), 3.0, psi_e, psi_s)
-    mid = comp.points(2)[1]
-    assert not point_in_polygon(mid, SQUARE, tol=1e-9)
-    with pytest.raises(GeometryError):
-        arc_within_polygon((5.0, 5.0), SQUARE, 50.0)
 
 
 def test_segment_in_polygon_sampling():

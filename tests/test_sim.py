@@ -512,7 +512,7 @@ def test_saved_mission_model_reloads_as_the_mission_model(tmp_path, canonical_ru
 
 
 #: a mission on a sloped plane whose deep region is the south half: its
-#: refits fall at t = 40, 100 and 160 s, and its loop closes at t = 217 s
+#: refits fall at t = 40, 100 and 160 s, and its loop closes at t = 215 s
 PLANE_FIELD = GaussianSumField(offset=7.0, gradient_y=-1.0 / 12.0)
 PLANE_MISSION = MissionConfig(
     target_depth=4.5,
@@ -607,7 +607,7 @@ def test_refits_stop_when_the_loop_closes(canonical_run):
 def test_a_mission_aborted_in_coverage_delivers_every_sounding():
     log = _plane_mission_until(222.0)
     assert "in phase coverage" in log.aborted
-    assert sum(row[4] == "coverage" for row in log.trace) == 5
+    assert sum(row[4] == "coverage" for row in log.trace) == 7
     assert log.model.n == len(log.measurements) == len(log.trace)
     assert np.array_equal(log.model.train_y, [m[3] for m in log.measurements])
     # the refit due at t = 220 waits for a mission end that never comes
