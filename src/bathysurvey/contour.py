@@ -111,7 +111,8 @@ def _ranked_arc(model, target_depth, heading, position, radius, psi_start, psi_e
     pa, pb = psi[:-1], psi[1:]
     cand_psi = np.where(np.abs(za - target_depth) <= np.abs(zb - target_depth), pa, pb)
     cand_z = np.where(np.abs(za - target_depth) <= np.abs(zb - target_depth), za, zb)
-    crossing = (za - target_depth) * (zb - target_depth) < 0.0
+    # signs, not the product of the two differences, which can overflow
+    crossing = np.sign(za - target_depth) * np.sign(zb - target_depth) < 0.0
     if crossing.any():
         s = (target_depth - za[crossing]) / (zb[crossing] - za[crossing])
         cand_psi = cand_psi.copy()
@@ -216,7 +217,7 @@ class ContourFollower:
         psi, z_err = _ranked_arc(
             self.model, cfg.target_depth, heading, pos, radius, heading - cfg.arc_half_width, heading + cfg.arc_half_width
         )
-        winner = np.asarray(pos, dtype=float) + radius * bearing_to_unit(float(psi[0]))
+        winner = pos + radius * bearing_to_unit(float(psi[0]))
         if point_in_polygon(winner, poly):
             return winner, True
         tied = psi[1:][z_err[1:] == z_err[0]]

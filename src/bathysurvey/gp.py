@@ -50,6 +50,10 @@ LOG_2PI = math.log(2.0 * math.pi)
 #: factor applied to sigma_f^2 for the one jitter retry on a failed factorization
 JITTER_SCALE = 1e-10
 
+#: rows a freshly factored model leaves free past its n, so that the
+#: appends that follow a refit seldom copy the buffers
+HEADROOM = 256
+
 #: default raw-space box for each hyper-parameter during optimization
 DEFAULT_BOUNDS = ((1e-6, 1e6), (1e-6, 1e6), (1e-6, 1e6))
 
@@ -177,12 +181,12 @@ class _Buffers:
 
     def with_room(self, n: int, need: int) -> "_Buffers":
         """These buffers if `need` rows fit, else a copy of the first n
-        rows with the capacity doubled until they fit."""
+        rows with the capacity grown by half until they fit."""
         if need <= self.cap:
             return self
         new_cap = self.cap
         while new_cap < need:
-            new_cap *= 2
+            new_cap += new_cap // 2
         out = _Buffers(new_cap)
         out.x[:n] = self.x[:n]
         out.y[:n] = self.y[:n]
@@ -387,12 +391,13 @@ class GpModel:
             self._state = st
 
     def set_hypers(self, hypers: HyperParams) -> None:
-        """Swap hyper-parameters, refactoring K_y from scratch."""
+        """Swap hyper-parameters, refactoring K_y from scratch into fresh
+        buffers of n + HEADROOM rows."""
         if not isinstance(hypers, HyperParams):
             hypers = HyperParams.from_array(hypers)
         with self._lock:
             st = self._state
-            empty = GpState(_Buffers(st._bufs.cap), 0, hypers, st.subtract_mean, 0.0)
+            empty = GpState(_Buffers(0), 0, hypers, st.subtract_mean, 0.0)
             self._state = _extended(empty, st.X, st.y) if st.n else empty
 
     # -- persistence -----------------------------------------------------
@@ -453,8 +458,9 @@ def _retried(grow, st: GpState, *obs) -> GpState:
 
 
 def _factored(st: GpState, xs: np.ndarray, ys: np.ndarray, jitter: float) -> GpState:
-    """The empty state `st` with its factor built from scratch:
-    one Cholesky factorization of K_y, packed into the buffers."""
+    """The empty state `st` with its factor built from scratch: one
+    Cholesky factorization of K_y, packed into fresh buffers of
+    m + HEADROOM rows."""
     m, h = len(ys), st.hypers
     k = kernel_matrix(xs, xs, h) + h.sigma_n2 * np.eye(m)
     k.flat[:: m + 1] += jitter
@@ -462,7 +468,7 @@ def _factored(st: GpState, xs: np.ndarray, ys: np.ndarray, jitter: float) -> GpS
         factor = cholesky(k, lower=False, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"covariance not positive definite: {exc}") from exc
-    bufs = st._bufs.with_room(0, m)
+    bufs = _Buffers(m + HEADROOM)
     bufs.x[:m] = xs
     bufs.y[:m] = ys
     bufs.P[: _tri(m)] = dtrttp(factor)[0]

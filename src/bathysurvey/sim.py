@@ -5,7 +5,8 @@ seed and configuration: sonar noise is the only stochastic input, each
 hyper fit runs inline at its scheduled tick and applies in that tick,
 and planning happens once, between two ticks, when the traced contour
 closes. Scheduled refits run only while the follower steers by the
-model; those that fall due during coverage collapse into one refit at
+model, and only once the data have grown by REFIT_GROWTH since the last
+fit; those that fall due during coverage collapse into one refit at
 mission end. From closure on, the trace's z_predicted reads the model
 as it stood at closure, so on coverage rows it checks the traced model
 against water it had not sounded.
@@ -73,11 +74,15 @@ class GaussianSumField:
                 raise ConfigError(f"a bump needs a finite centre and amplitude and a finite width above 0, got {bump!r}")
 
     def depth(self, p) -> np.ndarray:
+        """Depths at points; where the plane overflows they read inf,
+        which validate_field refuses, and a mound whose squared distance
+        overflows adds exp(-inf) = 0, its true share to rounding."""
         p = np.asarray(p, dtype=float)
-        z = self.offset + self.gradient_x * p[..., 0] + self.gradient_y * p[..., 1]
-        for cx, cy, amp, width in self.bumps:
-            d2 = (p[..., 0] - cx) ** 2 + (p[..., 1] - cy) ** 2
-            z = z + amp * np.exp(-d2 / (2.0 * width * width))
+        with np.errstate(over="ignore"):
+            z = self.offset + self.gradient_x * p[..., 0] + self.gradient_y * p[..., 1]
+            for cx, cy, amp, width in self.bumps:
+                d2 = (p[..., 0] - cx) ** 2 + (p[..., 1] - cy) ** 2
+                z = z + amp * np.exp(-d2 / (2.0 * width * width))
         return z
 
     def to_dict(self) -> dict:
@@ -166,8 +171,11 @@ _FIELD_SAMPLES = 40
 
 
 def validate_field(field, bounds) -> None:
-    """Check the field is finite and non-negative over a bounding box."""
+    """Check the field is finite and non-negative over a bounding box,
+    whose corners and sides must be finite themselves."""
     (x_lo, y_lo), (x_hi, y_hi) = bounds
+    if not (math.isfinite(float(x_hi) - float(x_lo)) and math.isfinite(float(y_hi) - float(y_lo))):
+        raise ConfigError(f"mission box ({x_lo:g}, {y_lo:g}) to ({x_hi:g}, {y_hi:g}) is not finite")
     gx, gy = np.meshgrid(np.linspace(x_lo, x_hi, _FIELD_SAMPLES), np.linspace(y_lo, y_hi, _FIELD_SAMPLES))
     z = field.depth(np.stack([gx.ravel(), gy.ravel()], axis=1))
     if not np.all(np.isfinite(z)):
@@ -191,7 +199,7 @@ def step_vessel(state: VesselState, psi_d: float, dt: float, max_turn_rate: floa
 
     With max_turn_rate None or infinite the heading snaps to psi_d, the
     perfect-control case. The position advances speed * dt along the new
-    heading.
+    heading; a position that leaves the float range raises ConfigError.
     """
     if dt <= 0.0:
         raise ConfigError(f"time step must be positive, got {dt}")
@@ -202,8 +210,12 @@ def step_vessel(state: VesselState, psi_d: float, dt: float, max_turn_rate: floa
         step = min(max(err, -max_turn_rate * dt), max_turn_rate * dt)
         psi = normalize_bearing(state.pose.psi + step)
     dist = state.speed * dt
+    x = state.pose.x + dist * math.sin(psi)
+    y = state.pose.y + dist * math.cos(psi)
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ConfigError(f"a step of {dist:g} m from ({state.pose.x:g}, {state.pose.y:g}) leaves the float range")
     return VesselState(
-        pose=Pose(state.pose.x + dist * math.sin(psi), state.pose.y + dist * math.cos(psi), psi),
+        pose=Pose(x, y, psi),
         speed=state.speed,
         clock=state.clock + dt,
     )
@@ -421,6 +433,12 @@ class MissionLog:
 
 # -- mission orchestration -------------------------------------------------
 
+#: a contour refit runs only once the soundings number this many times
+#: those of the last fit: fits then grow geometrically in n, so all of
+#: them together cost at most 1 / (1 - REFIT_GROWTH**-3), about 2.05
+#: times the last one, where a fixed period makes that total grow as n^4
+REFIT_GROWTH = 1.25
+
 
 def _trace_to_polygon(loop_points: np.ndarray, tolerance: float, max_drop: int) -> Polygon:
     """Simplify a closed trace into a simple polygon.
@@ -453,8 +471,10 @@ def run_mission(cfg: MissionConfig, field, poly: Polygon) -> MissionLog:
     first hyper fit, the contour/boundary follower until the traced loop
     closes, trace simplification and coverage planning between two
     ticks, then waypoint following to the end of the plan. Hypers are
-    fitted at init end, then refitted at init end plus multiples of the
-    refit period while the follower steers by the model; each fit runs
+    fitted at init end. While the follower steers by the model, a refit
+    falls due at init end plus each multiple of the refit period, and
+    runs only if model.n is at least REFIT_GROWTH times the n of the
+    last fit; otherwise that due time passes with no fit. Each fit runs
     on the then-current data, is logged in hyper_history and applies at
     once. Refits that fall due after the loop closes would steer
     nothing, so they are replaced by one refit on all the data once the
@@ -495,7 +515,7 @@ def run_mission(cfg: MissionConfig, field, poly: Polygon) -> MissionLog:
     sonar_period = 1.0 / cfg.sonar_rate
     reach = min(cfg.track_spacing / 2.0, 2.0 * cfg.speed / cfg.control_rate)
 
-    state = VesselState(Pose(start[0], start[1], 0.0), cfg.speed, 0.0)
+    state = VesselState(Pose(*cfg.start, 0.0), cfg.speed, 0.0)
     follower: ContourFollower | None = None
     phase = "init"
     next_refit = cfg.init_duration
@@ -566,9 +586,10 @@ def run_mission(cfg: MissionConfig, field, poly: Polygon) -> MissionLog:
 
             if t >= next_refit - eps_t:
                 if phase == "contour":
-                    # warm-started from the current hypers; capped iterations keep
-                    # the O(n^3)-per-evaluation refit cost bounded as data grows
-                    refit(max_iter=25)
+                    if model.n >= REFIT_GROWTH * log.hyper_history[-1][4]:
+                        # warm-started from the current hypers; capped iterations keep
+                        # the O(n^3)-per-evaluation refit cost bounded as data grows
+                        refit(max_iter=25)
                 else:
                     # coverage follows fixed waypoints, so no refit there steers
                     # the vessel; one fit at mission end stands in for them all

@@ -63,6 +63,14 @@ def test_arc_search_plane_crossing_oracle():
     assert wp == pytest.approx([0.0, 20.0], abs=1e-9)
 
 
+def test_arc_search_with_a_target_near_the_float_limit():
+    # the crossing test multiplied two depth differences near 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        wp = solve_arc_heading(PLANE, 1e308, 0.0, (0.0, 0.0), 20.0, -math.pi, math.pi)
+    assert wp == pytest.approx([0.0, 20.0], abs=1e-9)
+
+
 def test_arc_search_tie_breaks_to_current_heading():
     for heading in (-2.0, 0.0, 0.35, 2.9):
         wp = solve_arc_heading(FLAT, 3.0, heading, (0.0, 0.0), 5.0, heading - math.pi / 2, heading + math.pi / 2)

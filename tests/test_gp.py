@@ -308,10 +308,10 @@ def _probe(st, q):
 
 
 def test_snapshot_isolated_across_capacity_growth():
-    # snapshots held at the initial capacity of 64, just before each of the
-    # two doublings (64 -> 128 -> 256) and between them, read only after
-    # the model has grown past both; each must match a twin model stopped
-    # at its n
+    # snapshots held at the initial capacity of 64, just before each of
+    # the growths by half (64 -> 96 -> 144 -> 216 -> 324) and between
+    # them, read only after the model has grown past all of them; each
+    # must match a twin model stopped at its n
     rng = np.random.default_rng(15)
     x = rng.uniform(-40.0, 40.0, (256, 2))
     y = 3.0 + oracles.sample_gp(rng, x, H.sigma_f2, H.sigma_n2, H.length_scale)
@@ -320,9 +320,9 @@ def test_snapshot_isolated_across_capacity_growth():
     held = {}
     for i in range(len(y)):
         model.append(x[i : i + 1], y[i : i + 1])
-        if model.n in (64, 100, 128):
+        if model.n in (64, 96, 100, 144):
             held[model.n] = model.snapshot()
-    assert model.snapshot()._bufs.cap == 256
+    assert model.snapshot()._bufs.cap == 324
     for n, st in held.items():
         twin = GpModel(H, subtract_mean=True)
         for i in range(n):
@@ -338,21 +338,22 @@ def test_snapshot_isolated_across_capacity_growth():
 def test_batch_append_matches_one_at_a_time():
     # a batch onto a non-empty model grows the factor one sounding at a
     # time, so batches of mixed sizes equal single appends bit for bit,
-    # also when the buffers double (64 -> 128) inside the last batch
+    # also when the buffers grow (40 + HEADROOM rows, then by half)
+    # inside the last batch
     rng = np.random.default_rng(18)
-    x = rng.uniform(-40.0, 40.0, (100, 2))
+    x = rng.uniform(-40.0, 40.0, (360, 2))
     y = 3.0 + oracles.sample_gp(rng, x, H.sigma_f2, H.sigma_n2, H.length_scale)
     q = rng.uniform(-50.0, 50.0, (12, 2))
     batched = GpModel(H, subtract_mean=True)
     single = GpModel(H, subtract_mean=True)
     batched.append(x[:40], y[:40])
     single.append(x[:40], y[:40])
-    for i in range(40, 100):
+    for i in range(40, 360):
         single.append(x[i : i + 1], y[i : i + 1])
-    for lo, hi in ((40, 41), (41, 47), (47, 100)):
-        assert batched.snapshot()._bufs.cap == 64
+    for lo, hi in ((40, 41), (41, 47), (47, 360)):
+        assert batched.snapshot()._bufs.cap == 40 + gp.HEADROOM
         batched.append(x[lo:hi], y[lo:hi])
-    assert batched.snapshot()._bufs.cap == 128
+    assert batched.snapshot()._bufs.cap == (40 + gp.HEADROOM) * 3 // 2
     got, want = _probe(batched.snapshot(), q), _probe(single.snapshot(), q)
     for a, b in zip(got[:3], want[:3]):
         assert np.array_equal(a, b)
@@ -381,6 +382,26 @@ def test_tick_copies_no_square_factor():
         tracemalloc.stop()
     assert model.n == n + 1
     assert peak < n * n * 8 / 10
+
+
+def test_set_hypers_peak_follows_n_not_the_old_capacity():
+    # a batch of n = 1100 soundings; set_hypers sizes its fresh buffers to
+    # n + HEADROOM, so its peak is K_y, its Cholesky factor and one more
+    # n x n temporary beside the new packed buffer. Sized at the old
+    # capacity, which doubling had taken to 2048, it peaked 4.7 n^2
+    # doubles
+    n = 1100
+    rng = np.random.default_rng(19)
+    model = GpModel(HyperParams(1.0, 0.01, 30.0), subtract_mean=True)
+    model.append(rng.uniform(0.0, 300.0, (n, 2)), rng.normal(5.0, 1.0, n))
+    tracemalloc.start()
+    try:
+        model.set_hypers(HyperParams(1.2, 0.01, 35.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.snapshot()._bufs.cap == n + gp.HEADROOM
+    assert peak < 8 * (3 * n * n + gp._tri(n + gp.HEADROOM))
 
 
 def test_subtract_mean_extrapolates_to_data_mean():

@@ -17,6 +17,7 @@ from bathysurvey.errors import ConfigError, GeometryError, SurveyError
 from bathysurvey.geometry import Polygon
 from bathysurvey.gp import GpModel
 from bathysurvey.sim import (
+    REFIT_GROWTH,
     GaussianSumField,
     GridField,
     MissionConfig,
@@ -93,6 +94,22 @@ def test_validate_field():
         validate_field(GaussianSumField(offset=1.0, gradient_x=-0.5), ((0, 0), (10, 10)))
     with pytest.raises(ConfigError, match="finite"):
         validate_field(GaussianSumField(offset=math.nan), ((0, 0), (10, 10)))
+
+
+def test_settings_near_the_float_limit_end_in_typed_errors_without_warnings():
+    # each overflowed in numpy first: the box's sample grid, which also
+    # got a plain plane refused as "not finite", the plane itself, and
+    # the vessel's position
+    plane = GaussianSumField(offset=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="mission box"):
+            validate_field(plane, ((-1e308, 0.0), (1e308, 10.0)))
+        assert GaussianSumField(offset=2.0, gradient_x=1e308).depth([[50.0, 0.0]])[0] == math.inf
+        with pytest.raises(ConfigError, match="float range"):
+            step_vessel(VesselState(Pose(1e308, 0.0, 0.0), 1e308, 0.0), math.pi / 2, 1.0)
+        log = run_mission(MissionConfig(start=(30.0, 30.0), speed=1e308, max_sim_time=5.0), plane, SQUARE)
+    assert log.aborted.startswith("ConfigError") and "float range" in log.aborted
 
 
 def test_sonar_sample_statistics():
@@ -602,6 +619,52 @@ def test_refits_stop_when_the_loop_closes(canonical_run):
     coverage = np.array([(x, y, zp) for _, x, y, _, mode, _, zp, _ in log.trace if mode == "coverage"])
     assert len(coverage) > 100
     assert np.abs(coverage[:, 2] - traced.predict_mean(coverage[:, :2])).max() < 1e-6
+
+
+def _canonical_at_half_scale(seed: int):
+    """The packaged scenario at half scale: vertices, start, mound centres
+    and widths halve and gradients double, so the seabed keeps its shape."""
+    cfg, field, poly = canonical_scenario()
+    field = GaussianSumField(
+        offset=field.offset,
+        gradient_x=2.0 * field.gradient_x,
+        gradient_y=2.0 * field.gradient_y,
+        bumps=tuple((cx / 2.0, cy / 2.0, amp, width / 2.0) for cx, cy, amp, width in field.bumps),
+    )
+    cfg = replace(cfg, seed=seed, start=(cfg.start[0] / 2.0, cfg.start[1] / 2.0))
+    return cfg, field, Polygon(poly.vertices / 2.0)
+
+
+def test_a_mission_that_met_the_polygon_edge_closes_and_plans():
+    # with this sonar noise the follower met the south edge, then flipped
+    # between boundary and contour mode on every tick there: the loop
+    # closed on that dithering trail, and the planner refused the 0.25 m
+    # strip as narrower than the track spacing
+    log = run_mission(*_canonical_at_half_scale(4010755824))
+    assert log.aborted is None
+    assert log.closed
+    assert log.intersection.area > 1000.0
+    assert len(log.plan.waypoints)
+    assert any(row[4] == "boundary" for row in log.trace)
+
+
+def test_contour_refits_wait_for_the_soundings_to_grow(canonical_run):
+    log, _ = canonical_run
+    cfg = log.config
+    closure_t = max(row[0] for row in log.trace if row[4] != "coverage")
+    steering = [(t, n) for t, _, _, _, n in log.hyper_history if t < closure_t]
+    for (_, n_prev), (_, n) in zip(steering, steering[1:]):
+        assert n >= REFIT_GROWTH * n_prev
+    # every due tick of the contour phase fits exactly when n has grown
+    # enough since the last fit, and passes with no fit otherwise
+    sounded = np.array([m[0] for m in log.measurements])
+    expected = [steering[0]]
+    for t in np.arange(cfg.init_duration + cfg.refit_period, closure_t, cfg.refit_period):
+        n = int((sounded <= t).sum())
+        if n >= REFIT_GROWTH * expected[-1][1]:
+            expected.append((float(t), n))
+    assert steering == expected
+    assert len(steering) >= 4
 
 
 def test_a_mission_aborted_in_coverage_delivers_every_sounding():
