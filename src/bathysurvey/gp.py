@@ -392,7 +392,7 @@ class GpModel:
 
     def set_hypers(self, hypers: HyperParams) -> None:
         """Swap hyper-parameters, refactoring K_y from scratch into fresh
-        buffers of n + HEADROOM rows."""
+        buffers, which the block factor sizes to n + HEADROOM rows."""
         if not isinstance(hypers, HyperParams):
             hypers = HyperParams.from_array(hypers)
         with self._lock:

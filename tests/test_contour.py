@@ -64,7 +64,8 @@ def test_arc_search_plane_crossing_oracle():
 
 
 def test_arc_search_with_a_target_near_the_float_limit():
-    # the crossing test multiplied two depth differences near 1e308
+    # the product of two depth differences near 1e308 overflows; the
+    # crossing test compares their signs
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         wp = solve_arc_heading(PLANE, 1e308, 0.0, (0.0, 0.0), 20.0, -math.pi, math.pi)

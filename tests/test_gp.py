@@ -387,9 +387,8 @@ def test_tick_copies_no_square_factor():
 def test_set_hypers_peak_follows_n_not_the_old_capacity():
     # a batch of n = 1100 soundings; set_hypers sizes its fresh buffers to
     # n + HEADROOM, so its peak is K_y, its Cholesky factor and one more
-    # n x n temporary beside the new packed buffer. Sized at the old
-    # capacity, which doubling had taken to 2048, it peaked 4.7 n^2
-    # doubles
+    # n x n temporary beside the new packed buffer. Buffers sized at a
+    # doubled capacity of 2048 would peak at 4.7 n^2 doubles
     n = 1100
     rng = np.random.default_rng(19)
     model = GpModel(HyperParams(1.0, 0.01, 30.0), subtract_mean=True)

@@ -97,9 +97,9 @@ def test_validate_field():
 
 
 def test_settings_near_the_float_limit_end_in_typed_errors_without_warnings():
-    # each overflowed in numpy first: the box's sample grid, which also
-    # got a plain plane refused as "not finite", the plane itself, and
-    # the vessel's position
+    # each of these overflows in numpy unless guarded: the box's sample
+    # grid (which would refuse a plain plane as "not finite"), the plane
+    # itself and the vessel's position
     plane = GaussianSumField(offset=2.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -636,10 +636,10 @@ def _canonical_at_half_scale(seed: int):
 
 
 def test_a_mission_that_met_the_polygon_edge_closes_and_plans():
-    # with this sonar noise the follower met the south edge, then flipped
-    # between boundary and contour mode on every tick there: the loop
-    # closed on that dithering trail, and the planner refused the 0.25 m
-    # strip as narrower than the track spacing
+    # with this sonar noise the follower meets the south edge; a follower
+    # whose modes flip on every tick there closes its loop on that
+    # dithering trail, a 0.25 m strip the planner refuses as narrower than
+    # the track spacing
     log = run_mission(*_canonical_at_half_scale(4010755824))
     assert log.aborted is None
     assert log.closed
