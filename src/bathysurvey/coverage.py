@@ -464,11 +464,14 @@ class _Transits:
     a blocked transit is routed on the visibility graph of those vertices,
     its start and its targets. The graph between reflex vertices is built
     on the first blocked transit, so a plan whose transits are all
-    straight never builds it.
+    straight never builds it. Which reflex vertices see a target is kept
+    per target point, so a later transit to the same target tests none of
+    those segments again.
     """
 
     def __init__(self, poly: Polygon):
         self.poly = poly
+        self.seen_by = {}  # target (x, y) -> bool per reflex vertex: the segment stays inside
 
     @cached_property
     def reflex(self):
@@ -485,17 +488,28 @@ class _Transits:
         """Shortest route length from position to each target, inf where
         none stays inside; and the graph's points, the start first, then
         the reflex vertices and the targets, with each point's predecessor
-        on its shortest route. The segments from the start and into the
-        targets are tested in one batch, and one Dijkstra search from the
-        start answers every target."""
+        on its shortest route. The segments from the start, and those into
+        targets no earlier transit of the plan tested, are tested in one
+        batch, and one Dijkstra search from the start answers every target."""
         nodes, a, b = self.reflex
         k, m = len(nodes), len(targets)
         pts = np.vstack([position, nodes, targets])
+        keys = list(map(tuple, targets.tolist()))
+        fresh = list(dict.fromkeys(key for key in keys if key not in self.seen_by))
+        ends = np.array(fresh, dtype=float).reshape(-1, 2)
+        # from the start to every point, then from each reflex vertex to each fresh target
+        clear = segments_in_polygon(
+            np.vstack([np.repeat(pts[:1], k + m, axis=0), np.repeat(nodes, len(fresh), axis=0)]),
+            np.vstack([pts[1:], np.tile(ends, (k, 1))]),
+            self.poly,
+        )
+        self.seen_by.update(zip(fresh, clear[k + m :].reshape(k, len(fresh)).T))
+        seen = np.array([self.seen_by[key] for key in keys], dtype=bool).reshape(m, k).T.ravel()
         src = np.concatenate([np.zeros(k + m, dtype=int), np.repeat(np.arange(1, k + 1), m)])
         dst = np.concatenate([np.arange(1, k + m + 1), np.tile(np.arange(k + 1, k + m + 1), k)])
-        clear = segments_in_polygon(pts[src], pts[dst], self.poly)
-        src = np.concatenate([src[clear], a + 1, b + 1])
-        dst = np.concatenate([dst[clear], b + 1, a + 1])
+        keep = np.concatenate([clear[: k + m], seen])
+        src = np.concatenate([src[keep], a + 1, b + 1])
+        dst = np.concatenate([dst[keep], b + 1, a + 1])
         # a coo-built matrix keeps a zero-length edge, say from a start on a reflex vertex
         graph = csr_matrix((np.hypot(*(pts[dst] - pts[src]).T), (src, dst)), shape=(len(pts), len(pts)))
         dist, prev = dijkstra(graph, indices=0, return_predecessors=True)

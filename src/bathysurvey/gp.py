@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.linalg.blas import dtpsv
 from scipy.linalg.lapack import dpotri, dtpttr, dtrttp
 from scipy.optimize import minimize
@@ -56,6 +56,14 @@ HEADROOM = 256
 
 #: default raw-space box for each hyper-parameter during optimization
 DEFAULT_BOUNDS = ((1e-6, 1e6), (1e-6, 1e6), (1e-6, 1e6))
+
+#: inducing inputs of the mission-end hyper fit, whose evaluations then
+#: cost O(n m^2) on the variational bound instead of O(n^3)
+INDUCING = 100
+
+#: added to the diagonal of the inducing inputs' unit correlation, which
+#: neighbouring soundings on one track make nearly singular
+_INDUCING_JITTER = 1e-10
 
 
 @dataclass(frozen=True)
@@ -131,7 +139,8 @@ class LmlReport:
 
 @dataclass(frozen=True)
 class HyperFit:
-    """Result of a bounded maximum-likelihood hyper fit."""
+    """Result of a bounded maximum-likelihood hyper fit; lml is the value
+    it maximised, the inducing-point bound for a fit on one."""
 
     hypers: HyperParams
     lml: float
@@ -269,6 +278,13 @@ class GpState:
             self._alpha = a
         return a
 
+    def log_likelihood(self) -> float:
+        """Log marginal likelihood of the (centred) depths under this
+        snapshot's own factor, any jitter it took included, in O(n):
+        -|beta|^2 / 2 - sum(log diag L) - n log(2 pi) / 2."""
+        diag = self._packed[np.arange(1, self.n + 1).cumsum() - 1]  # column j ends at _tri(j + 1)
+        return -0.5 * float(self.beta @ self.beta) - float(np.log(diag).sum()) - 0.5 * self.n * LOG_2PI
+
     def predict(self, xs) -> Prediction:
         """Posterior mean and variance at query points.
 
@@ -357,7 +373,7 @@ class GpModel:
         if st.n == 0:
             raise EmptyModelError("log marginal likelihood requires observations")
         try:
-            value, grad = _lml_and_grad(st.hypers, st.y_centered, _squared_distances(st.X))
+            value, grad = _lml_and_grad(st.hypers, st.y_centered, _squared_distances(st.X, st.X))
         except np.linalg.LinAlgError as exc:
             raise FactorizationError(f"covariance not positive definite: {exc}") from exc
         return LmlReport(value, grad, st.hypers, st.n)
@@ -502,12 +518,18 @@ class _UnitFactor(NamedTuple):
     """Scalars of one factorization of the unit-amplitude covariance
     K~ = C + lambda I, with C the SE correlation at length scale ell and
     lambda = sigma_n2 / sigma_f2, so that K_y = sigma_f2 K~. With
-    a = K~^-1 yc and M = C * d2 (dC/d ell times ell^3), the likelihood
-    and its gradient at every sigma_f2 follow from:
+    a = K~^-1 yc and M = ell^3 dC/d ell (C * d2), the likelihood and its
+    gradient at every sigma_f2 follow from:
 
         q      = yc^T K~^-1 yc           tr_inv = tr K~^-1
         logdet = log |K~|                a2     = |a|^2
         ama    = a^T M a                 tr_m   = sum(K~^-1 * M)
+
+    On the inducing-point bound (_bound_factor) C is its Nystrom
+    approximation Q~, and the bound is the likelihood less
+    slack = (n - tr Q~) / (2 lambda); tr_m then also holds that term's
+    share, -tr(M) / lambda, so the gradient reads the same. The exact
+    likelihood has no slack.
     """
 
     n: int
@@ -517,21 +539,22 @@ class _UnitFactor(NamedTuple):
     a2: float
     ama: float
     tr_m: float
+    slack: float = 0.0
 
     def lml(self, sigma_f2: float) -> float:
-        """Log marginal likelihood at signal variance sigma_f2, through
+        """Log marginal likelihood (or bound) at signal variance sigma_f2, through
         yc^T K_y^-1 yc = q / sigma_f2 and log |K_y| = n log sigma_f2 + logdet."""
         n = self.n
-        return -0.5 * self.q / sigma_f2 - 0.5 * (n * math.log(sigma_f2) + self.logdet) - 0.5 * n * LOG_2PI
+        return -0.5 * self.q / sigma_f2 - 0.5 * (n * math.log(sigma_f2) + self.logdet) - 0.5 * n * LOG_2PI - self.slack
 
 
-def _squared_distances(x: np.ndarray) -> np.ndarray:
-    """Pairwise squared distances of the inputs, for the likelihood.
+def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances between two sets of inputs, for the likelihood.
 
     Raises ConfigError when one overflows: the length-scale gradient
     would read 0 * inf there.
     """
-    d2 = cdist(x, x, "sqeuclidean")
+    d2 = cdist(a, b, "sqeuclidean")
     if not np.isfinite(d2).all():
         raise ConfigError("soundings too far apart to fit: their squared distance overflows")
     return d2
@@ -570,6 +593,55 @@ def _unit_factor(lam: float, ell: float, yc: np.ndarray, d2: np.ndarray) -> _Uni
     )
 
 
+def _bound_factor(lam: float, ell: float, yc: np.ndarray, d2_zx: np.ndarray, d2_zz: np.ndarray) -> _UnitFactor:
+    """The scalars of Titsias's (2009) collapsed variational bound at unit
+    amplitude: K~ = Q~ + lam I with Q~ = C_xz C_zz^-1 C_zx, from the
+    squared distances of m inducing inputs to the n soundings (d2_zx, m x n)
+    and among themselves (d2_zz), C_zz carrying _INDUCING_JITTER.
+
+    Through V = L_z^-1 C_zx (L_z the lower factor of C_zz) and Woodbury
+    with B = lam I + V V^T, every term costs O(n m^2) and no n x n array
+    is built: K~^-1 = (I - V^T B^-1 V) / lam, so tr K~^-1 =
+    (n - tr B^-1 V V^T) / lam, log |K~| = (n - m) log lam + log |B| and
+    tr Q~ = |V|^2. For the length scale, ell^3 dQ~/d ell is
+    M_xz W + W^T M_zx - W^T M_zz W with W = C_zz^-1 C_zx and M = C * d2.
+    The bound's gradient in Q~, G = a a^T / (2 sigma_f2) - K~^-1 / 2
+    + I / (2 lam), reduces through W G = w a^T / (2 sigma_f2) + S V / (2 lam),
+    where w = W a and S = L_z^-T (I - lam B^-1), so ama and tr_m take
+    one more O(n m^2) product, M_zx V^T.
+
+    Raises np.linalg.LinAlgError when C_zz or B is not positive definite.
+    """
+    m, n = d2_zx.shape
+    scale = -0.5 / ell / ell
+    c_zx = np.multiply(d2_zx, scale)
+    np.exp(c_zx, out=c_zx)
+    c_zz = np.exp(d2_zz * scale)
+    m_zx = c_zx * d2_zx
+    m_zz = c_zz * d2_zz
+    c_zz.flat[:: m + 1] += _INDUCING_JITTER
+    lz = cholesky(c_zz, lower=True, check_finite=False)
+    v = solve_triangular(lz, c_zx, lower=True, check_finite=False)
+    vvt = v @ v.T
+    lb = (cholesky(vvt + lam * np.eye(m), lower=True, check_finite=False), True)
+    a = (yc - v.T @ cho_solve(lb, v @ yc, check_finite=False)) / lam
+    w = solve_triangular(lz, v @ a, trans="T", lower=True, check_finite=False)
+    # I - lam B^-1 = B^-1 V V^T, solved rather than subtracted
+    b_vvt = cho_solve(lb, vvt, check_finite=False)
+    s = solve_triangular(lz, b_vvt, trans="T", lower=True, check_finite=False)
+    r = solve_triangular(lz, vvt, trans="T", lower=True, check_finite=False)  # W V^T
+    return _UnitFactor(
+        n,
+        float(yc @ a),
+        (n - m) * math.log(lam) + 2.0 * float(np.log(np.diag(lb[0])).sum()),
+        (n - float(np.trace(b_vvt))) / lam,
+        float(a @ a),
+        2.0 * float(w @ (m_zx @ a)) - float(w @ (m_zz @ w)),
+        (float(np.einsum("ij,ij->", s @ r.T, m_zz)) - 2.0 * float(np.einsum("ij,ij->", s, m_zx @ v.T))) / lam,
+        (n - float(np.einsum("ij,ij->", v, v))) / (2.0 * lam),
+    )
+
+
 def _lml_and_grad(h: HyperParams, yc: np.ndarray, d2: np.ndarray):
     """Log marginal likelihood of yc and its gradient in raw parameters.
 
@@ -596,23 +668,28 @@ def _lml_and_grad(h: HyperParams, yc: np.ndarray, d2: np.ndarray):
     return u.lml(sf2), grad
 
 
-def _profile_lml_and_grad(log_x: np.ndarray, yc: np.ndarray, d2: np.ndarray):
-    """Profile log marginal likelihood at x = (lambda, ell), given as logs.
+def _profile_lml_and_grad(log_x: np.ndarray, yc: np.ndarray, d2: np.ndarray, d2_zz: np.ndarray | None = None):
+    """Profile log marginal likelihood at x = (lambda, ell), given as logs;
+    with d2_zz, the profile of the inducing-point bound instead, d2 then
+    holding the squared distances from the inducing inputs to the
+    soundings (_bound_factor).
 
     sigma_f2 takes its best value for this lambda and ell, q / n, clamped
     to the range in which sigma_f2 and sigma_n2 = lambda sigma_f2 both lie
     in DEFAULT_BOUNDS; the likelihood has one peak in sigma_f2, so the
-    clamp is the constrained maximiser. Returns the value, its gradient in
-    (log lambda, log ell) and the raw (sigma_f2, sigma_n2, ell).
+    clamp is the constrained maximiser. The bound's slack depends on
+    lambda and ell alone, so the same holds for it. Returns the value,
+    its gradient in (log lambda, log ell) and the raw (sigma_f2,
+    sigma_n2, ell).
 
     Raises np.linalg.LinAlgError when K~ is not positive definite.
     """
     lam, ell = np.exp(log_x)
-    u = _unit_factor(lam, ell, yc, d2)
+    u = _unit_factor(lam, ell, yc, d2) if d2_zz is None else _bound_factor(lam, ell, yc, d2, d2_zz)
     (f_lo, f_hi), (n_lo, n_hi), _ = DEFAULT_BOUNDS
     free = u.q / u.n
     sf2 = min(max(free, f_lo, n_lo / lam), f_hi, n_hi / lam)
-    d_lam = lam * 0.5 * (u.a2 / sf2 - u.tr_inv)
+    d_lam = lam * 0.5 * (u.a2 / sf2 - u.tr_inv) + u.slack
     if sf2 != free and sf2 in (n_lo / lam, n_hi / lam):
         # a noise bound binds, so sigma_f2 = bound / lambda moves with lambda
         d_lam -= 0.5 * (u.q / sf2 - u.n)
@@ -635,7 +712,7 @@ def _moment_start(x: np.ndarray, yc: np.ndarray, lo: np.ndarray, hi: np.ndarray)
     return np.clip(guess, lo, hi)
 
 
-def optimize_hypers(model, max_iter: int = 60) -> HyperFit:
+def optimize_hypers(model, max_iter: int = 60, inducing: int | None = None) -> HyperFit:
     """Maximum-likelihood fit within DEFAULT_BOUNDS, on the profile likelihood.
 
     Writing K_y = sigma_f2 (C + lambda I) with lambda = sigma_n2 / sigma_f2,
@@ -650,6 +727,17 @@ def optimize_hypers(model, max_iter: int = 60) -> HyperFit:
     likelihood per sounding, with the default gtol divided by n to match,
     so its first step has the same size whatever n is; each evaluation
     costs one factorization. max_iter caps L-BFGS-B's iterations per start.
+
+    With inducing=m and more than m soundings, the objective is Titsias's
+    (2009) collapsed variational lower bound instead, on every
+    ceil(n / m)-th sounding as inducing input: the likelihood of
+    sigma_f2 (Q~ + lambda I), with Q~ the Nystrom approximation of C
+    through those inputs, less (n - tr Q~) / (2 lambda). That last term
+    depends on lambda and the length scale alone, so sigma_f2 profiles
+    out as before, and one evaluation costs O(n m^2) instead of O(n^3),
+    with no n x n array. Everything else is as for the exact fit, and
+    the fit's lml is then the bound's value. The hypers still apply to
+    the exact model.
 
     Runs against a frozen snapshot of the model's data and never mutates
     the model; apply the result with model.set_hypers(fit.hypers).
@@ -677,13 +765,17 @@ def optimize_hypers(model, max_iter: int = 60) -> HyperFit:
     n = st.n
     x = st.X.copy()
     yc = st.y_centered.copy()
-    d2 = _squared_distances(x)
+    if inducing is not None and n > inducing:
+        z = x[:: -(-n // inducing)]
+        distances = (_squared_distances(z, x), _squared_distances(z, z))
+    else:
+        distances = (_squared_distances(x, x),)
     best = {"lml": -np.inf, "theta": None, "evals": 0}
 
     def objective(log_x):
         best["evals"] += 1
         try:
-            value, grad, theta = _profile_lml_and_grad(log_x, yc, d2)
+            value, grad, theta = _profile_lml_and_grad(log_x, yc, *distances)
         except np.linalg.LinAlgError:
             return 1e25, np.zeros(2)
         if value > best["lml"]:

@@ -38,7 +38,7 @@ from .geometry import (
     save_polygon,
     simplify_closed_curve,
 )
-from .gp import GpModel, optimize_hypers
+from .gp import INDUCING, GpModel, optimize_hypers
 
 
 # -- bathymetry fields ----------------------------------------------------
@@ -480,7 +480,11 @@ def run_mission(cfg: MissionConfig, field, poly: Polygon) -> MissionLog:
     nothing, so they are replaced by one refit on all the data once the
     plan is done, which the delivered model carries as the last
     hyper_history row; a mission with no refit due after the loop
-    closes gets none. Every sounding goes to log.measurements and to
+    closes gets none. That refit steers nothing either, so it maximises
+    the inducing-point bound on gp.INDUCING inputs (O(n m^2) per
+    evaluation) where the contour refits maximise the exact likelihood,
+    and its row logs the exact log marginal likelihood of the factor it
+    applied, not the bound. Every sounding goes to log.measurements and to
     the delivered log.model. A trace row's z_predicted is the model's
     mean at the vessel; from closure on it reads the model as it stood
     at closure, so on coverage rows it is a prediction on water that
@@ -505,10 +509,13 @@ def run_mission(cfg: MissionConfig, field, poly: Polygon) -> MissionLog:
     traced_model = model  # what z_predicted reads: frozen at closure
 
     def refit(**options) -> None:
-        """Fit the hypers on the data so far, log the fit and apply it."""
+        """Fit the hypers on the data so far, apply the fit and log it. A
+        fit on the inducing-point bound logs the exact log marginal
+        likelihood of the factor it applied, read in O(n), not the bound."""
         fit = optimize_hypers(model, **options)
-        log.hyper_history.append((t, fit.hypers, fit.lml, fit.converged, model.n))
         model.set_hypers(fit.hypers)
+        lml = model.snapshot().log_likelihood() if "inducing" in options else fit.lml
+        log.hyper_history.append((t, fit.hypers, lml, fit.converged, model.n))
 
     dt = 1.0 / cfg.control_rate
     eps_t = 1e-9 * dt
@@ -599,7 +606,7 @@ def run_mission(cfg: MissionConfig, field, poly: Polygon) -> MissionLog:
             state = step_vessel(state, psi_d, dt, cfg.max_turn_rate)
 
         if final_refit:
-            refit(max_iter=25)
+            refit(max_iter=25, inducing=INDUCING)
     except MissionAbort as exc:
         log.aborted = str(exc)
     except SurveyError as exc:

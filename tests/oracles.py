@@ -69,6 +69,21 @@ def log_marginal(x, yc, sf2, sn2, ell):
     return float(-0.5 * yc @ np.linalg.inv(k) @ yc - 0.5 * logdet - 0.5 * n * np.log(2.0 * np.pi))
 
 
+def variational_bound(x, z, yc, sf2, sn2, ell, jitter):
+    """Titsias's (2009) collapsed bound with inducing inputs z, through
+    the dense Nystrom matrix Q = K_xz (K_zz + sf2 jitter I)^-1 K_zx and
+    slogdet: log N(yc | 0, Q + sn2 I) - tr(K_xx - Q) / (2 sn2)."""
+    k_zz = se_matrix(z, z, sf2, ell) + sf2 * jitter * np.eye(len(z))
+    k_zx = se_matrix(z, x, sf2, ell)
+    q = k_zx.T @ np.linalg.solve(k_zz, k_zx)
+    n = len(yc)
+    k = q + sn2 * np.eye(n)
+    sign, logdet = np.linalg.slogdet(k)
+    assert sign > 0
+    fit = -0.5 * yc @ np.linalg.inv(k) @ yc - 0.5 * logdet - 0.5 * n * np.log(2.0 * np.pi)
+    return float(fit - (n * sf2 - np.trace(q)) / (2.0 * sn2))
+
+
 def fd_gradient(x, yc, theta, rel_step=1e-6):
     """Central finite differences of the LML in (sf2, sn2, ell)."""
     theta = np.asarray(theta, dtype=float)

@@ -441,6 +441,36 @@ def test_a_plan_tests_its_reflex_pairs_once(monkeypatch):
     assert len(batches) == 1 + straight.count(False)
 
 
+def test_a_plan_tests_each_reflex_to_target_segment_once(monkeypatch):
+    """The blocked transits of one plan share their targets, and a segment
+    from a reflex vertex to a target reaches segments_in_polygon once."""
+    reflex = set(map(tuple, coverage._Transits(SPIRAL).reflex[0].tolist()))
+    tested, offered = [], []
+
+    def recorded(p, q, poly):
+        tested.extend((a, b) for a, b in zip(map(tuple, p.tolist()), map(tuple, q.tolist())) if a in reflex and b not in reflex)
+        return segments_in_polygon(p, q, poly)
+
+    class Recorded(coverage._Transits):
+        def routes(self, position, targets):
+            offered.append(len(targets))
+            return super().routes(position, targets)
+
+    monkeypatch.setattr(coverage, "segments_in_polygon", recorded)
+    monkeypatch.setattr(coverage, "_Transits", Recorded)
+    plan_coverage(SPIRAL, (38.0, 2.0), 2.0, -0.5)
+    # 3 blocked transits offer the targets of the cells not yet mowed
+    assert len(offered) == 3
+    assert 0 < len(tested) == len(set(tested)) < len(reflex) * sum(offered)
+    # a transit to targets already seen tests only the segments from its start
+    transits, batches = coverage._Transits(U_SHAPE), []
+    monkeypatch.setattr(coverage, "segments_in_polygon", lambda p, q, poly: batches.append(len(p)) or segments_in_polygon(p, q, poly))
+    for start in ((5.0, 35.0), (4.0, 30.0)):
+        plan_transit(start, [(25.0, 35.0), (24.0, 30.0)], U_SHAPE, 2.0, transits=transits)
+    k = len(transits.reflex[0])
+    assert batches[1:] == [k + 2 + 2 * k, k + 2]
+
+
 def _blocked_starts(rng, poly, targets, count):
     """Up to `count` random points inside the polygon whose straight leg
     to the nearest target leaves it, so plan_transit has to search."""

@@ -100,6 +100,18 @@ def test_lml_and_gradient_match_oracles():
         assert rel.max() < 1e-4
 
 
+@pytest.mark.parametrize("subtract_mean", [False, True])
+def test_log_likelihood_reads_the_stored_factor(subtract_mean):
+    # the factor grows column by column here, and set_hypers refactors it in one block
+    rng = np.random.default_rng(26)
+    model, x, y = _random_model(rng, 50, subtract_mean=subtract_mean)
+    yc = y - y.mean() if subtract_mean else y
+    assert model.snapshot().log_likelihood() == pytest.approx(oracles.log_marginal(x, yc, *H.as_array()), rel=1e-9)
+    h = HyperParams(1.5, 0.02, 12.0)
+    model.set_hypers(h)
+    assert model.snapshot().log_likelihood() == pytest.approx(oracles.log_marginal(x, yc, *h.as_array()), rel=1e-9)
+
+
 def _track_model():
     # soundings 1 m apart along a circular track, with the noise and length
     # scale that mission fits settle at, centred by the model
@@ -179,6 +191,92 @@ def test_profile_gradient_where_a_noise_bound_holds_sigma_f2():
     assert value == pytest.approx(oracles.log_marginal(x, y, *theta), rel=1e-9)
     fd = oracles.fd_gradient_log(lambda lx: gp._profile_lml_and_grad(lx, y, d2)[0], log_x)
     assert (np.abs(grad - fd) / np.abs(fd)).max() < 1e-4
+
+
+def _sq_dists(a, b):
+    return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+
+
+def _loop_model(n):
+    # soundings 1 m apart around a loop of n metres past three mounds, with
+    # the plane, noise and warm start of _track_model
+    rng = np.random.default_rng(24)
+    r = n / (2.0 * np.pi)
+    s = np.arange(float(n))
+    x = np.column_stack([250.0 + r * np.cos(s / r), 200.0 + r * np.sin(s / r)])
+    y = 4.5 + 0.01 * x[:, 0] - 0.005 * x[:, 1] + 0.05 * rng.standard_normal(n)
+    for angle, amp in ((0.5, 1.5), (2.5, -1.0), (4.5, 0.8)):
+        centre = (250.0 + r * np.cos(angle), 200.0 + r * np.sin(angle))
+        y += amp * np.exp(-((x[:, 0] - centre[0]) ** 2 + (x[:, 1] - centre[1]) ** 2) / 800.0)
+    model = GpModel(HyperParams(1.0, 0.0025, 70.0), subtract_mean=True)
+    model.append(x, y)
+    return model
+
+
+def test_bound_gradient_in_mission_regime():
+    # every third sounding of the track as inducing input, 3 m apart at a
+    # 70 m length scale: C_zz is singular but for its jitter
+    model, x, y, h = _track_model()
+    yc, z = y - y.mean(), x[:: -(-len(x) // gp.INDUCING)]
+    d2_zx, d2_zz = _sq_dists(z, x), _sq_dists(z, z)
+    log_x = np.log([h.sigma_n2 / h.sigma_f2, h.length_scale])
+    value, grad, theta = gp._profile_lml_and_grad(log_x, yc, d2_zx, d2_zz)
+    assert len(z) == gp.INDUCING
+    assert value == pytest.approx(oracles.variational_bound(x, z, yc, *theta, gp._INDUCING_JITTER), rel=1e-9)
+    # a lower bound of the profile likelihood, here within 1e-5 nats of it
+    exact = gp._profile_lml_and_grad(log_x, yc, _sq_dists(x, x))[0]
+    assert exact - 1e-5 < value <= exact
+    fd = oracles.fd_gradient_log(lambda lx: gp._profile_lml_and_grad(lx, yc, d2_zx, d2_zz)[0], log_x)
+    assert (np.abs(grad - fd) / np.abs(fd)).max() < 1e-4
+
+
+def test_bound_on_every_sounding_is_the_exact_likelihood(monkeypatch):
+    # soundings on an 8 m grid, a length scale of 8 m: with Z = X the bound
+    # differs from the exact profile only through the jitter on C_zz
+    rng = np.random.default_rng(25)
+    x = np.stack(np.meshgrid(np.arange(8.0), np.arange(8.0)), axis=-1).reshape(-1, 2) * 8.0
+    y = 3.0 + oracles.sample_gp(rng, x, H.sigma_f2, H.sigma_n2, H.length_scale)
+    yc, d2 = y - y.mean(), _sq_dists(x, x)
+    log_x = np.log([H.sigma_n2 / H.sigma_f2, H.length_scale])
+    exact, exact_grad, exact_theta = gp._profile_lml_and_grad(log_x, yc, d2)
+    value, grad, theta = gp._profile_lml_and_grad(log_x, yc, d2, d2)
+    tol = len(y) * gp._INDUCING_JITTER * H.sigma_f2 / H.sigma_n2
+    assert abs(value - exact) < tol
+    assert np.abs(grad - exact_grad).max() < tol
+    assert theta == pytest.approx(exact_theta, rel=tol)
+    # with at least as many inducing inputs as soundings the fit is the exact one
+    model = GpModel(H, subtract_mean=True)
+    model.append(x, y)
+    exact_fit = optimize_hypers(model)
+    monkeypatch.setattr(gp, "_bound_factor", None)
+    assert optimize_hypers(model, inducing=len(y)) == exact_fit
+
+
+def test_bound_fit_lands_on_the_exact_fit():
+    model = _loop_model(640)
+    exact = optimize_hypers(model)
+    fit = optimize_hypers(model, inducing=gp.INDUCING)
+    assert exact.converged and fit.converged
+    # measured: 2e-5 relative in sigma_f2 and 1.4e-6 in the length scale
+    assert fit.hypers.sigma_f2 == pytest.approx(exact.hypers.sigma_f2, rel=0.01)
+    assert fit.hypers.length_scale == pytest.approx(exact.hypers.length_scale, rel=0.01)
+    assert fit.hypers.sigma_n2 == pytest.approx(exact.hypers.sigma_n2, rel=0.01)
+    assert fit.lml <= exact.lml
+
+
+def test_bound_fit_builds_no_square_array():
+    # n = 3000: one n x n array of doubles takes 72 MB; the bound fit's
+    # arrays are n x m and m x m, and its peak measured 10.5 MB
+    n = 3000
+    model = _loop_model(n)
+    tracemalloc.start()
+    try:
+        fit = optimize_hypers(model, inducing=gp.INDUCING)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fit.converged
+    assert peak < n * n * 8 / 5
 
 
 @pytest.mark.parametrize("case", ["track", "trend_ridge", "random_0", "random_1", "random_2"])

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mutations
+from bathysurvey import gp, sim
 from bathysurvey.cli import main
 from bathysurvey.contour import Pose
 from bathysurvey.errors import ConfigError, GeometryError, SurveyError
@@ -665,6 +666,61 @@ def test_contour_refits_wait_for_the_soundings_to_grow(canonical_run):
             expected.append((float(t), n))
     assert steering == expected
     assert len(steering) >= 4
+
+
+def _recorded_fits(monkeypatch):
+    """Record the soundings, options and result of every hyper fit a
+    mission runs."""
+    fits = []
+
+    def recorded(model, **options):
+        fits.append((model.n, options, gp.optimize_hypers(model, **options)))
+        return fits[-1][2]
+
+    monkeypatch.setattr(sim, "optimize_hypers", recorded)
+    return fits
+
+
+def test_only_the_mission_end_fit_runs_on_the_bound(monkeypatch):
+    fits = _recorded_fits(monkeypatch)
+    log = _plane_mission_until(PLANE_MISSION.max_sim_time)
+    assert log.aborted is None
+    assert [n for n, _, _ in fits] == [row[4] for row in log.hyper_history]
+    *steering, (n, options, _) = fits
+    assert [options for _, options, _ in steering] == [{}] + [{"max_iter": 25}] * (len(steering) - 1)
+    assert options == {"max_iter": 25, "inducing": gp.INDUCING}
+    assert n == log.model.n > gp.INDUCING
+    # with no refit due after the loop closes there is no mission-end fit
+    fits.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        log = run_mission(replace(PLANE_MISSION, refit_period=2000.0), PLANE_FIELD, SQUARE)
+    assert log.closed
+    assert [(n, options) for n, options, _ in fits] == [(log.hyper_history[0][4], {})]
+
+
+def test_the_mission_end_row_logs_the_exact_likelihood(monkeypatch):
+    # the row reads the likelihood of the factor set_hypers built, not the
+    # bound the fit maximised, and agrees with a fresh factorization when
+    # that factor took no jitter
+    jitters = []
+
+    def factored(st, xs, ys, jitter, factor=gp._factored):
+        jitters.append(jitter)
+        return factor(st, xs, ys, jitter)
+
+    monkeypatch.setattr(gp, "_factored", factored)
+    fits = _recorded_fits(monkeypatch)
+    log = run_mission(*_canonical_at_half_scale(1))
+    assert log.aborted is None
+    assert jitters and not any(jitters)
+    (n, options, fit), row = fits[-1], log.hyper_history[-1]
+    assert "inducing" in options and n > gp.INDUCING
+    exact = log.model.log_marginal_likelihood().lml
+    assert row[2] == pytest.approx(exact, rel=1e-8)
+    assert fit.lml < row[2]
+    # the steering rows log the exact fit's own likelihood
+    assert [r[2] for r in log.hyper_history[:-1]] == [f.lml for _, _, f in fits[:-1]]
 
 
 def test_a_mission_aborted_in_coverage_delivers_every_sounding():
