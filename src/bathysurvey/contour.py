@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (
+    TWO_PI,
     Arc,
     Polygon,
     bearing_between,
@@ -66,7 +67,21 @@ class FollowerState:
     edge: int | None = None
     found_contour: bool = False
     heading_ema: float = 0.0
-    trace: list = field(default_factory=list)  # positions appended after first contact
+    trail: np.ndarray = field(default_factory=lambda: np.empty((64, 2)))  # its first `traced` rows are the trace
+    traced: int = 0
+
+    @property
+    def trace(self) -> np.ndarray:
+        """Positions appended after first contact, (n, 2): a view that
+        later appends leave as it is."""
+        return self.trail[: self.traced]
+
+    def append_trace(self, pos) -> None:
+        """Append one position, doubling the trail when it is full."""
+        if self.traced == len(self.trail):
+            self.trail = np.concatenate([self.trail, np.empty_like(self.trail)])
+        self.trail[self.traced] = pos
+        self.traced += 1
 
 
 def ema_heading(psi_prev: float, psi_new: float, dt: float, half_life: float) -> float:
@@ -79,10 +94,11 @@ def ema_heading(psi_prev: float, psi_new: float, dt: float, half_life: float) ->
     if half_life <= 0.0:
         return normalize_bearing(psi_new)
     w = 1.0 - 2.0 ** (-dt / half_life)
-    v = (1.0 - w) * bearing_to_unit(psi_prev) + w * bearing_to_unit(psi_new)
-    if math.hypot(v[0], v[1]) < 1e-12:
+    vx = (1.0 - w) * math.sin(psi_prev) + w * math.sin(psi_new)
+    vy = (1.0 - w) * math.cos(psi_prev) + w * math.cos(psi_new)
+    if math.hypot(vx, vy) < 1e-12:
         return normalize_bearing(psi_new)
-    return math.atan2(v[0], v[1])
+    return math.atan2(vx, vy)
 
 
 def solve_arc_heading(model, target_depth, heading, position, radius, psi_start, psi_end) -> np.ndarray:
@@ -106,23 +122,29 @@ def _ranked_arc(model, target_depth, heading, position, radius, psi_start, psi_e
     errors, best first in its ranking."""
     arc = Arc((float(position[0]), float(position[1])), float(radius), float(psi_start), float(psi_end))
     psi = arc.bearings(ARC_SPLITS)
-    depths = np.asarray(model.predict_mean(arc.points(ARC_SPLITS)))
-    za, zb = depths[:-1], depths[1:]
-    pa, pb = psi[:-1], psi[1:]
-    cand_psi = np.where(np.abs(za - target_depth) <= np.abs(zb - target_depth), pa, pb)
-    cand_z = np.where(np.abs(za - target_depth) <= np.abs(zb - target_depth), za, zb)
+    depths = np.asarray(model.predict_mean(arc.points_at(psi)))
+    miss = depths - target_depth
+    dz = np.abs(miss)
+    first = dz[:-1] <= dz[1:]
+    cand_psi = np.where(first, psi[:-1], psi[1:])
+    z_err = np.where(first, dz[:-1], dz[1:])
     # signs, not the product of the two differences, which can overflow
-    crossing = np.sign(za - target_depth) * np.sign(zb - target_depth) < 0.0
-    if crossing.any():
-        s = (target_depth - za[crossing]) / (zb[crossing] - za[crossing])
-        cand_psi = cand_psi.copy()
-        cand_z = cand_z.copy()
-        cand_psi[crossing] = pa[crossing] + s * (pb[crossing] - pa[crossing])
-        cand_z[crossing] = target_depth
-    z_err = np.abs(cand_z - target_depth)
-    psi_err = np.abs([normalize_bearing(p - heading) for p in cand_psi])
-    order = np.lexsort((psi_err, z_err))
+    sign = np.sign(miss)
+    (at,) = np.nonzero(sign[:-1] * sign[1:] < 0.0)  # the pairs the target crosses
+    if len(at):
+        za, zb, pa, pb = depths[at], depths[at + 1], psi[at], psi[at + 1]
+        cand_psi[at] = pa + (target_depth - za) / (zb - za) * (pb - pa)
+        z_err[at] = 0.0
+    order = np.lexsort((_heading_gaps(cand_psi, heading), z_err))
     return cand_psi[order], z_err[order]
+
+
+def _heading_gaps(psi: np.ndarray, heading: float) -> np.ndarray:
+    """abs(normalize_bearing(p - heading)) for each bearing p, bit for bit,
+    in one array pass: np.fmod is exact, as math.remainder is, and the
+    one 2 pi step between them is exact too."""
+    gap = np.abs(np.fmod(psi - heading, TWO_PI))
+    return np.minimum(gap, TWO_PI - gap)
 
 
 def closure_index(trace, position, loop_buffer: int, closure_radius: float) -> int | None:
@@ -200,7 +222,7 @@ class ContourFollower:
         ):
             st.found_contour = True
         if st.found_contour:
-            st.trace.append(pos.copy())
+            st.append_trace(pos)
         return bearing_between(pos, waypoint)
 
     def _contour_waypoint(self, pos) -> tuple:

@@ -80,7 +80,10 @@ class Arc:
 
     def points(self, count: int) -> np.ndarray:
         """Cartesian points at radius for bearings(count)."""
-        psi = self.bearings(count)
+        return self.points_at(self.bearings(count))
+
+    def points_at(self, psi: np.ndarray) -> np.ndarray:
+        """Cartesian points at radius for the bearings psi."""
         c = np.asarray(self.center, dtype=float)
         return c + self.radius * np.column_stack([np.sin(psi), np.cos(psi)])
 
@@ -126,6 +129,11 @@ class Polygon:
         self.vertices.setflags(write=False)
         self._edge_ends = ends
         self._edge_ends.setflags(write=False)
+        dy = ends[:, 1] - v[:, 1]
+        dy[dy == 0.0] = 1.0  # a level edge never straddles, so its quotient is never read
+        #: per edge, the x and y of its start, the y of its end, its dx and
+        #: dy: the rows every crossing-parity test reads
+        self._parity_rows = (v[:, 0], v[:, 1], ends[:, 1], ends[:, 0] - v[:, 0], dy)
         crossing = _first_crossing(v, self._edge_ends)
         if crossing is not None:
             raise GeometryError("polygon self-intersects: edge %d crosses edge %d" % crossing)
@@ -229,26 +237,25 @@ def points_in_polygon(points, poly: Polygon, tol: float = BOUNDARY_TOL) -> np.nd
     the edge distances are computed only for the points parity rejects.
     """
     pts = np.asarray(points, dtype=float)
-    inside = _crossing_parity(pts, poly.vertices, poly._edge_ends)
+    inside = _crossing_parity(pts, poly)
     if tol > 0.0 and not inside.all():
         out = ~inside
         q = pts[out]
-        d2 = ((q[:, None, :] - _closest_on_edges(q, poly)[0]) ** 2).sum(axis=2)
+        with np.errstate(over="ignore"):  # far-off points: their squared distance overflows to inf, still outside
+            d2 = ((q[:, None, :] - _closest_on_edges(q, poly)[0]) ** 2).sum(axis=2)
         inside[out] = d2.min(axis=1) <= tol * tol
     return inside
 
 
-def _crossing_parity(pts, a, b):
+def _crossing_parity(pts, poly: Polygon):
     # half-open in y: an edge is counted where it straddles the horizontal
     # through the point, which counts shared vertices exactly once
     px, py = pts[:, 0:1], pts[:, 1:2]
-    ya, yb = a[:, 1][None, :], b[:, 1][None, :]
-    xa, xb = a[:, 0][None, :], b[:, 0][None, :]
+    xa, ya, yb, dx, dy = poly._parity_rows
     straddle = (ya > py) != (yb > py)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xcross = xa + (py - ya) * (xb - xa) / (yb - ya)
-    hits = straddle & (xcross > px)
-    return hits.sum(axis=1) % 2 == 1
+    with np.errstate(over="ignore", invalid="ignore"):  # far-off points: the product overflows
+        xcross = xa + (py - ya) * dx / dy
+    return np.logical_xor.reduce(straddle & (xcross > px), axis=1)
 
 
 def _edge_crossings(o: np.ndarray, d: np.ndarray, poly: Polygon):
@@ -256,13 +263,15 @@ def _edge_crossings(o: np.ndarray, d: np.ndarray, poly: Polygon):
     and the mask of edges not parallel to d; callers apply their own tolerances.
     An origin, or a direction, of shape (..., 1, 2) gives t and s of shape
     (..., n), one row per origin or direction. Parallel edges divide by
-    zero on purpose: their t and s are not finite and the mask drops them."""
+    zero on purpose: their t and s are not finite and the mask drops them.
+    An origin or direction far off (about 1e300) can overflow the products,
+    which then read no contact: such a segment has an end outside anyway."""
     a = poly.vertices
     e = poly._edge_ends - a
     dx, dy = d[..., 0], d[..., 1]
-    denom = dx * e[:, 1] - dy * e[:, 0]
     w = a - o
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        denom = dx * e[:, 1] - dy * e[:, 0]
         t = (w[..., 0] * e[:, 1] - w[..., 1] * e[:, 0]) / denom
         s = (w[..., 0] * dy - w[..., 1] * dx) / denom
     return t, s, np.abs(denom) > 1e-15

@@ -154,12 +154,15 @@ def kernel_matrix(a, b, hypers: HyperParams) -> np.ndarray:
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if a.size == 0 or b.size == 0:
         return np.zeros((len(a), len(b)))
-    d2 = cdist(a, b, "sqeuclidean")
+    k = cdist(a, b, "sqeuclidean")
     try:
         two_ell2 = 2.0 * hypers.length_scale**2
     except OverflowError:  # a length scale past 1e154: the constant kernel it tends to
         two_ell2 = math.inf
-    return hypers.sigma_f2 * np.exp(-d2 / two_ell2)
+    k /= -two_ell2
+    np.exp(k, out=k)
+    k *= hypers.sigma_f2
+    return k
 
 
 def _tri(n: int) -> int:
@@ -208,7 +211,7 @@ def _query_points(xs, st: "GpState", what: str) -> np.ndarray:
     if st.n == 0:
         raise EmptyModelError(f"{what} requires at least one observation")
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    if xs.shape[1] != 2 or not np.all(np.isfinite(xs)):
+    if xs.shape[1] != 2 or not np.isfinite(xs).all():
         raise ConfigError(f"query points must be finite (m, 2), got shape {xs.shape}")
     return xs
 
@@ -396,7 +399,7 @@ class GpModel:
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
         if xs.shape != (len(ys), 2):
             raise ConfigError(f"append expects (m, 2) points and (m,) depths, got {xs.shape} / {ys.shape}")
-        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
             raise ConfigError("append rejects non-finite observations")
         if len(ys) == 0:
             return
@@ -499,7 +502,7 @@ def _with_sounding(st: GpState, x: np.ndarray, y: float, jitter: float) -> GpSta
     solved on the packed prefix in place, over the square root of the
     Schur complement; only rows and columns past n are written."""
     n, h = st.n, st.hypers
-    k12 = kernel_matrix(st.X, x, h)[:, 0]
+    k12 = kernel_matrix(x, st.X, h)[0]  # a row: cdist runs along the n soundings
     s12 = dtpsv(n, st._packed, k12, trans=1) if n else k12  # dtpsv rejects n = 0
     schur = (h.sigma_f2 + h.sigma_n2 + jitter) - s12 @ s12  # k(x, x) = sigma_f2
     if not schur > 0.0:
@@ -508,7 +511,9 @@ def _with_sounding(st: GpState, x: np.ndarray, y: float, jitter: float) -> GpSta
     bufs = st._bufs.with_room(n, n + 1)
     bufs.x[n] = x
     bufs.y[n] = y
-    bufs.P[_tri(n) : _tri(n + 1)] = np.append(s12, s22)
+    end = _tri(n + 1) - 1  # the column's diagonal entry
+    bufs.P[end - n : end] = s12
+    bufs.P[end] = s22
     bufs.solved[n] = (np.array([y, 1.0]) - s12 @ bufs.solved[:n]) / s22
     y_mean = float(bufs.y[: n + 1].mean()) if st.subtract_mean else 0.0
     return GpState(bufs, n + 1, h, st.subtract_mean, y_mean)

@@ -78,10 +78,13 @@ class GaussianSumField:
         which validate_field refuses, and a mound whose squared distance
         overflows adds exp(-inf) = 0, its true share to rounding."""
         p = np.asarray(p, dtype=float)
+        # [()] reads one point's coordinates as numpy scalars, whose arithmetic
+        # is cheaper than that of 0-d arrays; many points stay arrays
+        x, y = p[..., 0][()], p[..., 1][()]
         with np.errstate(over="ignore"):
-            z = self.offset + self.gradient_x * p[..., 0] + self.gradient_y * p[..., 1]
+            z = self.offset + self.gradient_x * x + self.gradient_y * y
             for cx, cy, amp, width in self.bumps:
-                d2 = (p[..., 0] - cx) ** 2 + (p[..., 1] - cy) ** 2
+                d2 = (x - cx) ** 2 + (y - cy) ** 2
                 z = z + amp * np.exp(-d2 / (2.0 * width * width))
         return z
 
@@ -544,7 +547,7 @@ def run_mission(cfg: MissionConfig, field, poly: Polygon) -> MissionLog:
             if t >= next_sonar - eps_t:
                 z = sonar_sample(field, pose, cfg.noise_std, rng)
                 model.append(pos, [z])
-                log.measurements.append((t, float(pos[0]), float(pos[1]), z))
+                log.measurements.append((t, pose.x, pose.y, z))
                 next_sonar += sonar_period
                 z_last = z
 
@@ -564,8 +567,7 @@ def run_mission(cfg: MissionConfig, field, poly: Polygon) -> MissionLog:
                 found = follower.state.found_contour
                 if follower.complete(pose):
                     idx = closure_index(follower.state.trace, pos, cfg.loop_buffer, follower.closure_radius)
-                    loop = np.asarray(follower.state.trace[idx:], dtype=float)
-                    log.intersection = _trace_to_polygon(loop, cfg.track_spacing / 4.0, cfg.loop_buffer)
+                    log.intersection = _trace_to_polygon(follower.state.trace[idx:], cfg.track_spacing / 4.0, cfg.loop_buffer)
                     log.closed = True
                     plan_start = pos if point_in_polygon(pos, log.intersection) else nearest_boundary_point(pos, log.intersection)
                     log.plan = plan_coverage(log.intersection, plan_start, cfg.track_spacing, cfg.sweep_dir)
@@ -586,7 +588,7 @@ def run_mission(cfg: MissionConfig, field, poly: Polygon) -> MissionLog:
                     psi_d = bearing_between(pos, waypoints[wp_i])
 
             z_pred = float(traced_model.predict_mean(pos)[0]) if traced_model.n else math.nan
-            log.trace.append((t, float(pos[0]), float(pos[1]), pose.psi, mode, z, z_pred, found))
+            log.trace.append((t, pose.x, pose.y, pose.psi, mode, z, z_pred, found))
 
             if phase == "done":
                 break
@@ -614,7 +616,7 @@ def run_mission(cfg: MissionConfig, field, poly: Polygon) -> MissionLog:
 
     log.sim_time = state.clock
     if follower is not None:
-        log.boundary_trace = np.asarray(follower.state.trace, dtype=float).reshape(-1, 2)
+        log.boundary_trace = follower.state.trace.copy()
     return log
 
 

@@ -11,11 +11,12 @@ from bathysurvey.contour import (
     ContourFollower,
     Mode,
     Pose,
+    _heading_gaps,
     closure_index,
     ema_heading,
     solve_arc_heading,
 )
-from bathysurvey.geometry import Polygon, bearing_between, point_in_polygon
+from bathysurvey.geometry import Polygon, bearing_between, normalize_bearing, point_in_polygon
 from bathysurvey.sim import MissionConfig
 
 
@@ -104,6 +105,44 @@ def test_loop_closed_discrete_circle_oracle():
         d = np.hypot(*(trace[: min(k, 100) - buffer] - trace[k % 100]).T)
         assert hits[k] == int(np.argmin(d))
         assert d[hits[k]] < radius
+
+
+def test_the_array_trail_closes_as_the_list_form_does():
+    # a 2000-point lap whose end comes back to its start, probed at its
+    # start, at its head (inside the loop buffer) and far off, through
+    # every loop_buffer edge and every doubling of the trail
+    lap = oracles.circle_trace(2000, 300.0)
+    fol = ContourFollower(MissionConfig(search_radius=2.0, loop_buffer=50), SQUARE, FLAT)
+    fol.state.found_contour = True
+    probes = [lap[0], lap[3] + 0.5, (1e3, 1e3)]
+    rows, fired = [], 0
+    for k, p in enumerate(lap):
+        fol.state.append_trace(p)
+        rows.append(p.copy())
+        if k < 120 or k % 37 == 0 or k > 1990:
+            for q in [*probes, p]:
+                want = closure_index(rows, q, 50, fol.closure_radius)
+                assert closure_index(fol.state.trace, q, 50, fol.closure_radius) == want
+                assert fol.complete(Pose(*q, 0.0)) == (want is not None)
+                fired += want is not None
+    assert fired
+    assert fol.state.trace.tobytes() == np.array(rows).tobytes()
+    # the loop_buffer edge: no point, then the first one, is eligible
+    assert closure_index(fol.state.trace[:50], lap[0], 50, fol.closure_radius) is None
+    assert closure_index(fol.state.trace[:51], lap[0], 50, fol.closure_radius) == 0
+
+
+def test_heading_gaps_wrap_as_normalize_bearing_does():
+    pi = math.pi
+    marks = [k * pi for k in range(-4, 5)]
+    near = [float(np.nextafter(m, side)) for m in marks for side in (-np.inf, np.inf)]
+    far = [1e6, -1e6, 1e15 + 0.5, -1e300, 1e300, 5e-324, -0.0]
+    rng = np.random.default_rng(8)
+    cases = [(np.array(marks + near + far), 0.0), (rng.uniform(-20.0, 20.0, 4000), 0.0)]
+    cases += [(rng.uniform(-4.0, 4.0, 1000), heading) for heading in (0.3, -3.1, pi, -pi, 7.0)]
+    for psi, heading in cases:
+        want = np.array([abs(normalize_bearing(p - heading)) for p in psi])
+        assert _heading_gaps(psi, heading).tobytes() == want.tobytes()
 
 
 def test_follower_closure_radius():
@@ -206,7 +245,7 @@ def test_found_contour_latches_and_trace_appends():
     pose = Pose(5.0, 2.0, 0.0)
     fol.step(pose, 0.0, 1.0)  # far from target: not found
     assert not fol.state.found_contour
-    assert fol.state.trace == []
+    assert fol.state.trace.shape == (0, 2)
     fol.step(pose, 2.9, 1.0)  # inside tolerance: latch + append
     assert fol.state.found_contour
     fol.step(pose, 0.0, 1.0)  # latch survives bad readings

@@ -1,6 +1,7 @@
 """Planar geometry against winding-number and exact-intersection oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -169,6 +170,36 @@ def test_point_in_polygon_matches_winding_oracle():
             assert g == oracles.winding_inside(p, poly.vertices), p
         singles = [point_in_polygon(p, poly) for p in pts]
         assert np.array_equal(np.array(singles), got)
+
+
+#: level edges at several heights, their insides above them and below
+STAIRS = Polygon([(0, 0), (40, 0), (40, 10), (30, 10), (30, 20), (20, 20), (20, 30), (10, 30), (10, 40), (0, 40)])
+COMB = Polygon([(0, 0), (50, 0), (50, 30), (40, 30), (40, 10), (30, 10), (30, 30), (20, 30), (20, 10), (10, 10), (10, 30), (0, 30)])
+
+
+@pytest.mark.parametrize("poly", [STAIRS, COMB, U_SHAPE, Polygon(STAIRS.vertices * [1.0, -1.0])], ids=["stairs", "comb", "u", "stairs-mirrored"])
+def test_containment_at_the_heights_of_level_edges(poly):
+    """A level edge never straddles the horizontal through a point, so
+    the crossing test reads its dy as 1; points at every vertex height,
+    on the level edges, at their ends and off them, match the winding
+    oracle."""
+    ys = np.unique(poly.vertices[:, 1])
+    pts = np.array([(x, y) for y in ys for x in np.arange(-5.0, 56.0, 2.5)])
+    want = [oracles.winding_inside(p, poly.vertices) for p in pts]
+    assert any(want) and not all(want)
+    assert points_in_polygon(pts, poly).tolist() == want
+    assert [point_in_polygon(p, poly) for p in pts] == want
+
+
+def test_far_off_points_are_outside_without_warnings():
+    far = np.array([[1e300, 1e300], [-1e300, 5.0], [5.0, 1e300], [1e300, -1e300], [5.0, -1e300]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not points_in_polygon(far, SQUARE).any()
+        assert not any(point_in_polygon(p, SQUARE) for p in far)
+        assert not segments_in_polygon(far, far[::-1], SQUARE).any()
+        assert not segments_in_polygon(np.full_like(far, 5.0), far, SQUARE).any()
+        assert (nearest_boundary_points(far, SQUARE)[1] > 9e299).all()
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-6])

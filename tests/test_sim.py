@@ -1,5 +1,6 @@
 """Fields, vessel kinematics, config plumbing, and full missions."""
 
+import hashlib
 import json
 import math
 import warnings
@@ -546,9 +547,34 @@ PLANE_MISSION = MissionConfig(
 
 
 def _plane_mission_until(max_sim_time: float):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return run_mission(replace(PLANE_MISSION, max_sim_time=max_sim_time), PLANE_FIELD, SQUARE)
+    return run_mission(replace(PLANE_MISSION, max_sim_time=max_sim_time), PLANE_FIELD, SQUARE)
+
+
+def _mission_digest(log) -> str:
+    """sha256 of a mission's trace rows, soundings and hyper fits: every
+    number as its float64 bytes, every mode as its name."""
+    h = hashlib.sha256()
+    for t, x, y, psi, mode, z, z_pred, found in log.trace:
+        h.update(np.array([t, x, y, psi, z, z_pred, found], dtype=float).tobytes() + mode.encode())
+    h.update(np.array(log.measurements, dtype=float).tobytes())
+    for t, hypers, lml, converged, n in log.hyper_history:
+        h.update(np.array([t, *hypers.as_array(), lml, converged, n], dtype=float).tobytes())
+    return h.hexdigest()
+
+
+#: _mission_digest of the plane mission, as PLAN_DIGESTS pins plans: a
+#: change that moves any bit of its trajectory, soundings or fits must
+#: say why
+PLANE_MISSION_DIGEST = "524f6ad3026b7bc8e3371a9aea038edad85352adf608f3c276c0e77098b2b450"
+
+
+def test_plane_mission_is_pinned():
+    log = _plane_mission_until(PLANE_MISSION.max_sim_time)
+    assert _mission_digest(log) == PLANE_MISSION_DIGEST
+    # the follower's trail holds the position of every row from first
+    # contact to closure (this mission never clamps a pose)
+    traced = [(x, y) for _, x, y, _, mode, _, _, found in log.trace if found and mode in ("contour", "boundary")]
+    assert log.boundary_trace.tobytes() == np.array(traced).tobytes()
 
 
 def test_plane_mission_tracks_and_walls():
@@ -692,9 +718,7 @@ def test_only_the_mission_end_fit_runs_on_the_bound(monkeypatch):
     assert n == log.model.n > gp.INDUCING
     # with no refit due after the loop closes there is no mission-end fit
     fits.clear()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        log = run_mission(replace(PLANE_MISSION, refit_period=2000.0), PLANE_FIELD, SQUARE)
+    log = run_mission(replace(PLANE_MISSION, refit_period=2000.0), PLANE_FIELD, SQUARE)
     assert log.closed
     assert [(n, options) for n, options, _ in fits] == [(log.hyper_history[0][4], {})]
 
@@ -770,9 +794,7 @@ def test_refit_period_past_mission_end_keeps_init_fit_only():
         seed=3,
         max_sim_time=1500.0,
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        log = run_mission(cfg, field, SQUARE)
+    log = run_mission(cfg, field, SQUARE)
     assert log.aborted is None and log.closed
     assert [row[0] for row in log.hyper_history] == [cfg.init_duration]
     assert log.model.hypers == log.hyper_history[0][1]
