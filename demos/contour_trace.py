@@ -47,7 +47,7 @@ poly = Polygon([(0, 0), (SIDE, 0), (SIDE, SIDE), (0, SIDE)])
 field = GaussianSumField(offset=7.0, gradient_y=-1.0 / 12.0)
 TARGET = 4.5  # true contour: the line y = 30
 
-model = GpModel(subtract_mean=True)
+model = GpModel()
 vessel = VesselState(pose=Pose(30.0, 48.0, math.pi), speed=1.0, clock=0.0)
 DT, INIT_RADIUS = 1.0, 8.0
 

@@ -56,7 +56,7 @@ if "boundary" in first:
 print(f"  t={first.get('coverage', 0.0):6.0f} s  loop closed "
       f"({log.intersection.area:.0f} m^2 enclosed), coverage begins")
 print(f"  t={log.sim_time:6.0f} s  plan exhausted "
-      f"({len(log.cells)} cell(s), {log.plan.total_length:.0f} m of track)")
+      f"({len(log.plan.cells)} cell(s), {log.plan.total_length:.0f} m of track)")
 
 # ------------------------------------------------------------ hyper fits
 print(f"\n{len(log.hyper_history)} hyper fits (depths are metres):")

@@ -108,7 +108,7 @@ def cmd_run(args) -> int:
     print(f"simulated {log.sim_time:.1f} s, {len(log.measurements)} soundings, contour closed: {log.closed}")
     if log.plan is not None:
         print(
-            f"coverage: {len(log.cells)} cells, {len(log.plan.waypoints)} waypoints, "
+            f"coverage: {len(log.plan.cells)} cells, {len(log.plan.waypoints)} waypoints, "
             f"{log.plan.total_length:.1f} m path ({log.plan.transit_length:.1f} m transit)"
         )
     print(f"artifacts written to {out}")
@@ -169,7 +169,7 @@ def cmd_gp_fit(args) -> int:
     X, y = _load_points(args.data)
     out = _out_dir(args, "gp-fit")
     _write_manifest(out, {"command": "gp-fit", "data": str(args.data), "points": len(y)})
-    model = GpModel(subtract_mean=True)
+    model = GpModel()
     model.append(X, y)
     fit = optimize_hypers(model)
     model.set_hypers(fit.hypers)

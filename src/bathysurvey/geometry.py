@@ -278,10 +278,13 @@ def _edge_crossings(o: np.ndarray, d: np.ndarray, poly: Polygon):
 
 
 def crossed_edge(poly: Polygon, p_from, p_to) -> int:
-    """Index of the polygon edge crossed first by the segment p_from -> p_to."""
+    """Index of the polygon edge crossed first by the segment p_from -> p_to,
+    counting crossings up to 1e-9 m beyond either end, whatever its length."""
     p = np.asarray(p_from, dtype=float)
-    t, s, ok = _edge_crossings(p, np.asarray(p_to, dtype=float) - p, poly)
-    ok &= (s >= -1e-9) & (s <= 1.0 + 1e-9) & (t >= -1e-9) & (t <= 1.0 + 1e-9)
+    d = np.asarray(p_to, dtype=float) - p
+    t, s, ok = _edge_crossings(p, d, poly)
+    slack = 1e-9 / (math.hypot(*d) or math.inf)  # a point crosses nothing: ok is all False
+    ok &= (s >= -1e-9) & (s <= 1.0 + 1e-9) & (t >= -slack) & (t <= 1.0 + slack)
     if not ok.any():
         raise GeometryError("segment does not cross the polygon boundary")
     idx = np.where(ok)[0]

@@ -1,14 +1,13 @@
 """Streaming Gaussian-process depth model.
 
-The model regresses depth on horizontal position with a squared
-exponential kernel and maintains an upper-triangular Cholesky factor
-of the noisy covariance (L.T @ L = K_y). The factor grows one way: a
+The model regresses depth less its mean on horizontal position with a
+squared exponential kernel and maintains an upper-triangular Cholesky
+factor of the noisy covariance (L.T @ L = K_y). The factor grows one way: a
 batch appended to an empty model is factored in one block, and every
 other sounding extends it in place by one column, so it is refactored
 from scratch only on a hyper-parameter change. Alongside the factor it
 extends L^-T y and L^-T 1, from which each snapshot builds its own
-(optionally centred) weights, so an append writes only new rows and
-columns.
+centred weights, so an append writes only new rows and columns.
 
 The factor is stored in LAPACK's upper packed, column-major layout:
 column j (rows 0..j) occupies P[j(j+1)/2 : (j+1)(j+2)/2]. A model of n
@@ -17,7 +16,7 @@ routine dtpsv solves against without a copy, and appending columns
 n, n+1, ... writes only past that prefix. One sounding thus takes two
 O(n^2) triangular solves that read the factor in place (its own column
 and the new snapshot's weights) and allocates O(n); the factor takes
-cap(cap+1)/2 doubles. The square factor `L` is unpacked only on demand.
+cap(cap+1)/2 doubles. The square factor `L` is unpacked anew per read.
 
 Thread contract: one writer (append / set_hypers), any number of
 readers. Readers operate on an immutable snapshot grabbed once per
@@ -107,8 +106,10 @@ class HyperParams:
 
 #: first-fit starting point when nothing better is known
 DEFAULT_HYPERS = HyperParams(1.0, 0.01, 10.0)
-#: hyper row columns of a checkpoint; a file without the last one predates it
-_CHECKPOINT_COLUMNS = ["sigma_f2", "sigma_n2", "length_scale", "subtract_mean"]
+#: hyper row columns of a checkpoint
+_CHECKPOINT_COLUMNS = ["sigma_f2", "sigma_n2", "length_scale"]
+#: the hyper header written while centring was optional, its flag 1 when centred
+_LEGACY_COLUMNS = [*_CHECKPOINT_COLUMNS, "subtract_mean"]
 
 
 @dataclass(frozen=True)
@@ -223,17 +224,15 @@ class GpState:
     snapshot was taken.
     """
 
-    __slots__ = ("_bufs", "n", "hypers", "subtract_mean", "y_mean", "_beta", "_alpha", "_L")
+    __slots__ = ("_bufs", "n", "hypers", "y_mean", "_beta", "_alpha")
 
-    def __init__(self, bufs, n, hypers, subtract_mean, y_mean):
+    def __init__(self, bufs, n, hypers, y_mean):
         self._bufs = bufs
         self.n = n
         self.hypers = hypers
-        self.subtract_mean = subtract_mean
         self.y_mean = y_mean
         self._beta = None
         self._alpha = None
-        self._L = None
 
     @property
     def X(self) -> np.ndarray:
@@ -245,7 +244,7 @@ class GpState:
 
     @property
     def y_centered(self) -> np.ndarray:
-        return self.y - self.y_mean if self.subtract_mean else self.y
+        return self.y - self.y_mean
 
     @property
     def _packed(self) -> np.ndarray:
@@ -254,17 +253,13 @@ class GpState:
 
     @property
     def L(self) -> np.ndarray:
-        """Cached square upper factor, unpacked once per snapshot with
-        zeros below the diagonal."""
-        fac = self._L
-        if fac is None:
-            fac = dtpttr(self.n, self._packed)[0]
-            self._L = fac
-        return fac
+        """Square upper factor with zeros below the diagonal, unpacked
+        from the packed prefix on each read; the snapshot keeps none."""
+        return dtpttr(self.n, self._packed)[0]
 
     @property
     def beta(self) -> np.ndarray:
-        """Cached L^-T applied to the (centered) depths, a vector of this snapshot's own."""
+        """Cached L^-T applied to the centred depths, a vector of this snapshot's own."""
         b = self._beta
         if b is None:
             solved = self._bufs.solved[: self.n]
@@ -274,7 +269,7 @@ class GpState:
 
     @property
     def alpha(self) -> np.ndarray:
-        """Cached solve of K_y @ alpha = y (centered when mean subtraction is on)."""
+        """Cached solve of K_y @ alpha = y - y_mean."""
         a = self._alpha
         if a is None:
             a = dtpsv(self.n, self._packed, self.beta) if self.n else np.zeros(0)
@@ -282,7 +277,7 @@ class GpState:
         return a
 
     def log_likelihood(self) -> float:
-        """Log marginal likelihood of the (centred) depths under this
+        """Log marginal likelihood of the centred depths under this
         snapshot's own factor, any jitter it took included, in O(n):
         -|beta|^2 / 2 - sum(log diag L) - n log(2 pi) / 2."""
         diag = self._packed[np.arange(1, self.n + 1).cumsum() - 1]  # column j ends at _tri(j + 1)
@@ -322,11 +317,17 @@ class GpState:
 
 
 class GpModel:
-    """Online GP over (x, y) -> depth with an incrementally extended factor."""
+    """Online GP over (x, y) -> depth with an incrementally extended factor.
 
-    def __init__(self, hypers: HyperParams = DEFAULT_HYPERS, subtract_mean: bool = False):
+    It models the depths less their mean and adds the mean back to every
+    prediction: depths lie far from zero, so a zero-mean prior would read
+    unsounded water as shallow, and the follower's arc search would steer
+    the vessel back into its own wake.
+    """
+
+    def __init__(self, hypers: HyperParams = DEFAULT_HYPERS):
         self._lock = threading.Lock()
-        self._state = GpState(_Buffers(64), 0, hypers, subtract_mean, 0.0)
+        self._state = GpState(_Buffers(64), 0, hypers, 0.0)
 
     # -- reader API ------------------------------------------------------
 
@@ -416,36 +417,36 @@ class GpModel:
             hypers = HyperParams.from_array(hypers)
         with self._lock:
             st = self._state
-            empty = GpState(_Buffers(0), 0, hypers, st.subtract_mean, 0.0)
+            empty = GpState(_Buffers(0), 0, hypers, 0.0)
             self._state = _extended(empty, st.X, st.y) if st.n else empty
 
     # -- persistence -----------------------------------------------------
 
     def save_checkpoint(self, path) -> None:
-        """Write hypers, the mean flag and the training rows as columnar text."""
+        """Write hypers and the training rows as columnar text."""
         st = self._state
-        text = files.csv_text(",".join(_CHECKPOINT_COLUMNS), [(*st.hypers.as_array(), st.subtract_mean)], "fffi")
+        text = files.csv_text(",".join(_CHECKPOINT_COLUMNS), [st.hypers.as_array()], "fff")
         files.write_text(path, text + files.csv_text("x,y,depth", np.column_stack([st.X, st.y]), "fff"))
 
     @classmethod
     def load_checkpoint(cls, path) -> "GpModel":
         """Rebuild a model from a checkpoint with one deterministic batch append.
 
-        A checkpoint without the subtract_mean column, as written before
-        the column existed, comes back centred: missions and `gp-fit`
-        saved centred models. Depths so large that the model's weights
-        overflow are refused by `append`, as every other bad file is, with
-        ConfigError.
+        A checkpoint written while centring was optional has a fourth
+        hyper column, subtract_mean; it loads when that flag is 1, as
+        every mission and `gp-fit` wrote it, and is refused with
+        ConfigError otherwise, since an uncentred model no longer exists.
+        Depths so large that the model's weights overflow are refused by
+        `append`, as every other bad file is, with ConfigError.
         """
         rows = files.read_rows(path)
-        heads = (_CHECKPOINT_COLUMNS, _CHECKPOINT_COLUMNS[:3])
+        heads = (_CHECKPOINT_COLUMNS, _LEGACY_COLUMNS)
         if len(rows) < 3 or rows[0][1] not in heads or rows[2][1] != ["x", "y", "depth"]:
             raise ConfigError(f"{path} is not a model checkpoint")
         values = files.numbers(path, rows[1], len(rows[0][1]))
-        centred = values[3] if len(values) > 3 else 1.0
-        if centred not in (0.0, 1.0):
-            raise ConfigError(f"{path}:{rows[1][0]}: subtract_mean must be 0 or 1, got {centred}")
-        model = cls(HyperParams.from_array(values[:3]), subtract_mean=bool(centred))
+        if len(values) > 3 and values[3] != 1.0:
+            raise ConfigError(f"{path}:{rows[1][0]}: subtract_mean must be 1, the centred model, got {values[3]}")
+        model = cls(HyperParams.from_array(values[:3]))
         if len(rows) > 3:
             data = np.array([files.numbers(path, row, 3) for row in rows[3:]])
             model.append(data[:, :2], data[:, 2])
@@ -493,8 +494,7 @@ def _factored(st: GpState, xs: np.ndarray, ys: np.ndarray, jitter: float) -> GpS
     bufs.P[: _tri(m)] = dtrttp(factor)[0]
     rhs = np.column_stack([ys, np.ones(m)])
     bufs.solved[:m] = solve_triangular(factor, rhs, trans="T", lower=False, check_finite=False)
-    y_mean = float(bufs.y[:m].mean()) if st.subtract_mean else 0.0
-    return GpState(bufs, m, h, st.subtract_mean, y_mean)
+    return GpState(bufs, m, h, float(bufs.y[:m].mean()))
 
 
 def _with_sounding(st: GpState, x: np.ndarray, y: float, jitter: float) -> GpState:
@@ -515,8 +515,7 @@ def _with_sounding(st: GpState, x: np.ndarray, y: float, jitter: float) -> GpSta
     bufs.P[end - n : end] = s12
     bufs.P[end] = s22
     bufs.solved[n] = (np.array([y, 1.0]) - s12 @ bufs.solved[:n]) / s22
-    y_mean = float(bufs.y[: n + 1].mean()) if st.subtract_mean else 0.0
-    return GpState(bufs, n + 1, h, st.subtract_mean, y_mean)
+    return GpState(bufs, n + 1, h, float(bufs.y[: n + 1].mean()))
 
 
 class _UnitFactor(NamedTuple):

@@ -364,7 +364,6 @@ class MissionLog:
     hyper_history: list = dc_field(default_factory=list)
     boundary_trace: np.ndarray = dc_field(default_factory=lambda: np.zeros((0, 2)))
     intersection: Polygon | None = None
-    cells: list = dc_field(default_factory=list)
     plan: PathPlan | None = None
     model: GpModel | None = None
     closed: bool = False
@@ -402,10 +401,10 @@ class MissionLog:
             files.write_json(out / "boundary.geojson", doc)
             written.append("boundary.geojson")
 
-        if self.cells:
-            cells_to_geojson(self.cells, out / "cells.geojson")
-            written.append("cells.geojson")
         if self.plan is not None:
+            if self.plan.cells:
+                cells_to_geojson(self.plan.cells, out / "cells.geojson")
+                written.append("cells.geojson")
             self.plan.save_csv(out / "plan.csv")
             self.plan.save_geojson(out / "path.geojson")
             written.extend(["plan.csv", "path.geojson"])
@@ -479,21 +478,21 @@ def run_mission(cfg: MissionConfig, field, poly: Polygon) -> MissionLog:
     runs only if model.n is at least REFIT_GROWTH times the n of the
     last fit; otherwise that due time passes with no fit. Each fit runs
     on the then-current data, is logged in hyper_history and applies at
-    once. Refits that fall due after the loop closes would steer
-    nothing, so they are replaced by one refit on all the data once the
-    plan is done, which the delivered model carries as the last
-    hyper_history row; a mission with no refit due after the loop
-    closes gets none. That refit steers nothing either, so it maximises
-    the inducing-point bound on gp.INDUCING inputs (O(n m^2) per
-    evaluation) where the contour refits maximise the exact likelihood,
-    and its row logs the exact log marginal likelihood of the factor it
-    applied, not the bound. Every sounding goes to log.measurements and to
-    the delivered log.model. A trace row's z_predicted is the model's
-    mean at the vessel; from closure on it reads the model as it stood
-    at closure, so on coverage rows it is a prediction on water that
-    model had not sounded. Any survey error ends the mission with the
-    partial log and the reason recorded; the delivered model then holds
-    every sounding taken and the hypers of the last fit.
+    once. Refits after the loop closes would steer nothing, so the
+    refit clock stops there; once the plan is done, one refit on all the
+    data runs under the same growth rule, and the delivered model carries
+    it as the last hyper_history row. That refit steers nothing either,
+    so it maximises the inducing-point bound on gp.INDUCING inputs
+    (O(n m^2) per evaluation) where the contour refits maximise the exact
+    likelihood, and its row logs the exact log marginal likelihood of the
+    factor it applied, not the bound. Every sounding goes to
+    log.measurements and to the delivered log.model. A trace row's
+    z_predicted is the model's mean at the vessel; from closure on it
+    reads the model as it stood at closure, so on coverage rows it is a
+    prediction on water that model had not sounded. Any survey error
+    ends the mission with the partial log and the reason recorded; the
+    delivered model then holds every sounding taken and the hypers of
+    the last fit.
     """
     start = np.asarray(cfg.start, dtype=float)
     if not point_in_polygon(start, poly):
@@ -504,10 +503,7 @@ def run_mission(cfg: MissionConfig, field, poly: Polygon) -> MissionLog:
 
     log = MissionLog(config=cfg, config_hash=mission_fingerprint(cfg, field, poly), field_summary=field.to_dict())
     rng = np.random.default_rng(cfg.seed)
-    # depth data is far from zero-mean; without mean subtraction the arc
-    # search would read extrapolated water as shallow and steer the vessel
-    # back into its own wake
-    model = GpModel(subtract_mean=True)
+    model = GpModel()
     log.model = model
     traced_model = model  # what z_predicted reads: frozen at closure
 
@@ -529,7 +525,6 @@ def run_mission(cfg: MissionConfig, field, poly: Polygon) -> MissionLog:
     follower: ContourFollower | None = None
     phase = "init"
     next_refit = cfg.init_duration
-    final_refit = False
     next_sonar = 0.0
     z_last = math.nan
     waypoints = np.zeros((0, 2))
@@ -571,7 +566,6 @@ def run_mission(cfg: MissionConfig, field, poly: Polygon) -> MissionLog:
                     log.closed = True
                     plan_start = pos if point_in_polygon(pos, log.intersection) else nearest_boundary_point(pos, log.intersection)
                     log.plan = plan_coverage(log.intersection, plan_start, cfg.track_spacing, cfg.sweep_dir)
-                    log.cells = log.plan.cells
                     waypoints = log.plan.waypoints
                     wp_i = 0
                     phase = "coverage"
@@ -593,21 +587,19 @@ def run_mission(cfg: MissionConfig, field, poly: Polygon) -> MissionLog:
             if phase == "done":
                 break
 
-            if t >= next_refit - eps_t:
-                if phase == "contour":
-                    if model.n >= REFIT_GROWTH * log.hyper_history[-1][4]:
-                        # warm-started from the current hypers; capped iterations keep
-                        # the O(n^3)-per-evaluation refit cost bounded as data grows
-                        refit(max_iter=25)
-                else:
-                    # coverage follows fixed waypoints, so no refit there steers
-                    # the vessel; one fit at mission end stands in for them all
-                    final_refit = True
+            if phase == "contour" and t >= next_refit - eps_t:
+                if model.n >= REFIT_GROWTH * log.hyper_history[-1][4]:
+                    # warm-started from the current hypers; capped iterations keep
+                    # the O(n^3)-per-evaluation refit cost bounded as data grows
+                    refit(max_iter=25)
                 next_refit += cfg.refit_period
 
             state = step_vessel(state, psi_d, dt, cfg.max_turn_rate)
 
-        if final_refit:
+        # coverage follows fixed waypoints, so no refit there steers the
+        # vessel; one fit on all the data, under the same growth rule,
+        # stands in for them all
+        if model.n >= REFIT_GROWTH * log.hyper_history[-1][4]:
             refit(max_iter=25, inducing=INDUCING)
     except MissionAbort as exc:
         log.aborted = str(exc)

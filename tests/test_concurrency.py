@@ -117,11 +117,11 @@ def test_held_snapshot_unchanged_under_mean_subtraction():
         p = st.predict(queries)
         return p.mean.tobytes() + p.variance.tobytes() + st.predict_mean(queries).tobytes()
 
-    replica = GpModel(H, subtract_mean=True)
+    replica = GpModel(H)
     replica.append(base_x, base_y)
     want = key(replica.snapshot())
 
-    model = GpModel(H, subtract_mean=True)
+    model = GpModel(H)
     model.append(base_x, base_y)
     old = model.snapshot()
     stop = threading.Event()

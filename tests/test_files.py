@@ -39,14 +39,14 @@ EXPECTED_TEXT = {
         "# polygon vertices, one 'x,y' per line, counter-clockwise\n0.0,0.0\n20.0,0.0\n20.0,10.0\n0.0,10.0\n"
     ),
     "gp_checkpoint.csv": (
-        "sigma_f2,sigma_n2,length_scale,subtract_mean\n2.0,0.01,8.0,1\nx,y,depth\n1.0,2.0,5.0\n3.5,2.0,5.5\n1.0,4.25,4.75\n"
+        "sigma_f2,sigma_n2,length_scale\n2.0,0.01,8.0\nx,y,depth\n1.0,2.0,5.0\n3.5,2.0,5.5\n1.0,4.25,4.75\n"
     ),
 }
 
 
 def _hand_built_log() -> MissionLog:
     """A log whose rows mix Python, numpy and flag types, as missions and callers do."""
-    model = GpModel(H, subtract_mean=True)
+    model = GpModel(H)
     model.append(np.array([[1.0, 2.0], [3.5, 2.0], [1.0, 4.25]]), np.array([5.0, 5.5, 4.75]))
     plan = plan_coverage(RECT, (1.0, 1.0), 5.0, 0.0)
     nan = float("nan")
@@ -63,7 +63,6 @@ def _hand_built_log() -> MissionLog:
         hyper_history=[(40.0, H, -3.25, np.bool_(True), np.int64(3))],
         boundary_trace=np.array([[1.0, 2.0], [3.5, 2.0]]),
         intersection=RECT,
-        cells=plan.cells,
         plan=plan,
         model=model,
         closed=True,

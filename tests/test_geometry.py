@@ -238,6 +238,10 @@ def test_crossed_edge_and_traversal_helpers():
     assert crossed_edge(SQUARE, (5, 5), (5, 15)) == 2
     assert crossed_edge(SQUARE, (5, 5), (-5, 5)) == 3
     assert crossed_edge(SQUARE, (5, 5), (25, 5)) == 1  # first crossing wins
+    # the south edge lies 2.5e-12 of these segments behind their start, but
+    # metres away: the slack at the ends is a distance along the segment
+    assert crossed_edge(SQUARE, (5, 5), (1e12, 2e12)) == 2
+    assert crossed_edge(SQUARE, (5, 5), (6, 1e12)) == 2
     with pytest.raises(GeometryError):
         crossed_edge(SQUARE, (4, 4), (5, 5))
     assert next_edge(SQUARE, 3, 1) == 0

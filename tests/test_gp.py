@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies
 from scipy.optimize import minimize
 
 import mutations
@@ -26,10 +26,10 @@ from bathysurvey.gp import (
 H = HyperParams(2.0, 0.05, 8.0)
 
 
-def _random_model(rng, n, hypers=H, subtract_mean=False, chunks=True):
+def _random_model(rng, n, hypers=H, chunks=True):
     x = rng.uniform(-40.0, 40.0, (n, 2))
     y = oracles.sample_gp(rng, x, hypers.sigma_f2, hypers.sigma_n2, hypers.length_scale)
-    model = GpModel(hypers, subtract_mean=subtract_mean)
+    model = GpModel(hypers)
     if chunks:
         i = 0
         while i < n:
@@ -66,7 +66,7 @@ def test_predictions_match_explicit_inverse():
     model, x, y = _random_model(rng, 60)
     q = rng.uniform(-50.0, 50.0, (25, 2))
     pred = model.predict(q)
-    mean_ref, var_ref = oracles.gp_predict(x, y, q, H.sigma_f2, H.sigma_n2, H.length_scale)
+    mean_ref, var_ref = oracles.gp_predict(x, y, q, H.sigma_f2, H.sigma_n2, H.length_scale, y_mean=y.mean())
     assert np.abs(pred.mean - mean_ref).max() < 1e-8
     assert np.abs(pred.variance - var_ref).max() < 1e-8
     assert np.allclose(pred.std, np.sqrt(pred.variance))
@@ -91,21 +91,21 @@ def test_lml_and_gradient_match_oracles():
     rng = np.random.default_rng(5)
     for _ in range(5):
         model, x, y = _random_model(rng, 20)
+        yc = y - y.mean()
         rep = model.log_marginal_likelihood()
         assert rep.lml == pytest.approx(
-            oracles.log_marginal(x, y, H.sigma_f2, H.sigma_n2, H.length_scale), rel=1e-9
+            oracles.log_marginal(x, yc, H.sigma_f2, H.sigma_n2, H.length_scale), rel=1e-9
         )
-        fd = oracles.fd_gradient(x, y, H.as_array())
+        fd = oracles.fd_gradient(x, yc, H.as_array())
         rel = np.abs(rep.gradient - fd) / np.maximum(np.abs(fd), 1e-8)
         assert rel.max() < 1e-4
 
 
-@pytest.mark.parametrize("subtract_mean", [False, True])
-def test_log_likelihood_reads_the_stored_factor(subtract_mean):
+def test_log_likelihood_reads_the_stored_factor():
     # the factor grows column by column here, and set_hypers refactors it in one block
     rng = np.random.default_rng(26)
-    model, x, y = _random_model(rng, 50, subtract_mean=subtract_mean)
-    yc = y - y.mean() if subtract_mean else y
+    model, x, y = _random_model(rng, 50)
+    yc = y - y.mean()
     assert model.snapshot().log_likelihood() == pytest.approx(oracles.log_marginal(x, yc, *H.as_array()), rel=1e-9)
     h = HyperParams(1.5, 0.02, 12.0)
     model.set_hypers(h)
@@ -121,7 +121,7 @@ def _track_model():
     mound = 1.5 * np.exp(-((x[:, 0] - 230.0) ** 2 + (x[:, 1] - 170.0) ** 2) / 800.0)
     y = 4.5 + 0.01 * x[:, 0] - 0.005 * x[:, 1] + mound + 0.05 * rng.standard_normal(300)
     h = HyperParams(1.0, 0.0025, 70.0)
-    model = GpModel(h, subtract_mean=True)
+    model = GpModel(h)
     model.append(x, y)
     return model, x, y, h
 
@@ -160,7 +160,7 @@ def _trend_ridge_model():
     path = Path(__file__).parent / "data" / "trend_ridge_track.csv"
     data = np.loadtxt(path, delimiter=",")
     x, y = data[:, :2], data[:, 2]
-    model = GpModel(HyperParams(53.8683, 0.00043214, 909.8566), subtract_mean=True)
+    model = GpModel(HyperParams(53.8683, 0.00043214, 909.8566))
     model.append(x, y)
     return model, x, y
 
@@ -208,7 +208,7 @@ def _loop_model(n):
     for angle, amp in ((0.5, 1.5), (2.5, -1.0), (4.5, 0.8)):
         centre = (250.0 + r * np.cos(angle), 200.0 + r * np.sin(angle))
         y += amp * np.exp(-((x[:, 0] - centre[0]) ** 2 + (x[:, 1] - centre[1]) ** 2) / 800.0)
-    model = GpModel(HyperParams(1.0, 0.0025, 70.0), subtract_mean=True)
+    model = GpModel(HyperParams(1.0, 0.0025, 70.0))
     model.append(x, y)
     return model
 
@@ -245,7 +245,7 @@ def test_bound_on_every_sounding_is_the_exact_likelihood(monkeypatch):
     assert np.abs(grad - exact_grad).max() < tol
     assert theta == pytest.approx(exact_theta, rel=tol)
     # with at least as many inducing inputs as soundings the fit is the exact one
-    model = GpModel(H, subtract_mean=True)
+    model = GpModel(H)
     model.append(x, y)
     exact_fit = optimize_hypers(model)
     monkeypatch.setattr(gp, "_bound_factor", None)
@@ -288,7 +288,7 @@ def test_profile_fit_reaches_the_three_parameter_fit(case):
     else:
         rng = np.random.default_rng(20 + int(case[-1]))
         start = HyperParams(*rng.uniform([0.2, 0.001, 2.0], [5.0, 0.5, 30.0]))
-        model = _random_model(rng, int(rng.integers(30, 120)), hypers=start, subtract_mean=True)[0]
+        model = _random_model(rng, int(rng.integers(30, 120)), hypers=start)[0]
     _, lml = oracles.fit_three_hypers(model)
     fit = optimize_hypers(model)
     assert fit.lml >= lml - 1e-6 * abs(lml)
@@ -309,7 +309,7 @@ def _moment_fit(x, y):
     """The fit of the soundings by a model whose hypers, its warm start,
     are the data-moment start."""
     lo, hi = np.array(DEFAULT_BOUNDS, dtype=float).T
-    model = GpModel(HyperParams.from_array(gp._moment_start(x, y - y.mean(), lo, hi)), subtract_mean=True)
+    model = GpModel(HyperParams.from_array(gp._moment_start(x, y - y.mean(), lo, hi)))
     model.append(x, y)
     return optimize_hypers(model)
 
@@ -414,7 +414,7 @@ def test_snapshot_isolated_across_capacity_growth():
     x = rng.uniform(-40.0, 40.0, (256, 2))
     y = 3.0 + oracles.sample_gp(rng, x, H.sigma_f2, H.sigma_n2, H.length_scale)
     q = rng.uniform(-50.0, 50.0, (12, 2))
-    model = GpModel(H, subtract_mean=True)
+    model = GpModel(H)
     held = {}
     for i in range(len(y)):
         model.append(x[i : i + 1], y[i : i + 1])
@@ -422,7 +422,7 @@ def test_snapshot_isolated_across_capacity_growth():
             held[model.n] = model.snapshot()
     assert model.snapshot()._bufs.cap == 324
     for n, st in held.items():
-        twin = GpModel(H, subtract_mean=True)
+        twin = GpModel(H)
         for i in range(n):
             twin.append(x[i : i + 1], y[i : i + 1])
         got, want = _probe(st, q), _probe(twin.snapshot(), q)
@@ -442,8 +442,8 @@ def test_batch_append_matches_one_at_a_time():
     x = rng.uniform(-40.0, 40.0, (360, 2))
     y = 3.0 + oracles.sample_gp(rng, x, H.sigma_f2, H.sigma_n2, H.length_scale)
     q = rng.uniform(-50.0, 50.0, (12, 2))
-    batched = GpModel(H, subtract_mean=True)
-    single = GpModel(H, subtract_mean=True)
+    batched = GpModel(H)
+    single = GpModel(H)
     batched.append(x[:40], y[:40])
     single.append(x[:40], y[:40])
     for i in range(40, 360):
@@ -467,7 +467,7 @@ def test_tick_copies_no_square_factor():
     rng = np.random.default_rng(17)
     x = rng.uniform(0.0, 300.0, (n + 1, 2))
     y = rng.normal(5.0, 1.0, n + 1)
-    model = GpModel(HyperParams(1.0, 0.01, 30.0), subtract_mean=True)
+    model = GpModel(HyperParams(1.0, 0.01, 30.0))
     for i in range(n):
         model.append(x[i : i + 1], y[i : i + 1])
     model.predict_mean(x[:1])
@@ -482,6 +482,27 @@ def test_tick_copies_no_square_factor():
     assert peak < n * n * 8 / 10
 
 
+def test_held_snapshot_keeps_no_square_factor():
+    # predict unpacks the square factor for its variance solve; a snapshot
+    # that cached it would hold n^2 doubles, 18 MB at n = 1500, for as long
+    # as it is held
+    n = 1500
+    rng = np.random.default_rng(23)
+    model = GpModel(HyperParams(1.0, 0.01, 30.0))
+    model.append(rng.uniform(0.0, 300.0, (n, 2)), rng.normal(5.0, 1.0, n))
+    st = model.snapshot()
+    q = rng.uniform(0.0, 300.0, (20, 2))
+    tracemalloc.start()
+    try:
+        pred = st.predict(q)
+        st.predict(q)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(pred.variance).all()
+    assert retained < n * n * 8 / 10
+
+
 def test_set_hypers_peak_follows_n_not_the_old_capacity():
     # a batch of n = 1100 soundings; set_hypers sizes its fresh buffers to
     # n + HEADROOM, so its peak is K_y, its Cholesky factor and one more
@@ -489,7 +510,7 @@ def test_set_hypers_peak_follows_n_not_the_old_capacity():
     # doubled capacity of 2048 would peak at 4.7 n^2 doubles
     n = 1100
     rng = np.random.default_rng(19)
-    model = GpModel(HyperParams(1.0, 0.01, 30.0), subtract_mean=True)
+    model = GpModel(HyperParams(1.0, 0.01, 30.0))
     model.append(rng.uniform(0.0, 300.0, (n, 2)), rng.normal(5.0, 1.0, n))
     tracemalloc.start()
     try:
@@ -505,14 +526,10 @@ def test_subtract_mean_extrapolates_to_data_mean():
     rng = np.random.default_rng(9)
     x = rng.uniform(0.0, 10.0, (30, 2))
     y = 5.0 + 0.01 * rng.standard_normal(30)
-    model = GpModel(H, subtract_mean=True)
+    model = GpModel(H)
     model.append(x, y)
     far = model.predict_mean(np.array([[500.0, 500.0]]))[0]
     assert far == pytest.approx(y.mean(), abs=1e-6)
-    # plain model falls back to zero instead
-    plain = GpModel(H)
-    plain.append(x, y)
-    assert abs(plain.predict_mean(np.array([[500.0, 500.0]]))[0]) < 1e-6
 
 
 def test_set_hypers_matches_fresh_model():
@@ -652,26 +669,42 @@ def test_checkpoint_without_the_mean_flag_loads_centred(tmp_path):
     path = tmp_path / "model.csv"
     path.write_text("sigma_f2,sigma_n2,length_scale\n2.0,0.01,8.0\nx,y,depth\n0,0,4.0\n1,0,6.0\n")
     model = GpModel.load_checkpoint(path)
-    assert model.snapshot().subtract_mean
     assert model.predict_mean(np.array([[1e4, 1e4]]))[0] == pytest.approx(5.0)  # far from data: the data mean
-    path.write_text("sigma_f2,sigma_n2,length_scale,subtract_mean\n2.0,0.01,8.0,2\nx,y,depth\n0,0,4.0\n")
-    with pytest.raises(ConfigError, match=r"model.csv:2: subtract_mean must be 0 or 1"):
-        GpModel.load_checkpoint(path)
+
+
+def test_checkpoint_mean_flag_loads_only_as_the_centred_model(tmp_path):
+    # the four-column header that missions and gp-fit wrote while centring
+    # was optional: their flag, 1, loads the model three columns describe;
+    # 0 named the uncentred model, which no longer exists
+    rows = "\nx,y,depth\n0,0,4.0\n1,0,6.0\n"
+    q = np.array([[0.5, 0.0], [1e4, 1e4]])
+    path = tmp_path / "model.csv"
+    path.write_text("sigma_f2,sigma_n2,length_scale\n2.0,0.01,8.0" + rows)
+    want = GpModel.load_checkpoint(path).predict(q)
+    path.write_text("sigma_f2,sigma_n2,length_scale,subtract_mean\n2.0,0.01,8.0,1" + rows)
+    got = GpModel.load_checkpoint(path).predict(q)
+    assert np.array_equal(got.mean, want.mean) and np.array_equal(got.variance, want.variance)
+    for flag in ("0", "2"):
+        path.write_text("sigma_f2,sigma_n2,length_scale,subtract_mean\n2.0,0.01,8.0," + flag + rows)
+        with pytest.raises(ConfigError, match=r"model.csv:2: subtract_mean must be 1"):
+            GpModel.load_checkpoint(path)
 
 
 #: a valid checkpoint: hyper row, then four soundings
 CHECKPOINT_LINES = [
-    ["sigma_f2", "sigma_n2", "length_scale", "subtract_mean"],
-    ["2.0", "0.01", "8.0", "1"],
+    ["sigma_f2", "sigma_n2", "length_scale"],
+    ["2.0", "0.01", "8.0"],
     ["x", "y", "depth"],
     ["1.0", "2.0", "5.0"],
     ["3.5", "2.0", "5.5"],
     ["1.0", "4.25", "4.75"],
     ["-2.0", "0.5", "5.25"],
 ]
+#: the same checkpoint under the four-column header of older versions
+LEGACY_CHECKPOINT_LINES = [[*CHECKPOINT_LINES[0], "subtract_mean"], [*CHECKPOINT_LINES[1], "1"], *CHECKPOINT_LINES[2:]]
 
 
-@given(mutations.mutated_lines(CHECKPOINT_LINES))
+@given(strategies.sampled_from([CHECKPOINT_LINES, LEGACY_CHECKPOINT_LINES]).flatmap(mutations.mutated_lines))
 def test_mutated_checkpoint_loads_or_raises_config_error(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("checkpoint") / "model.csv"
     path.write_text(text)
@@ -687,7 +720,7 @@ def test_checkpoint_with_a_huge_length_scale_loads(tmp_path):
     # a length scale whose square overflows means a constant kernel; squaring
     # it raised a bare OverflowError from the loader
     path = tmp_path / "model.csv"
-    path.write_text("sigma_f2,sigma_n2,length_scale,subtract_mean\n2.0,0.01,1e308,1\nx,y,depth\n0,0,4.0\n1,0,6.0\n")
+    path.write_text("sigma_f2,sigma_n2,length_scale\n2.0,0.01,1e308\nx,y,depth\n0,0,4.0\n1,0,6.0\n")
     model = GpModel.load_checkpoint(path)
     assert np.array_equal(kernel_matrix([[0.0, 0.0]], [[1e3, 0.0]], model.hypers), [[2.0]])
     assert model.predict_mean(np.array([[0.5, 0.0]]))[0] == pytest.approx(5.0)
@@ -697,19 +730,18 @@ def test_checkpoint_with_a_huge_length_scale_loads(tmp_path):
 def test_checkpoint_with_overflowing_weights_is_refused(tmp_path):
     # a depth of 1e308 loaded into a model whose weights and predictions were inf
     path = tmp_path / "model.csv"
-    path.write_text("sigma_f2,sigma_n2,length_scale,subtract_mean\n2.0,0.01,8.0,1\nx,y,depth\n1,2,1e308\n3.5,2,5.5\n")
+    path.write_text("sigma_f2,sigma_n2,length_scale\n2.0,0.01,8.0\nx,y,depth\n1,2,1e308\n3.5,2,5.5\n")
     with pytest.raises(ConfigError, match="depths too large to model"):
         GpModel.load_checkpoint(path)
 
 
-@pytest.mark.parametrize("subtract_mean", [False, True])
-def test_append_refuses_depths_whose_weights_overflow(subtract_mean):
+def test_append_refuses_depths_whose_weights_overflow():
     # three soundings near 1e308 on a fresh model left alpha non-finite
     # without an error, and every prediction NaN
     far = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     huge = np.array([1e308, -1e308, 1.5e308])
     q = np.array([[1.0, 1.0], [20.0, 1.0]])
-    model = GpModel(H, subtract_mean=subtract_mean)
+    model = GpModel(H)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConfigError, match="weights overflow"):
@@ -728,7 +760,7 @@ def test_a_fit_refuses_soundings_whose_squared_distance_overflows():
     # a point 1e200 m off gave every other point an infinite squared
     # distance, so the length-scale gradient read 0 * inf = NaN and the
     # fit stopped early at its start
-    model = GpModel(H, subtract_mean=True)
+    model = GpModel(H)
     model.append(np.array([[0.0, 0.0], [5.0, 0.0], [1e200, 0.0]]), np.array([4.0, 5.0, 4.5]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -640,7 +640,7 @@ def test_refits_stop_when_the_loop_closes(canonical_run):
     # coverage rows predict from the model as the loop closed: its last
     # steering hypers and the soundings up to closure, not those of the
     # water being surveyed
-    traced = GpModel(steering[-1][1], subtract_mean=True)
+    traced = GpModel(steering[-1][1])
     sounded = np.array([m for m in log.measurements if m[0] <= closure_t])
     traced.append(sounded[:, 1:3], sounded[:, 3])
     coverage = np.array([(x, y, zp) for _, x, y, _, mode, _, zp, _ in log.trace if mode == "coverage"])
@@ -660,6 +660,15 @@ def _canonical_at_half_scale(seed: int):
     )
     cfg = replace(cfg, seed=seed, start=(cfg.start[0] / 2.0, cfg.start[1] / 2.0))
     return cfg, field, Polygon(poly.vertices / 2.0)
+
+
+#: _mission_digest of _canonical_at_half_scale(1), one mission of the
+#: benchmark's gated canonical_half workload, pinned as the plane mission is
+CANONICAL_HALF_DIGEST = "9796662e3f076485c1b3758af8a0f75a62f4cb0aabf120c36d426ba0bb8512e3"
+
+
+def test_canonical_half_mission_is_pinned():
+    assert _mission_digest(run_mission(*_canonical_at_half_scale(1))) == CANONICAL_HALF_DIGEST
 
 
 def test_a_mission_that_met_the_polygon_edge_closes_and_plans():
@@ -716,11 +725,14 @@ def test_only_the_mission_end_fit_runs_on_the_bound(monkeypatch):
     assert [options for _, options, _ in steering] == [{}] + [{"max_iter": 25}] * (len(steering) - 1)
     assert options == {"max_iter": 25, "inducing": gp.INDUCING}
     assert n == log.model.n > gp.INDUCING
-    # with no refit due after the loop closes there is no mission-end fit
+    # with no refit due after the init fit, the mission-end fit still runs,
+    # on the bound, since the soundings have grown by REFIT_GROWTH since then
     fits.clear()
     log = run_mission(replace(PLANE_MISSION, refit_period=2000.0), PLANE_FIELD, SQUARE)
     assert log.closed
-    assert [(n, options) for n, options, _ in fits] == [(log.hyper_history[0][4], {})]
+    n_init = log.hyper_history[0][4]
+    assert log.model.n >= REFIT_GROWTH * n_init
+    assert [(n, options) for n, options, _ in fits] == [(n_init, {}), (log.model.n, options)]
 
 
 def test_the_mission_end_row_logs_the_exact_likelihood(monkeypatch):
@@ -781,7 +793,7 @@ def test_sonar_noise_that_overflows_the_model_aborts_the_mission_at_once():
     assert math.isfinite(log.trace[0][6])
 
 
-def test_refit_period_past_mission_end_keeps_init_fit_only():
+def test_refit_period_past_mission_end_steers_on_the_init_fit_alone():
     field = GaussianSumField(offset=7.0, gradient_y=-1.0 / 12.0)
     cfg = MissionConfig(
         target_depth=4.5,
@@ -796,5 +808,9 @@ def test_refit_period_past_mission_end_keeps_init_fit_only():
     )
     log = run_mission(cfg, field, SQUARE)
     assert log.aborted is None and log.closed
-    assert [row[0] for row in log.hyper_history] == [cfg.init_duration]
-    assert log.model.hypers == log.hyper_history[0][1]
+    # no contour refit falls due; the mission-end fit follows the growth rule
+    init, end = log.hyper_history
+    assert init[0] == cfg.init_duration
+    assert end[0] == log.trace[-1][0]
+    assert end[4] == log.model.n >= REFIT_GROWTH * init[4]
+    assert log.model.hypers == end[1]
