@@ -101,10 +101,12 @@ def test_lml_and_gradient_match_oracles():
         assert rel.max() < 1e-4
 
 
-def test_log_likelihood_reads_the_stored_factor():
-    # the factor grows column by column here, and set_hypers refactors it in one block
+@pytest.mark.parametrize("chunks", [False, True])
+def test_log_likelihood_reads_the_stored_factor(chunks):
+    # the factor is built in one block, or grows column by column, and
+    # set_hypers then refactors it in one block
     rng = np.random.default_rng(26)
-    model, x, y = _random_model(rng, 50)
+    model, x, y = _random_model(rng, 50, chunks=chunks)
     yc = y - y.mean()
     assert model.snapshot().log_likelihood() == pytest.approx(oracles.log_marginal(x, yc, *H.as_array()), rel=1e-9)
     h = HyperParams(1.5, 0.02, 12.0)
@@ -735,9 +737,11 @@ def test_checkpoint_with_overflowing_weights_is_refused(tmp_path):
         GpModel.load_checkpoint(path)
 
 
-def test_append_refuses_depths_whose_weights_overflow():
+@pytest.mark.parametrize("refactored", [False, True])
+def test_append_refuses_depths_whose_weights_overflow(refactored):
     # three soundings near 1e308 on a fresh model left alpha non-finite
-    # without an error, and every prediction NaN
+    # without an error, and every prediction NaN; the refused batch must
+    # leave the factor alone whether appends grew it or set_hypers rebuilt it
     far = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     huge = np.array([1e308, -1e308, 1.5e308])
     q = np.array([[1.0, 1.0], [20.0, 1.0]])
@@ -748,6 +752,8 @@ def test_append_refuses_depths_whose_weights_overflow():
             model.append(far, huge)
         assert model.n == 0
         model.append(np.array([[3.0, 4.0], [20.0, 0.0]]), np.array([2.0, 1.0]))
+        if refactored:
+            model.set_hypers(HyperParams(1.5, 0.02, 12.0))
         l0, mean0 = model.L.copy(), model.predict_mean(q)
         with pytest.raises(ConfigError, match="weights overflow"):
             model.append(far, huge)
