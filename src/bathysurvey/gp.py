@@ -56,8 +56,9 @@ HEADROOM = 256
 #: default raw-space box for each hyper-parameter during optimization
 DEFAULT_BOUNDS = ((1e-6, 1e6), (1e-6, 1e6), (1e-6, 1e6))
 
-#: inducing inputs of the mission-end hyper fit, whose evaluations then
-#: cost O(n m^2) on the variational bound instead of O(n^3)
+#: inducing inputs of a hyper fit on more than twice as many soundings,
+#: whose evaluations then cost O(n m^2) on the variational bound instead
+#: of O(n^3)
 INDUCING = 100
 
 #: added to the diagonal of the inducing inputs' unit correlation, which
@@ -140,8 +141,10 @@ class LmlReport:
 
 @dataclass(frozen=True)
 class HyperFit:
-    """Result of a bounded maximum-likelihood hyper fit; lml is the value
-    it maximised, the inducing-point bound for a fit on one."""
+    """Result of a bounded maximum-likelihood hyper fit. lml is the value
+    it maximised: the exact log marginal likelihood, or the
+    inducing-point bound for a fit that ran on one, which lies below the
+    exact likelihood at the same hypers."""
 
     hypers: HyperParams
     lml: float
@@ -732,7 +735,7 @@ def optimize_hypers(model, max_iter: int = 60, inducing: int | None = None) -> H
     so its first step has the same size whatever n is; each evaluation
     costs one factorization. max_iter caps L-BFGS-B's iterations per start.
 
-    With inducing=m and more than m soundings, the objective is Titsias's
+    With inducing=m and more than 2m soundings, the objective is Titsias's
     (2009) collapsed variational lower bound instead, on every
     ceil(n / m)-th sounding as inducing input: the likelihood of
     sigma_f2 (Q~ + lambda I), with Q~ the Nystrom approximation of C
@@ -741,7 +744,13 @@ def optimize_hypers(model, max_iter: int = 60, inducing: int | None = None) -> H
     out as before, and one evaluation costs O(n m^2) instead of O(n^3),
     with no n x n array. Everything else is as for the exact fit, and
     the fit's lml is then the bound's value. The hypers still apply to
-    the exact model.
+    the exact model. At up to 2m soundings the exact fit runs, bit for
+    bit, so the objective follows from n alone: with the mission's
+    m = INDUCING an exact evaluation costs less there than one on the
+    bound, and more past it. One evaluation on loop soundings, OpenBLAS
+    on 1 thread of a 2-vCPU Xeon: exact 1.2 against 1.8 ms on the bound
+    at n = 200, 1.4 against 1.0 ms at n = 201 (67 inducing inputs), 4.7
+    against 1.9 ms at n = 351.
 
     Runs against a frozen snapshot of the model's data and never mutates
     the model; apply the result with model.set_hypers(fit.hypers).
@@ -769,7 +778,7 @@ def optimize_hypers(model, max_iter: int = 60, inducing: int | None = None) -> H
     n = st.n
     x = st.X.copy()
     yc = st.y_centered.copy()
-    if inducing is not None and n > inducing:
+    if inducing is not None and n > 2 * inducing:
         z = x[:: -(-n // inducing)]
         distances = (_squared_distances(z, x), _squared_distances(z, z))
     else:

@@ -7,9 +7,12 @@ and planning happens once, between two ticks, when the traced contour
 closes. Scheduled refits run only while the follower steers by the
 model, and only once the data have grown by REFIT_GROWTH since the last
 fit; those that fall due during coverage collapse into one refit at
-mission end. From closure on, the trace's z_predicted reads the model
-as it stood at closure, so on coverage rows it checks the traced model
-against water it had not sounded.
+mission end. Every fit, the steering ones and the mission-end one
+alike, maximises the exact likelihood on up to 2 * gp.INDUCING
+soundings and the inducing-point bound past that. From closure on, the
+trace's z_predicted reads the model as it stood at closure, so on
+coverage rows it checks the traced model against water it had not
+sounded.
 """
 
 from __future__ import annotations
@@ -481,11 +484,13 @@ def run_mission(cfg: MissionConfig, field, poly: Polygon) -> MissionLog:
     once. Refits after the loop closes would steer nothing, so the
     refit clock stops there; once the plan is done, one refit on all the
     data runs under the same growth rule, and the delivered model carries
-    it as the last hyper_history row. That refit steers nothing either,
-    so it maximises the inducing-point bound on gp.INDUCING inputs
-    (O(n m^2) per evaluation) where the contour refits maximise the exact
-    likelihood, and its row logs the exact log marginal likelihood of the
-    factor it applied, not the bound. Every sounding goes to
+    it as the last hyper_history row. Every fit, the init fit, the contour
+    refits and the mission-end fit alike, passes gp.INDUCING to
+    optimize_hypers: a fit on more than 2 * gp.INDUCING soundings
+    maximises the inducing-point bound (O(n m^2) per evaluation), one on
+    fewer the exact likelihood. Each row logs the exact log marginal
+    likelihood of the factor it applied, not the value the fit maximised;
+    the model and its predictions stay exact. Every sounding goes to
     log.measurements and to the delivered log.model. A trace row's
     z_predicted is the model's mean at the vessel; from closure on it
     reads the model as it stood at closure, so on coverage rows it is a
@@ -508,13 +513,12 @@ def run_mission(cfg: MissionConfig, field, poly: Polygon) -> MissionLog:
     traced_model = model  # what z_predicted reads: frozen at closure
 
     def refit(**options) -> None:
-        """Fit the hypers on the data so far, apply the fit and log it. A
-        fit on the inducing-point bound logs the exact log marginal
-        likelihood of the factor it applied, read in O(n), not the bound."""
-        fit = optimize_hypers(model, **options)
+        """Fit the hypers on the data so far, apply the fit and log it with
+        the exact log marginal likelihood of the factor it applied, read
+        in O(n), whichever objective the fit maximised."""
+        fit = optimize_hypers(model, inducing=INDUCING, **options)
         model.set_hypers(fit.hypers)
-        lml = model.snapshot().log_likelihood() if "inducing" in options else fit.lml
-        log.hyper_history.append((t, fit.hypers, lml, fit.converged, model.n))
+        log.hyper_history.append((t, fit.hypers, model.snapshot().log_likelihood(), fit.converged, model.n))
 
     dt = 1.0 / cfg.control_rate
     eps_t = 1e-9 * dt
@@ -589,8 +593,8 @@ def run_mission(cfg: MissionConfig, field, poly: Polygon) -> MissionLog:
 
             if phase == "contour" and t >= next_refit - eps_t:
                 if model.n >= REFIT_GROWTH * log.hyper_history[-1][4]:
-                    # warm-started from the current hypers; capped iterations keep
-                    # the O(n^3)-per-evaluation refit cost bounded as data grows
+                    # warm-started from the current hypers; capped iterations bound
+                    # the evaluations, which past 2 * INDUCING soundings cost O(n m^2)
                     refit(max_iter=25)
                 next_refit += cfg.refit_period
 
@@ -600,7 +604,7 @@ def run_mission(cfg: MissionConfig, field, poly: Polygon) -> MissionLog:
         # vessel; one fit on all the data, under the same growth rule,
         # stands in for them all
         if model.n >= REFIT_GROWTH * log.hyper_history[-1][4]:
-            refit(max_iter=25, inducing=INDUCING)
+            refit(max_iter=25)
     except MissionAbort as exc:
         log.aborted = str(exc)
     except SurveyError as exc:

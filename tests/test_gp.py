@@ -254,12 +254,25 @@ def test_bound_on_every_sounding_is_the_exact_likelihood(monkeypatch):
     assert optimize_hypers(model, inducing=len(y)) == exact_fit
 
 
-def test_bound_fit_lands_on_the_exact_fit():
-    model = _loop_model(640)
+@pytest.mark.parametrize(("n", "m"), [(101, 100), (141, 71), (200, 100)])
+def test_fit_on_at_most_twice_the_inducing_inputs_is_the_exact_fit(monkeypatch, n, m):
+    # on more than m soundings but at most 2m the fit never evaluates the
+    # bound and is the exact one, bit for bit
+    model = _loop_model(n)
+    exact_fit = optimize_hypers(model)
+    monkeypatch.setattr(gp, "_bound_factor", None)
+    assert optimize_hypers(model, inducing=m) == exact_fit
+
+
+@pytest.mark.parametrize("n", [201, 261, 351, 441, 640])
+def test_bound_fit_lands_on_the_exact_fit(n):
+    # the sizes of a canonical_half mission's contour refits, and of its end fit
+    model = _loop_model(n)
     exact = optimize_hypers(model)
     fit = optimize_hypers(model, inducing=gp.INDUCING)
     assert exact.converged and fit.converged
-    # measured: 2e-5 relative in sigma_f2 and 1.4e-6 in the length scale
+    # measured: at most 8.9e-7 relative at n = 201-441, and 1.8e-5 in sigma_f2
+    # and 1.4e-6 in the length scale at n = 640
     assert fit.hypers.sigma_f2 == pytest.approx(exact.hypers.sigma_f2, rel=0.01)
     assert fit.hypers.length_scale == pytest.approx(exact.hypers.length_scale, rel=0.01)
     assert fit.hypers.sigma_n2 == pytest.approx(exact.hypers.sigma_n2, rel=0.01)

@@ -565,7 +565,7 @@ def _mission_digest(log) -> str:
 #: _mission_digest of the plane mission, as PLAN_DIGESTS pins plans: a
 #: change that moves any bit of its trajectory, soundings or fits must
 #: say why
-PLANE_MISSION_DIGEST = "524f6ad3026b7bc8e3371a9aea038edad85352adf608f3c276c0e77098b2b450"
+PLANE_MISSION_DIGEST = "0638b567dc57ae4a84f0119676b6f4ba08f1bb1a0a3386e42e9feef72a55fd80"
 
 
 def test_plane_mission_is_pinned():
@@ -664,7 +664,7 @@ def _canonical_at_half_scale(seed: int):
 
 #: _mission_digest of _canonical_at_half_scale(1), one mission of the
 #: benchmark's gated canonical_half workload, pinned as the plane mission is
-CANONICAL_HALF_DIGEST = "9796662e3f076485c1b3758af8a0f75a62f4cb0aabf120c36d426ba0bb8512e3"
+CANONICAL_HALF_DIGEST = "c47038ae104861978f009f239e9b60d680cade8fa53147641d70eeee10f9f1af"
 
 
 def test_canonical_half_mission_is_pinned():
@@ -716,47 +716,69 @@ def _recorded_fits(monkeypatch):
     return fits
 
 
-def test_only_the_mission_end_fit_runs_on_the_bound(monkeypatch):
+def test_a_fit_runs_on_the_bound_iff_it_has_more_than_twice_inducing_soundings(monkeypatch):
+    on_bound = set()  # soundings of the fits that evaluated the bound
+
+    def bound_factor(lam, ell, yc, *distances, factor=gp._bound_factor):
+        on_bound.add(len(yc))
+        return factor(lam, ell, yc, *distances)
+
+    monkeypatch.setattr(gp, "_bound_factor", bound_factor)
     fits = _recorded_fits(monkeypatch)
-    log = _plane_mission_until(PLANE_MISSION.max_sim_time)
+    log = run_mission(*_canonical_at_half_scale(1))
     assert log.aborted is None
-    assert [n for n, _, _ in fits] == [row[4] for row in log.hyper_history]
-    *steering, (n, options, _) = fits
-    assert [options for _, options, _ in steering] == [{}] + [{"max_iter": 25}] * (len(steering) - 1)
-    assert options == {"max_iter": 25, "inducing": gp.INDUCING}
-    assert n == log.model.n > gp.INDUCING
+    ns = [n for n, _, _ in fits]
+    assert ns == [row[4] for row in log.hyper_history]
+    # every fit asks for the same inducing inputs, the steering ones and the end fit alike
+    assert [options for _, options, _ in fits] == [{"inducing": gp.INDUCING}] + [{"max_iter": 25, "inducing": gp.INDUCING}] * (len(fits) - 1)
+    assert on_bound == {n for n in ns if n > 2 * gp.INDUCING}
+    # fits on both sides of the rule, and steering fits on the bound
+    closure_t = max(row[0] for row in log.trace if row[4] != "coverage")
+    assert any(n <= 2 * gp.INDUCING for n in ns)
+    assert any(n > 2 * gp.INDUCING and row[0] < closure_t for n, row in zip(ns, log.hyper_history))
     # with no refit due after the init fit, the mission-end fit still runs,
     # on the bound, since the soundings have grown by REFIT_GROWTH since then
     fits.clear()
+    on_bound.clear()
     log = run_mission(replace(PLANE_MISSION, refit_period=2000.0), PLANE_FIELD, SQUARE)
     assert log.closed
     n_init = log.hyper_history[0][4]
     assert log.model.n >= REFIT_GROWTH * n_init
-    assert [(n, options) for n, options, _ in fits] == [(n_init, {}), (log.model.n, options)]
+    assert [n for n, _, _ in fits] == [n_init, log.model.n]
+    assert n_init <= 2 * gp.INDUCING < log.model.n
+    assert on_bound == {log.model.n}
 
 
-def test_the_mission_end_row_logs_the_exact_likelihood(monkeypatch):
-    # the row reads the likelihood of the factor set_hypers built, not the
-    # bound the fit maximised, and agrees with a fresh factorization when
-    # that factor took no jitter
-    jitters = []
+def test_every_row_logs_the_exact_likelihood_of_the_factor_it_applied(monkeypatch):
+    # a row reads the likelihood of the factor set_hypers built, not the
+    # value the fit maximised: the bound, or the exact likelihood of the
+    # fit's own factorization. The mission-end row agrees with a fresh
+    # factorization when that factor took no jitter
+    jitters, applied = [], []
 
     def factored(st, xs, ys, jitter, factor=gp._factored):
         jitters.append(jitter)
         return factor(st, xs, ys, jitter)
 
+    def set_hypers(model, hypers, apply=GpModel.set_hypers):
+        apply(model, hypers)
+        applied.append(model.snapshot())
+
     monkeypatch.setattr(gp, "_factored", factored)
+    monkeypatch.setattr(GpModel, "set_hypers", set_hypers)
     fits = _recorded_fits(monkeypatch)
     log = run_mission(*_canonical_at_half_scale(1))
     assert log.aborted is None
     assert jitters and not any(jitters)
-    (n, options, fit), row = fits[-1], log.hyper_history[-1]
-    assert "inducing" in options and n > gp.INDUCING
+    assert [row[2] for row in log.hyper_history] == [st.log_likelihood() for st in applied]
     exact = log.model.log_marginal_likelihood().lml
-    assert row[2] == pytest.approx(exact, rel=1e-8)
-    assert fit.lml < row[2]
-    # the steering rows log the exact fit's own likelihood
-    assert [r[2] for r in log.hyper_history[:-1]] == [f.lml for _, _, f in fits[:-1]]
+    assert log.hyper_history[-1][2] == pytest.approx(exact, rel=1e-8)
+    # an exact fit maximised the same likelihood, the bound lies below it
+    for (n, _, fit), row in zip(fits, log.hyper_history, strict=True):
+        if n > 2 * gp.INDUCING:
+            assert fit.lml < row[2]
+        else:
+            assert fit.lml == pytest.approx(row[2], rel=1e-8)
 
 
 def test_a_mission_aborted_in_coverage_delivers_every_sounding():
