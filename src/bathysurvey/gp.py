@@ -35,9 +35,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.linalg.blas import dtpsv
-from scipy.linalg.lapack import dpotri, dtpttr, dtrttp
+from scipy.linalg.blas import dtpsv, dtrsm
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtpttr, dtrtrs, dtrttp
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
@@ -167,6 +166,18 @@ def kernel_matrix(a, b, hypers: HyperParams) -> np.ndarray:
     np.exp(k, out=k)
     k *= hypers.sigma_f2
     return k
+
+
+def _lapack(routine, *args, **kwargs) -> np.ndarray:
+    """The array a LAPACK routine returns. An argument is copied only
+    when it is not Fortran-ordered or the call does not let the routine
+    overwrite it. Raises np.linalg.LinAlgError on a nonzero info: a
+    matrix that is not positive definite, a singular triangle or an
+    illegal argument."""
+    out, info = routine(*args, **kwargs)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {routine.__name__} returned info={info}")
+    return out
 
 
 def _tri(n: int) -> int:
@@ -304,7 +315,8 @@ class GpState:
         h = self.hypers
         ks = kernel_matrix(xs, self.X, h)
         mean = ks @ self.alpha + self.y_mean
-        v = solve_triangular(self.L, ks.T, trans="T", lower=False, check_finite=False)
+        # ks.T is Fortran-ordered and read only here, so it is solved in place
+        v = _lapack(dtrtrs, self.L, ks.T, trans=1, overwrite_b=1)
         var = (h.sigma_f2 + h.sigma_n2) - np.einsum("ij,ij->j", v, v)
         return Prediction(mean, np.maximum(var, 0.0))
 
@@ -482,21 +494,25 @@ def _retried(grow, st: GpState, *obs) -> GpState:
 
 def _factored(st: GpState, xs: np.ndarray, ys: np.ndarray, jitter: float) -> GpState:
     """The empty state `st` with its factor built from scratch: one
-    Cholesky factorization of K_y, packed into fresh buffers of
-    m + HEADROOM rows."""
+    Cholesky factorization of K_y in place, packed into fresh buffers of
+    m + HEADROOM rows. K_y is symmetric, so its transpose is the
+    Fortran-ordered view LAPACK factors; only its upper triangle is read."""
     m, h = len(ys), st.hypers
-    k = kernel_matrix(xs, xs, h) + h.sigma_n2 * np.eye(m)
+    k = kernel_matrix(xs, xs, h)
+    k.flat[:: m + 1] += h.sigma_n2
     k.flat[:: m + 1] += jitter
+    rhs = np.ones((m, 2), order="F")
+    rhs[:, 0] = ys
     try:
-        factor = cholesky(k, lower=False, check_finite=False)
+        factor = _lapack(dpotrf, k.T, clean=0, overwrite_a=1)
+        solved = _lapack(dtrtrs, factor, rhs, trans=1, overwrite_b=1)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"covariance not positive definite: {exc}") from exc
     bufs = _Buffers(m + HEADROOM)
     bufs.x[:m] = xs
     bufs.y[:m] = ys
     bufs.P[: _tri(m)] = dtrttp(factor)[0]
-    rhs = np.column_stack([ys, np.ones(m)])
-    bufs.solved[:m] = solve_triangular(factor, rhs, trans="T", lower=False, check_finite=False)
+    bufs.solved[:m] = solved
     return GpState(bufs, m, h, float(bufs.y[:m].mean()))
 
 
@@ -569,7 +585,7 @@ def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _unit_factor(lam: float, ell: float, yc: np.ndarray, d2: np.ndarray) -> _UnitFactor:
     """Factor K~ = C + lam I once, built from the squared distances d2 in
-    place (one Cholesky, one dpotri), and return its scalars.
+    place (one dpotrf, two dtrtrs, one dpotri), and return its scalars.
 
     Raises np.linalg.LinAlgError when K~ is not positive definite.
     """
@@ -579,16 +595,15 @@ def _unit_factor(lam: float, ell: float, yc: np.ndarray, d2: np.ndarray) -> _Uni
     # the noise diagonal drops out of M because diag(d2) is zero
     m = k * d2
     k.flat[:: n + 1] += lam
-    # k is symmetric, so its transpose is the Fortran-ordered view LAPACK factors in place
-    factor = cholesky(k.T, lower=False, overwrite_a=True, check_finite=False)
-    beta = solve_triangular(factor, yc, trans="T", lower=False, check_finite=False)
-    alpha = solve_triangular(factor, beta, lower=False, check_finite=False)
+    # k is symmetric, so its transpose is the Fortran-ordered view LAPACK
+    # factors in place; clean=1 zeroes the lower triangle, which dpotri keeps
+    factor = _lapack(dpotrf, k.T, clean=1, overwrite_a=1)
+    beta = _lapack(dtrtrs, factor, yc, trans=1)
+    alpha = _lapack(dtrtrs, factor, beta)
     logdet = 2.0 * float(np.log(np.diag(factor)).sum())
     # upper triangle of K~^-1 over a zero lower triangle; m is symmetric
     # with a zero diagonal, so the full sum of K~^-1 * m is twice this one
-    inv_upper, info = dpotri(factor, lower=0, overwrite_c=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dpotri failed with info={info}")
+    inv_upper = _lapack(dpotri, factor, overwrite_c=1)
     return _UnitFactor(
         n,
         float(beta @ beta),
@@ -606,7 +621,8 @@ def _bound_factor(lam: float, ell: float, yc: np.ndarray, d2_zx: np.ndarray, d2_
     squared distances of m inducing inputs to the n soundings (d2_zx, m x n)
     and among themselves (d2_zz), C_zz carrying _INDUCING_JITTER.
 
-    Through V = L_z^-1 C_zx (L_z the lower factor of C_zz) and Woodbury
+    Through V = L_z^-1 C_zx (L_z the lower factor of C_zz), solved on the
+    right as V^T = C_xz L_z^-T in C_zx's own storage, and Woodbury
     with B = lam I + V V^T, every term costs O(n m^2) and no n x n array
     is built: K~^-1 = (I - V^T B^-1 V) / lam, so tr K~^-1 =
     (n - tr B^-1 V V^T) / lam, log |K~| = (n - m) log lam + log |B| and
@@ -627,21 +643,32 @@ def _bound_factor(lam: float, ell: float, yc: np.ndarray, d2_zx: np.ndarray, d2_
     m_zx = c_zx * d2_zx
     m_zz = c_zz * d2_zz
     c_zz.flat[:: m + 1] += _INDUCING_JITTER
-    lz = cholesky(c_zz, lower=True, check_finite=False)
-    v = solve_triangular(lz, c_zx, lower=True, check_finite=False)
+    # C_zz, C_zx and B are C-ordered, so their transposes are the
+    # Fortran-ordered views LAPACK and BLAS work on in place; C_zz and B
+    # are symmetric
+    lz = _lapack(dpotrf, c_zz.T, lower=1, clean=0, overwrite_a=1)
+    v = dtrsm(1.0, lz, c_zx.T, side=1, lower=1, trans_a=1, overwrite_b=1).T
     vvt = v @ v.T
-    lb = (cholesky(vvt + lam * np.eye(m), lower=True, check_finite=False), True)
-    a = (yc - v.T @ cho_solve(lb, v @ yc, check_finite=False)) / lam
-    w = solve_triangular(lz, v @ a, trans="T", lower=True, check_finite=False)
-    # I - lam B^-1 = B^-1 V V^T, solved rather than subtracted
-    b_vvt = cho_solve(lb, vvt, check_finite=False)
-    s = solve_triangular(lz, b_vvt, trans="T", lower=True, check_finite=False)
-    r = solve_triangular(lz, vvt, trans="T", lower=True, check_finite=False)  # W V^T
+    b = vvt.copy()
+    b.flat[:: m + 1] += lam
+    lb = _lapack(dpotrf, b.T, lower=1, clean=0, overwrite_a=1)
+    a = (yc - v.T @ _lapack(dpotrs, lb, v @ yc, lower=1)) / lam
+    w = _lapack(dtrtrs, lz, v @ a, lower=1, trans=1)
+    # [S | R] = L_z^-T [B^-1 V V^T | V V^T], dpotrs solving the left half
+    # in place: I - lam B^-1 = B^-1 V V^T, solved rather than subtracted,
+    # and R = W V^T
+    sr = np.empty((m, 2 * m), order="F")
+    sr[:, :m] = vvt
+    sr[:, m:] = vvt
+    b_vvt = _lapack(dpotrs, lb, sr[:, :m], lower=1, overwrite_b=1)
+    trace_b_vvt = float(np.trace(b_vvt))
+    sr = dtrsm(1.0, lz, sr, lower=1, trans_a=1, overwrite_b=1)
+    s, r = sr[:, :m], sr[:, m:]
     return _UnitFactor(
         n,
         float(yc @ a),
-        (n - m) * math.log(lam) + 2.0 * float(np.log(np.diag(lb[0])).sum()),
-        (n - float(np.trace(b_vvt))) / lam,
+        (n - m) * math.log(lam) + 2.0 * float(np.log(np.diag(lb)).sum()),
+        (n - trace_b_vvt) / lam,
         float(a @ a),
         2.0 * float(w @ (m_zx @ a)) - float(w @ (m_zz @ w)),
         (float(np.einsum("ij,ij->", s @ r.T, m_zz)) - 2.0 * float(np.einsum("ij,ij->", s, m_zx @ v.T))) / lam,
@@ -748,9 +775,10 @@ def optimize_hypers(model, max_iter: int = 60, inducing: int | None = None) -> H
     bit, so the objective follows from n alone: with the mission's
     m = INDUCING an exact evaluation costs less there than one on the
     bound, and more past it. One evaluation on loop soundings, OpenBLAS
-    on 1 thread of a 2-vCPU Xeon: exact 1.2 against 1.8 ms on the bound
-    at n = 200, 1.4 against 1.0 ms at n = 201 (67 inducing inputs), 4.7
-    against 1.9 ms at n = 351.
+    on 1 thread of a 2-vCPU Xeon: exact 0.35 against 0.44 ms on the
+    bound at n = 150 (75 inducing inputs), 0.66 against 0.83 ms at
+    n = 200 (100), 0.71 against 0.40 ms at n = 201 (67), 2.8 against
+    0.83 ms at n = 351 (88).
 
     Runs against a frozen snapshot of the model's data and never mutates
     the model; apply the result with model.set_hypers(fit.hypers).
@@ -862,8 +890,8 @@ def benchmark_prediction(n: int = 500, m: int = 50, seed: int = 0) -> BenchResul
     k_full = kernel_matrix(pts, pts, h) + h.sigma_n2 * np.eye(n + m)
 
     t0 = time.perf_counter()
-    fac = cholesky(k_full, lower=False, check_finite=False)
-    beta = solve_triangular(fac[:n, :n], y, trans="T", lower=False, check_finite=False)
+    fac = _lapack(dpotrf, k_full)
+    beta = _lapack(dtrtrs, fac[:n, :n], y, trans=1)
     _ = fac[:n, n:].T @ beta
     batch_s = time.perf_counter() - t0
 
@@ -875,8 +903,8 @@ def benchmark_prediction(n: int = 500, m: int = 50, seed: int = 0) -> BenchResul
         joint[:n, n] = k_full[:n, n + j]
         joint[n, :n] = k_full[n + j, :n]
         joint[n, n] = k_full[n + j, n + j]
-        fac_j = cholesky(joint, lower=False, check_finite=False)
-        beta_j = solve_triangular(fac_j[:n, :n], y, trans="T", lower=False, check_finite=False)
+        fac_j = _lapack(dpotrf, joint)
+        beta_j = _lapack(dtrtrs, fac_j[:n, :n], y, trans=1)
         _ = fac_j[:n, n:].T @ beta_j
     seq_s = time.perf_counter() - t0
 

@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, strategies
+from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg.lapack import dpotri, dtrttp
 from scipy.optimize import minimize
 
 import mutations
@@ -294,6 +296,61 @@ def test_bound_fit_builds_no_square_array():
     assert peak < n * n * 8 / 5
 
 
+def _unit_factor_through_scipy_linalg(lam, ell, yc, d2):
+    # the exact objective's scalars through scipy.linalg's cholesky and
+    # solve_triangular, kept as the reference for the direct LAPACK calls
+    n = len(yc)
+    k = np.exp(np.multiply(d2, -0.5 / ell / ell))
+    m = k * d2
+    k.flat[:: n + 1] += lam
+    factor = cholesky(k, lower=False)
+    beta = solve_triangular(factor, yc, trans="T", lower=False)
+    alpha = solve_triangular(factor, beta, lower=False)
+    inv_upper, info = dpotri(factor, lower=0)
+    assert info == 0
+    return gp._UnitFactor(
+        n,
+        float(beta @ beta),
+        2.0 * float(np.log(np.diag(factor)).sum()),
+        float(np.trace(inv_upper)),
+        float(alpha @ alpha),
+        float(alpha @ (m @ alpha)),
+        2.0 * float(np.einsum("ij,ij->", inv_upper, m)),
+    )
+
+
+def test_exact_path_is_the_scipy_linalg_route_bit_for_bit():
+    # the exact objective and every set_hypers factor run the same LAPACK
+    # arithmetic as scipy.linalg's wrappers, on the arrays as they lie
+    model = _loop_model(141)
+    st = model.snapshot()
+    yc, d2 = st.y_centered, gp._squared_distances(st.X, st.X)
+    for lam, ell in ((0.0025, 70.0), (0.05, 20.0)):
+        assert gp._unit_factor(lam, ell, yc, d2) == _unit_factor_through_scipy_linalg(lam, ell, yc, d2)
+    h = HyperParams(1.2, 0.01, 35.0)
+    model.set_hypers(h)
+    st = model.snapshot()
+    k_y = kernel_matrix(st.X, st.X, h) + h.sigma_n2 * np.eye(st.n)
+    factor = cholesky(k_y, lower=False)
+    assert np.array_equal(st._packed, dtrttp(factor)[0])
+    rhs = np.column_stack([st.y, np.ones(st.n)])
+    assert np.array_equal(st._bufs.solved[: st.n], solve_triangular(factor, rhs, trans="T", lower=False))
+
+
+def test_a_covariance_that_is_not_positive_definite_raises():
+    # twenty soundings at one point under lam = 1e-300: K~ is the all-ones
+    # matrix, whose second pivot is exactly 0, and on ten inducing inputs
+    # B = lam I + V V^T is rank one but for rounding. A LAPACK info left
+    # unchecked would hand the fit numbers from a failed factorization
+    n = 20
+    x, yc = np.zeros((n, 2)), np.linspace(-1.0, 1.0, n)
+    z = x[::2]
+    with pytest.raises(np.linalg.LinAlgError):
+        gp._unit_factor(1e-300, 10.0, yc, gp._squared_distances(x, x))
+    with pytest.raises(np.linalg.LinAlgError):
+        gp._bound_factor(1e-300, 10.0, yc, gp._squared_distances(z, x), gp._squared_distances(z, z))
+
+
 @pytest.mark.parametrize("case", ["track", "trend_ridge", "random_0", "random_1", "random_2"])
 def test_profile_fit_reaches_the_three_parameter_fit(case):
     if case == "track":
@@ -520,9 +577,10 @@ def test_held_snapshot_keeps_no_square_factor():
 
 def test_set_hypers_peak_follows_n_not_the_old_capacity():
     # a batch of n = 1100 soundings; set_hypers sizes its fresh buffers to
-    # n + HEADROOM, so its peak is K_y, its Cholesky factor and one more
-    # n x n temporary beside the new packed buffer. Buffers sized at a
-    # doubled capacity of 2048 would peak at 4.7 n^2 doubles
+    # n + HEADROOM and factors K_y in place, so its peak is K_y and the
+    # packed factor dtrttp returns beside the new packed buffer: 2.27 n^2
+    # doubles. Buffers sized at a doubled capacity of 2048 would peak at
+    # 4.7 n^2, and K_y built beside an identity and factored in a copy at 3.27
     n = 1100
     rng = np.random.default_rng(19)
     model = GpModel(HyperParams(1.0, 0.01, 30.0))
@@ -534,7 +592,7 @@ def test_set_hypers_peak_follows_n_not_the_old_capacity():
     finally:
         tracemalloc.stop()
     assert model.snapshot()._bufs.cap == n + gp.HEADROOM
-    assert peak < 8 * (3 * n * n + gp._tri(n + gp.HEADROOM))
+    assert peak < 8 * (2 * n * n + gp._tri(n + gp.HEADROOM))
 
 
 def test_subtract_mean_extrapolates_to_data_mean():

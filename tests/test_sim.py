@@ -565,7 +565,7 @@ def _mission_digest(log) -> str:
 #: _mission_digest of the plane mission, as PLAN_DIGESTS pins plans: a
 #: change that moves any bit of its trajectory, soundings or fits must
 #: say why
-PLANE_MISSION_DIGEST = "0638b567dc57ae4a84f0119676b6f4ba08f1bb1a0a3386e42e9feef72a55fd80"
+PLANE_MISSION_DIGEST = "8b66be5c0c20e4b64b191b2615066402633609c1b439aa2b748c57daf5ea704f"
 
 
 def test_plane_mission_is_pinned():
@@ -664,7 +664,7 @@ def _canonical_at_half_scale(seed: int):
 
 #: _mission_digest of _canonical_at_half_scale(1), one mission of the
 #: benchmark's gated canonical_half workload, pinned as the plane mission is
-CANONICAL_HALF_DIGEST = "c47038ae104861978f009f239e9b60d680cade8fa53147641d70eeee10f9f1af"
+CANONICAL_HALF_DIGEST = "a2b631f7a21dfa5331c3ac73f3c2d52b80da84b04a1bda170ec2f18f5dadea06"
 
 
 def test_canonical_half_mission_is_pinned():
