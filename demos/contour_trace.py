@@ -84,8 +84,10 @@ while vessel.clock < 1500.0:
         print(f"t={vessel.clock:6.0f}s  {mode.value} -> {st.mode.value} at "
               f"({vessel.pose.x:5.1f},{vessel.pose.y:5.1f})")
         mode = st.mode
-    if follower.complete(vessel.pose):
-        print(f"t={vessel.clock:6.0f}s  loop closed, trace has {len(st.trace)} points")
+    loop = follower.complete(vessel.pose)
+    if loop is not None:
+        print(f"t={vessel.clock:6.0f}s  loop closed: {len(loop)} of the trace's {len(st.trace)} points, "
+              f"leaving out an approach tail of {len(st.trace) - len(loop)}")
         break
     vessel = step_vessel(vessel, psi_d, DT)
 else:

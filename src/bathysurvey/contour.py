@@ -7,8 +7,8 @@ walks the survey polygon's edges when the contour leaves the region,
 rejoining the contour once the water ahead turns shallower than the
 target and Contour mode's own waypoint lies inside the polygon. Every
 visited position after first contact is appended to the traced
-boundary, and the trace is complete when it re-approaches its own early
-points.
+boundary; once it re-approaches its own early points, complete() hands
+back the closed loop.
 """
 
 from __future__ import annotations
@@ -172,7 +172,7 @@ class ContourFollower:
     follower reads seven of its settings: target_depth, search_radius,
     arc_half_width, depth_tolerance, ema_half_life, loop_buffer and
     closure_radius. A closure_radius of None means 1.5 * search_radius,
-    resolved once into self.closure_radius.
+    resolved once into self.closure_radius; only complete() reads those two.
     """
 
     def __init__(self, config, poly: Polygon, model, initial_heading: float = 0.0):
@@ -257,8 +257,9 @@ class ContourFollower:
         depths = self.model.predict_mean(np.array([ccw, cw]))
         return 1 if depths[0] >= depths[1] else -1
 
-    def complete(self, pose: Pose) -> bool:
-        st = self.state
-        return st.found_contour and (
-            closure_index(st.trace, pose.position, self.cfg.loop_buffer, self.closure_radius) is not None
-        )
+    def complete(self, pose: Pose) -> np.ndarray | None:
+        """The closed loop, the view state.trace[idx:] from the closure
+        point idx on, once `pose` reconnects with the trace; else None."""
+        trace = self.state.trace  # empty until the contour is found
+        idx = closure_index(trace, pose.position, self.cfg.loop_buffer, self.closure_radius)
+        return None if idx is None else trace[idx:]

@@ -16,7 +16,8 @@ routine dtpsv solves against without a copy, and appending columns
 n, n+1, ... writes only past that prefix. One sounding thus takes two
 O(n^2) triangular solves that read the factor in place (its own column
 and the new snapshot's weights) and allocates O(n); the factor takes
-cap(cap+1)/2 doubles. The square factor `L` is unpacked anew per read.
+cap(cap+1)/2 doubles. predict's variance solves on an RFP copy of the
+prefix; the square factor `L` is unpacked anew per read.
 
 Thread contract: one writer (append / set_hypers), any number of
 readers. Readers operate on an immutable snapshot grabbed once per
@@ -36,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.blas import dtpsv, dtrsm
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtpttr, dtrtrs, dtrttp
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtfsm, dtpttf, dtpttr, dtrtrs, dtrttp
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
@@ -315,8 +316,11 @@ class GpState:
         h = self.hypers
         ks = kernel_matrix(xs, self.X, h)
         mean = ks @ self.alpha + self.y_mean
-        # ks.T is Fortran-ordered and read only here, so it is solved in place
-        v = _lapack(dtrtrs, self.L, ks.T, trans=1, overwrite_b=1)
+        # L^T v = ks^T solved at level 3 on the packed prefix in RFP layout,
+        # n(n+1)/2 doubles, so no n x n square lives; ks.T is Fortran-ordered
+        # and read only here, so it is solved in place
+        rfp = _lapack(dtpttf, self.n, self._packed)
+        v = dtfsm(1.0, rfp, ks.T, trans="T", overwrite_b=1)
         var = (h.sigma_f2 + h.sigma_n2) - np.einsum("ij,ij->j", v, v)
         return Prediction(mean, np.maximum(var, 0.0))
 

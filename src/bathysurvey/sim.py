@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import files
-from .contour import ContourFollower, Pose, closure_index
+from .contour import ContourFollower, Pose
 from .coverage import PathPlan, _check_sweep_args, cells_to_geojson, plan_coverage
 from .errors import ConfigError, GeometryError, MissionAbort, SurveyError
 from .geometry import (
@@ -445,37 +445,24 @@ class MissionLog:
 REFIT_GROWTH = 1.25
 
 
-def _trace_to_polygon(loop_points: np.ndarray, tolerance: float, max_drop: int) -> Polygon:
-    """Simplify a closed trace into a simple polygon.
-
-    The most recent points may hook toward the loop interior, making the
-    closing chord self-intersect, so trailing points are dropped one at
-    a time (up to max_drop) until the simplified curve forms a valid
-    polygon.
-    """
-    pts = np.asarray(loop_points, dtype=float)
-    last_error: Exception | None = None
-    for drop in range(max_drop + 1):
-        cand = pts[: len(pts) - drop]
-        if len(cand) < 3:
-            break
-        simplified = simplify_closed_curve(cand, tolerance)
-        if len(simplified) < 3:
-            continue
-        try:
-            return Polygon(simplified)
-        except GeometryError as exc:
-            last_error = exc
-    raise GeometryError(f"traced contour does not simplify to a valid polygon: {last_error}")
+def _trace_to_polygon(loop: np.ndarray, tolerance: float) -> Polygon:
+    """Simplify a closed traced loop into a simple polygon, raising
+    GeometryError when it does not simplify to one."""
+    simplified = simplify_closed_curve(loop, tolerance)
+    try:
+        return Polygon(simplified)
+    except GeometryError as exc:
+        raise GeometryError(f"traced contour does not simplify to a valid polygon: {exc}") from exc
 
 
 def run_mission(cfg: MissionConfig, field, poly: Polygon) -> MissionLog:
     """Run the full survey and return its log.
 
     Phases: a turn-rate-limited init circle while sonar accumulates, a
-    first hyper fit, the contour/boundary follower until the traced loop
-    closes, trace simplification and coverage planning between two
-    ticks, then waypoint following to the end of the plan. Hypers are
+    first hyper fit, the contour/boundary follower until its complete()
+    hands back the closed loop, that loop's simplification into the
+    survey polygon and coverage planning between two ticks, then
+    waypoint following to the end of the plan. Hypers are
     fitted at init end. While the follower steers by the model, a refit
     falls due at init end plus each multiple of the refit period, and
     runs only if model.n is at least REFIT_GROWTH times the n of the
@@ -564,9 +551,9 @@ def run_mission(cfg: MissionConfig, field, poly: Polygon) -> MissionLog:
                 psi_d = follower.step(pose, z_last, dt)
                 mode = follower.state.mode.value
                 found = follower.state.found_contour
-                if follower.complete(pose):
-                    idx = closure_index(follower.state.trace, pos, cfg.loop_buffer, follower.closure_radius)
-                    log.intersection = _trace_to_polygon(follower.state.trace[idx:], cfg.track_spacing / 4.0, cfg.loop_buffer)
+                loop = follower.complete(pose)
+                if loop is not None:
+                    log.intersection = _trace_to_polygon(loop, cfg.track_spacing / 4.0)
                     log.closed = True
                     plan_start = pos if point_in_polygon(pos, log.intersection) else nearest_boundary_point(pos, log.intersection)
                     log.plan = plan_coverage(log.intersection, plan_start, cfg.track_spacing, cfg.sweep_dir)

@@ -123,7 +123,13 @@ def test_the_array_trail_closes_as_the_list_form_does():
             for q in [*probes, p]:
                 want = closure_index(rows, q, 50, fol.closure_radius)
                 assert closure_index(fol.state.trace, q, 50, fol.closure_radius) == want
-                assert fol.complete(Pose(*q, 0.0)) == (want is not None)
+                # complete() hands back the loop from the closure point on,
+                # a view of the trail, or None when the trace is not closed
+                loop = fol.complete(Pose(*q, 0.0))
+                assert (loop is None) == (want is None)
+                if loop is not None:
+                    assert loop.tobytes() == fol.state.trace[want:].tobytes()
+                    assert np.shares_memory(loop, fol.state.trail)
                 fired += want is not None
     assert fired
     assert fol.state.trace.tobytes() == np.array(rows).tobytes()

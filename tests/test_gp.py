@@ -555,9 +555,9 @@ def test_tick_copies_no_square_factor():
 
 
 def test_held_snapshot_keeps_no_square_factor():
-    # predict unpacks the square factor for its variance solve; a snapshot
-    # that cached it would hold n^2 doubles, 18 MB at n = 1500, for as long
-    # as it is held
+    # predict copies the packed factor into RFP layout for its variance
+    # solve; a snapshot that cached that copy would hold n(n+1)/2 doubles,
+    # 9 MB at n = 1500, for as long as it is held
     n = 1500
     rng = np.random.default_rng(23)
     model = GpModel(HyperParams(1.0, 0.01, 30.0))
@@ -573,6 +573,28 @@ def test_held_snapshot_keeps_no_square_factor():
         tracemalloc.stop()
     assert np.isfinite(pred.variance).all()
     assert retained < n * n * 8 / 10
+
+
+def test_predict_peak_builds_no_square_factor():
+    # the variance solve reads the packed factor copied into RFP layout,
+    # n(n+1)/2 doubles, and solves the (n, m) kernel block in place: 0.68
+    # n^2 doubles at n = 1100, m = 200, where a square factor unpacked for
+    # the solve peaks at 1.18 n^2
+    n, m = 1100, 200
+    rng = np.random.default_rng(29)
+    model = GpModel(HyperParams(1.0, 0.01, 40.0))
+    model.append(rng.uniform(0.0, 300.0, (n, 2)), rng.normal(5.0, 1.0, n))
+    st = model.snapshot()
+    q = rng.uniform(0.0, 300.0, (m, 2))
+    st.predict_mean(q)  # caches the weights, which are O(n)
+    tracemalloc.start()
+    try:
+        pred = st.predict(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(pred.variance).all()
+    assert peak < 0.75 * n * n * 8
 
 
 def test_set_hypers_peak_follows_n_not_the_old_capacity():

@@ -684,6 +684,26 @@ def test_a_mission_that_met_the_polygon_edge_closes_and_plans():
     assert any(row[4] == "boundary" for row in log.trace)
 
 
+_T = np.linspace(0.0, 2.0 * math.pi, 80, endpoint=False)
+_OUT = np.linspace(0.0, 10.0, 11)
+
+
+@pytest.mark.parametrize(
+    "loop, why",
+    [
+        # a figure eight: its simplified ring still crosses itself at the waist
+        (np.column_stack([20.0 * np.sin(_T), 10.0 * np.sin(2.0 * _T)]), "self-intersects"),
+        # out along a line and back 1 cm beside it: the simplified ring is
+        # the line's two ends
+        (np.column_stack([np.r_[_OUT, _OUT[-2:0:-1]], np.r_[np.zeros(11), np.full(9, 0.01)]]), "at least 3"),
+    ],
+    ids=["crossing", "two_points"],
+)
+def test_a_loop_that_does_not_simplify_to_a_polygon_is_a_geometry_error(loop, why):
+    with pytest.raises(GeometryError, match=f"traced contour does not simplify.*{why}"):
+        sim._trace_to_polygon(loop, 2.5)
+
+
 def test_contour_refits_wait_for_the_soundings_to_grow(canonical_run):
     log, _ = canonical_run
     cfg = log.config
