@@ -31,6 +31,7 @@ from bathysurvey import (
     GaussianSumField,
     GpModel,
     MissionConfig,
+    Mode,
     Polygon,
     Pose,
     VesselState,
@@ -67,6 +68,7 @@ follower = ContourFollower(
 )
 
 mode, found = follower.state.mode, False
+modes = []  # the follower's mode at each traced point
 next_refit = vessel.clock + 60.0
 while vessel.clock < 1500.0:
     z = sonar_sample(field, vessel.pose, 0.01, rng)
@@ -76,6 +78,7 @@ while vessel.clock < 1500.0:
         next_refit += 60.0
     psi_d = follower.step(vessel.pose, z, DT)
     st = follower.state
+    modes += [st.mode] * (len(st.trace) - len(modes))
     if st.found_contour and not found:
         print(f"t={vessel.clock:6.0f}s  contour found at "
               f"({vessel.pose.x:5.1f},{vessel.pose.y:5.1f}), true depth {float(field.depth(vessel.pose.position)):.2f} m")
@@ -104,7 +107,7 @@ canvas[48 // 2][30 // 2] = "S"
 print()
 for row in reversed(canvas):  # north on top
     print("".join(row))
-off_wall = (trace.min(axis=1) > 2.0) & (trace.max(axis=1) < SIDE - 2.0)
-err = np.abs(field.depth(trace[off_wall]) - TARGET)
+on_contour = np.array([m is Mode.CONTOUR for m in modes])
+err = np.abs(field.depth(trace[on_contour]) - TARGET)
 print(f"\ndepth error along the traced contour, wall-walking points excluded: "
-      f"median {np.median(err):.2f} m over {int(off_wall.sum())} of {len(trace)} points")
+      f"median {np.median(err):.3f} m over the {int(on_contour.sum())} contour-mode points of {len(trace)}")

@@ -56,10 +56,16 @@ HEADROOM = 256
 #: default raw-space box for each hyper-parameter during optimization
 DEFAULT_BOUNDS = ((1e-6, 1e6), (1e-6, 1e6), (1e-6, 1e6))
 
-#: inducing inputs of a hyper fit on more than twice as many soundings,
-#: whose evaluations then cost O(n m^2) on the variational bound instead
-#: of O(n^3)
+#: the inducing= that missions pass to optimize_hypers: a fit on more
+#: soundings than this runs on the variational bound, O(n m^2) per
+#: evaluation instead of O(n^3), on at most this many inducing inputs
 INDUCING = 100
+
+#: fewest soundings from one inducing input to the next. Missions sound
+#: 1 m apart, and 99% of the bound fits of 352 canonical_half missions
+#: settle at a length scale of 32 m or more, so inputs 6 m apart leave
+#: five or more to a length scale along the track
+_MIN_STRIDE = 6
 
 #: added to the diagonal of the inducing inputs' unit correlation, which
 #: neighbouring soundings on one track make nearly singular
@@ -750,6 +756,13 @@ def _moment_start(x: np.ndarray, yc: np.ndarray, lo: np.ndarray, hi: np.ndarray)
     return np.clip(guess, lo, hi)
 
 
+def _inducing_inputs(x: np.ndarray, m: int) -> np.ndarray:
+    """The inducing inputs of a bound fit on the soundings x: every k-th,
+    k = max(_MIN_STRIDE, ceil(n / m)), so at most m of them, chosen by
+    index alone."""
+    return x[:: max(_MIN_STRIDE, -(-len(x) // m))]
+
+
 def optimize_hypers(model, max_iter: int = 60, inducing: int | None = None) -> HyperFit:
     """Maximum-likelihood fit within DEFAULT_BOUNDS, on the profile likelihood.
 
@@ -766,23 +779,25 @@ def optimize_hypers(model, max_iter: int = 60, inducing: int | None = None) -> H
     so its first step has the same size whatever n is; each evaluation
     costs one factorization. max_iter caps L-BFGS-B's iterations per start.
 
-    With inducing=m and more than 2m soundings, the objective is Titsias's
-    (2009) collapsed variational lower bound instead, on every
-    ceil(n / m)-th sounding as inducing input: the likelihood of
-    sigma_f2 (Q~ + lambda I), with Q~ the Nystrom approximation of C
-    through those inputs, less (n - tr Q~) / (2 lambda). That last term
-    depends on lambda and the length scale alone, so sigma_f2 profiles
-    out as before, and one evaluation costs O(n m^2) instead of O(n^3),
-    with no n x n array. Everything else is as for the exact fit, and
-    the fit's lml is then the bound's value. The hypers still apply to
-    the exact model. At up to 2m soundings the exact fit runs, bit for
-    bit, so the objective follows from n alone: with the mission's
-    m = INDUCING an exact evaluation costs less there than one on the
-    bound, and more past it. One evaluation on loop soundings, OpenBLAS
-    on 1 thread of a 2-vCPU Xeon: exact 0.35 against 0.44 ms on the
-    bound at n = 150 (75 inducing inputs), 0.66 against 0.83 ms at
-    n = 200 (100), 0.71 against 0.40 ms at n = 201 (67), 2.8 against
-    0.83 ms at n = 351 (88).
+    With inducing=m and more than m soundings, the objective is Titsias's
+    (2009) collapsed variational lower bound instead, on every k-th
+    sounding as inducing input, k = max(_MIN_STRIDE, ceil(n / m))
+    (_inducing_inputs): the likelihood of sigma_f2 (Q~ + lambda I), with
+    Q~ the Nystrom approximation of C through those inputs, less
+    (n - tr Q~) / (2 lambda). That last term depends on lambda and the
+    length scale alone, so sigma_f2 profiles out as before, and one
+    evaluation costs O(n m^2) instead of O(n^3), with no n x n array.
+    Everything else is as for the exact fit, and the fit's lml is then
+    the bound's value. The hypers still apply to the exact model. At up
+    to m soundings the exact fit runs, bit for bit, so the objective and
+    its inputs follow from n alone. The stride floor of 6 binds up to
+    n = 5m: a fit on 101-500 soundings with the mission's m = INDUCING
+    takes 17-84 inputs, where ceil(n / m) would take up to 100, and one
+    on more takes every ceil(n / m)-th sounding. One evaluation on loop
+    soundings, OpenBLAS on 1 thread of a 2-vCPU Xeon, exact against the
+    bound: 0.16 against 0.065 ms at n = 101 (17 inducing inputs), 0.31
+    against 0.093 ms at n = 141 (24), 0.66 against 0.13 ms at n = 201
+    (34), 3.1 against 0.43 ms at n = 351 (59).
 
     Runs against a frozen snapshot of the model's data and never mutates
     the model; apply the result with model.set_hypers(fit.hypers).
@@ -810,8 +825,8 @@ def optimize_hypers(model, max_iter: int = 60, inducing: int | None = None) -> H
     n = st.n
     x = st.X.copy()
     yc = st.y_centered.copy()
-    if inducing is not None and n > 2 * inducing:
-        z = x[:: -(-n // inducing)]
+    if inducing is not None and n > inducing:
+        z = _inducing_inputs(x, inducing)
         distances = (_squared_distances(z, x), _squared_distances(z, z))
     else:
         distances = (_squared_distances(x, x),)

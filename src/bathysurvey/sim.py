@@ -8,8 +8,8 @@ closes. Scheduled refits run only while the follower steers by the
 model, and only once the data have grown by REFIT_GROWTH since the last
 fit; those that fall due during coverage collapse into one refit at
 mission end. Every fit, the steering ones and the mission-end one
-alike, maximises the exact likelihood on up to 2 * gp.INDUCING
-soundings and the inducing-point bound past that. From closure on, the
+alike, maximises the exact likelihood on up to gp.INDUCING soundings
+and the inducing-point bound past that. From closure on, the
 trace's z_predicted reads the model as it stood at closure, so on
 coverage rows it checks the traced model against water it had not
 sounded.
@@ -473,9 +473,10 @@ def run_mission(cfg: MissionConfig, field, poly: Polygon) -> MissionLog:
     data runs under the same growth rule, and the delivered model carries
     it as the last hyper_history row. Every fit, the init fit, the contour
     refits and the mission-end fit alike, passes gp.INDUCING to
-    optimize_hypers: a fit on more than 2 * gp.INDUCING soundings
-    maximises the inducing-point bound (O(n m^2) per evaluation), one on
-    fewer the exact likelihood. Each row logs the exact log marginal
+    optimize_hypers: a fit on more than gp.INDUCING soundings maximises
+    the inducing-point bound (O(n m^2) per evaluation, on every
+    max(6, ceil(n / m))-th sounding as inducing input), one on fewer the
+    exact likelihood. Each row logs the exact log marginal
     likelihood of the factor it applied, not the value the fit maximised;
     the model and its predictions stay exact. Every sounding goes to
     log.measurements and to the delivered log.model. A trace row's
@@ -581,7 +582,7 @@ def run_mission(cfg: MissionConfig, field, poly: Polygon) -> MissionLog:
             if phase == "contour" and t >= next_refit - eps_t:
                 if model.n >= REFIT_GROWTH * log.hyper_history[-1][4]:
                     # warm-started from the current hypers; capped iterations bound
-                    # the evaluations, which past 2 * INDUCING soundings cost O(n m^2)
+                    # the evaluations, which past INDUCING soundings cost O(n m^2)
                     refit(max_iter=25)
                 next_refit += cfg.refit_period
 

@@ -5,12 +5,16 @@ import sys
 import time
 from pathlib import Path
 
-# One BLAS thread, set before numpy loads, as benchmarks/run.py does: the
-# timing checks compare algorithms, and on a small shared 2-core host
-# OpenBLAS's threaded path (matrices of 128 and up) can stall 120-170 ms
-# on each of a process's first few calls, so a single 130x130 Cholesky
-# can outlast ten 121x121 ones.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# One BLAS thread, set outright before numpy loads, as benchmarks/run.py
+# does. The mission digests are bit-exact, and bound fits round
+# differently under threaded BLAS; on the plane field's trend ridge that
+# rounding also decides whether a fit stops early. And the timing checks
+# compare algorithms: on a small shared 2-core host OpenBLAS's threaded
+# path (matrices of 128 and up) can stall 120-170 ms on each of a
+# process's first few calls, so a single 130x130 Cholesky can outlast
+# ten 121x121 ones.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import pytest
 from hypothesis import settings

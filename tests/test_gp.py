@@ -218,14 +218,14 @@ def _loop_model(n):
 
 
 def test_bound_gradient_in_mission_regime():
-    # every third sounding of the track as inducing input, 3 m apart at a
-    # 70 m length scale: C_zz is singular but for its jitter
+    # the mission's inducing inputs on 300 track soundings: every sixth,
+    # 6 m apart at a 70 m length scale, so C_zz is nearly singular
     model, x, y, h = _track_model()
-    yc, z = y - y.mean(), x[:: -(-len(x) // gp.INDUCING)]
+    yc, z = y - y.mean(), gp._inducing_inputs(x, gp.INDUCING)
     d2_zx, d2_zz = _sq_dists(z, x), _sq_dists(z, z)
     log_x = np.log([h.sigma_n2 / h.sigma_f2, h.length_scale])
     value, grad, theta = gp._profile_lml_and_grad(log_x, yc, d2_zx, d2_zz)
-    assert len(z) == gp.INDUCING
+    assert np.array_equal(z, x[::6])
     assert value == pytest.approx(oracles.variational_bound(x, z, yc, *theta, gp._INDUCING_JITTER), rel=1e-9)
     # a lower bound of the profile likelihood, here within 1e-5 nats of it
     exact = gp._profile_lml_and_grad(log_x, yc, _sq_dists(x, x))[0]
@@ -256,25 +256,53 @@ def test_bound_on_every_sounding_is_the_exact_likelihood(monkeypatch):
     assert optimize_hypers(model, inducing=len(y)) == exact_fit
 
 
-@pytest.mark.parametrize(("n", "m"), [(101, 100), (141, 71), (200, 100)])
-def test_fit_on_at_most_twice_the_inducing_inputs_is_the_exact_fit(monkeypatch, n, m):
-    # on more than m soundings but at most 2m the fit never evaluates the
-    # bound and is the exact one, bit for bit
+@pytest.mark.parametrize(("n", "m"), [(100, 100), (141, 141), (200, 200)])
+def test_fit_on_at_most_the_inducing_inputs_is_the_exact_fit(monkeypatch, n, m):
+    # on at most m soundings the fit never evaluates the bound and is the
+    # exact one, bit for bit
     model = _loop_model(n)
     exact_fit = optimize_hypers(model)
     monkeypatch.setattr(gp, "_bound_factor", None)
     assert optimize_hypers(model, inducing=m) == exact_fit
 
 
-@pytest.mark.parametrize("n", [201, 261, 351, 441, 640])
+@pytest.mark.parametrize(("m", "inputs"), [(50, 9), (71, 12), (100, 17)])
+def test_a_fit_on_one_sounding_more_than_inducing_evaluates_the_bound(monkeypatch, m, inputs):
+    # every sixth of the m + 1 soundings is an inducing input
+    sizes = []  # the inducing inputs of each bound evaluation
+
+    def bound_factor(lam, ell, yc, d2_zx, d2_zz, factor=gp._bound_factor):
+        sizes.append(len(d2_zz))
+        return factor(lam, ell, yc, d2_zx, d2_zz)
+
+    monkeypatch.setattr(gp, "_bound_factor", bound_factor)
+    fit = optimize_hypers(_loop_model(m + 1), inducing=m)
+    assert fit.converged
+    assert sizes and set(sizes) == {inputs}
+
+
+@pytest.mark.parametrize("n", [1, 6, 7, 100, 101, 141, 201, 351, 500, 501, 600, 601, 1425, 3000])
+def test_inducing_inputs_are_every_sixth_sounding_or_sparser(n):
+    x = np.column_stack([np.arange(float(n)), np.zeros(n)])
+    z = gp._inducing_inputs(x, gp.INDUCING)
+    stride = -(-n // gp.INDUCING)
+    if n > 500:
+        # the inputs a fit took before the stride floor: every ceil(n/m)-th
+        assert np.array_equal(z, x[::stride])
+    assert 1 <= len(z) <= gp.INDUCING
+    assert z[0, 0] == 0.0 and np.all(np.diff(z[:, 0]) >= 6)
+
+
+@pytest.mark.parametrize("n", [111, 141, 201, 261, 351, 441, 640])
 def test_bound_fit_lands_on_the_exact_fit(n):
-    # the sizes of a canonical_half mission's contour refits, and of its end fit
+    # the sizes of a canonical_half mission's contour refits, and of its
+    # end fit; from n = 111 on every one runs on the bound
     model = _loop_model(n)
     exact = optimize_hypers(model)
     fit = optimize_hypers(model, inducing=gp.INDUCING)
     assert exact.converged and fit.converged
-    # measured: at most 8.9e-7 relative at n = 201-441, and 1.8e-5 in sigma_f2
-    # and 1.4e-6 in the length scale at n = 640
+    # measured: at most 6.7e-6 relative at n = 111-441 (sigma_f2 at n = 111),
+    # and 1.8e-5 in sigma_f2 and 1.4e-6 in the length scale at n = 640
     assert fit.hypers.sigma_f2 == pytest.approx(exact.hypers.sigma_f2, rel=0.01)
     assert fit.hypers.length_scale == pytest.approx(exact.hypers.length_scale, rel=0.01)
     assert fit.hypers.sigma_n2 == pytest.approx(exact.hypers.sigma_n2, rel=0.01)
