@@ -14,8 +14,7 @@ confidence summary over the surveyed region, then writes the full
 artifact set (trace, measurements, polygons, plan, manifest) to a
 temporary directory.
 
-Takes around half a minute of wall time for about 1400 simulated
-seconds.
+Takes a second or two of wall time for about 1400 simulated seconds.
 
 Run:  python3 demos/full_mission.py
 """
@@ -26,7 +25,8 @@ import warnings
 
 import numpy as np
 
-from bathysurvey import canonical_scenario, point_in_polygon, run_mission
+from bathysurvey import canonical_scenario, run_mission
+from bathysurvey.geometry import points_in_polygon
 
 # benign: the line search may stop early on flat LML basins mid-mission
 warnings.filterwarnings("ignore", message="hyper fit stopped early")
@@ -75,7 +75,7 @@ lo = log.intersection.vertices.min(axis=0)
 hi = log.intersection.vertices.max(axis=0)
 gx, gy = np.meshgrid(np.arange(lo[0], hi[0], 5.0), np.arange(lo[1], hi[1], 5.0))
 grid = np.column_stack([gx.ravel(), gy.ravel()])
-mask = np.array([point_in_polygon(p, log.intersection) for p in grid])
+mask = points_in_polygon(grid, log.intersection)
 pred = log.model.predict(grid[mask])
 sigma_f = math.sqrt(log.model.hypers.sigma_f2)
 print(f"\npredictive std over the surveyed polygon ({int(mask.sum())} grid points): "

@@ -152,9 +152,7 @@ def cmd_plan(args) -> int:
         },
     )
     plan = plan_coverage(poly, start, args.delta, args.sweep_dir)
-    plan.save_csv(out / "plan.csv")
-    plan.save_geojson(out / "path.geojson")
-    cells_to_geojson(plan.cells, out / "cells.geojson")
+    plan.save(out)
     print(
         f"{len(plan.cells)} cells, {len(plan.waypoints)} waypoints, "
         f"{plan.total_length:.1f} m path ({plan.transit_length:.1f} m transit)"

@@ -135,47 +135,39 @@ class PathPlan:
         transits = (seg.points for seg in self.segments if seg.kind == "transit")
         return sum((_path_length(np.asarray(pts, dtype=float)) for pts in transits), 0.0)
 
-    def save_csv(self, path) -> None:
+    def save(self, out) -> list:
+        """Write cells.geojson, plan.csv and path.geojson into the directory
+        out; returns those names in that order."""
+        out = files.make_dir(out)
+        cells_to_geojson(self.cells, out / "cells.geojson")
         pts, labels = self._flat()
         rows = ((i, x, y, lab) for i, ((x, y), lab) in enumerate(zip(pts, labels)))
-        files.write_text(path, files.csv_text("index,x,y,label", rows, "iffs"))
-
-    def save_geojson(self, path) -> None:
-        doc = {
-            "type": "Feature",
-            "geometry": {
-                "type": "LineString",
-                "coordinates": [[float(x), float(y)] for x, y in self.waypoints],
-            },
-            "properties": {
-                "delta": self.delta,
-                "sweep_dir": self.sweep_dir,
-                "total_length": self.total_length,
-                "transit_length": self.transit_length,
-            },
+        files.write_text(out / "plan.csv", files.csv_text("index,x,y,label", rows, "iffs"))
+        properties = {
+            "delta": self.delta,
+            "sweep_dir": self.sweep_dir,
+            "total_length": _path_length(pts),
+            "transit_length": self.transit_length,
         }
-        files.write_json(path, doc)
+        files.write_json(out / "path.geojson", files.feature("LineString", pts, properties))
+        return ["cells.geojson", "plan.csv", "path.geojson"]
 
 
 def cells_to_geojson(cells, path) -> None:
-    features = []
-    for cell in cells:
-        ring = [[float(x), float(y)] for x, y in cell.boundary]
-        if ring:
-            ring.append(ring[0])
-        features.append(
+    features = [
+        files.feature(
+            "Polygon",
+            cell.boundary,
             {
-                "type": "Feature",
-                "geometry": {"type": "Polygon", "coordinates": [ring]},
-                "properties": {
-                    "index": cell.index,
-                    "t_open": cell.t_open,
-                    "t_close": cell.t_close,
-                    "opens_at_min": cell.opens_at_min,
-                    "closes_at_max": cell.closes_at_max,
-                },
-            }
+                "index": cell.index,
+                "t_open": cell.t_open,
+                "t_close": cell.t_close,
+                "opens_at_min": cell.opens_at_min,
+                "closes_at_max": cell.closes_at_max,
+            },
         )
+        for cell in cells
+    ]
     files.write_json(path, {"type": "FeatureCollection", "features": features})
 
 

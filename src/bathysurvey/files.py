@@ -2,11 +2,12 @@
 input file it reads.
 
 Writing: a float is written as repr(float(v)), an int or flag as
-str(int(v)), a string unchanged. Reading: numbers separated by commas
-or whitespace, '#' starts a comment anywhere, blank lines are skipped.
-Every failed open, write or directory creation, and every bad number or
-wrong column count, raises ConfigError naming the file, and the line
-where there is one.
+str(int(v)), a string unchanged; JSON is indented by two spaces, and
+every GeoJSON (RFC 7946) Feature comes from feature(). Reading: numbers
+separated by commas or whitespace, '#' starts a comment anywhere, blank
+lines are skipped. Every failed open, write or directory creation, and
+every bad number or wrong column count, raises ConfigError naming the
+file, and the line where there is one.
 """
 
 from __future__ import annotations
@@ -38,6 +39,16 @@ def write_text(path, text: str) -> None:
 def write_json(path, doc, sort_keys: bool = False) -> None:
     """Two-space indented JSON without a trailing newline."""
     write_text(path, json.dumps(doc, indent=2, sort_keys=sort_keys))
+
+
+def feature(kind: str, points, properties: dict) -> dict:
+    """A GeoJSON Feature: a "LineString" through the (x, y) points, or a
+    "Polygon" whose one ring closes on its first point; coordinates are
+    Python floats."""
+    coords = [[float(x), float(y)] for x, y in points]
+    if kind == "Polygon":
+        coords = [coords + coords[:1]]
+    return {"type": "Feature", "geometry": {"type": kind, "coordinates": coords}, "properties": properties}
 
 
 def read_json(path):

@@ -29,9 +29,7 @@ from .errors import ConfigError, GeometryError
 
 TWO_PI = 2.0 * math.pi
 BOUNDARY_TOL = 1e-9
-#: edges whose pair tests against every edge go through one array pass
-_EDGE_BLOCK = 256
-#: point-edge or segment-edge pairs that go through one array pass
+#: point-edge, segment-edge or edge-edge pairs that go through one array pass
 _PAIR_BLOCK = 1 << 16
 
 
@@ -167,7 +165,7 @@ def _first_crossing(v: np.ndarray, ends: np.ndarray):
     v[k] -> ends[k] sharing a point: each straddles the other's line, or
     an end of one has an orientation about the other within 1e-12 of
     zero and lies in its bounding box grown by 1e-12. None if no pair
-    does. Orientations are computed for _EDGE_BLOCK edges at a time."""
+    does. Orientations are computed for _PAIR_BLOCK edge pairs at a time."""
     eps = 1e-12
     n = len(v)
     x, y = v.T
@@ -177,8 +175,9 @@ def _first_crossing(v: np.ndarray, ends: np.ndarray):
     straddles = np.empty((n, n), dtype=bool)  # edge i straddles the line of edge j
     touches = np.empty((n, n), dtype=bool)  # an end of edge i lies on edge j
     ring = np.vstack([v, v[:1]])
-    for r0 in range(0, n, _EDGE_BLOCK):
-        r1 = min(r0 + _EDGE_BLOCK, n)
+    rows = max(1, _PAIR_BLOCK // n)
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
         px, py = ring[r0 : r1 + 1, 0, None], ring[r0 : r1 + 1, 1, None]  # the vertices of edges r0 .. r1 - 1
         d = ex * (py - y) - ey * (px - x)
         above, below = d > eps, d < -eps

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import files
 from .contour import ContourFollower, Pose
-from .coverage import PathPlan, _check_sweep_args, cells_to_geojson, plan_coverage
+from .coverage import PathPlan, _check_sweep_args, plan_coverage
 from .errors import ConfigError, GeometryError, MissionAbort, SurveyError
 from .geometry import (
     Polygon,
@@ -393,24 +393,12 @@ class MissionLog:
         written = ["trace.csv", "measurements.csv", "hypers.csv"]
 
         if len(self.boundary_trace):
-            doc = {
-                "type": "Feature",
-                "geometry": {
-                    "type": "LineString",
-                    "coordinates": [[float(x), float(y)] for x, y in self.boundary_trace],
-                },
-                "properties": {"closed": self.closed},
-            }
-            files.write_json(out / "boundary.geojson", doc)
+            boundary = files.feature("LineString", self.boundary_trace, {"closed": self.closed})
+            files.write_json(out / "boundary.geojson", boundary)
             written.append("boundary.geojson")
 
         if self.plan is not None:
-            if self.plan.cells:
-                cells_to_geojson(self.plan.cells, out / "cells.geojson")
-                written.append("cells.geojson")
-            self.plan.save_csv(out / "plan.csv")
-            self.plan.save_geojson(out / "path.geojson")
-            written.extend(["plan.csv", "path.geojson"])
+            written.extend(self.plan.save(out))
         if self.intersection is not None:
             save_polygon(self.intersection, out / "intersection.txt")
             written.append("intersection.txt")
@@ -503,7 +491,11 @@ def run_mission(cfg: MissionConfig, field, poly: Polygon) -> MissionLog:
     def refit(**options) -> None:
         """Fit the hypers on the data so far, apply the fit and log it with
         the exact log marginal likelihood of the factor it applied, read
-        in O(n), whichever objective the fit maximised."""
+        in O(n), whichever objective the fit maximised. Once a fit exists,
+        return without one until model.n reaches REFIT_GROWTH times the n
+        of the last."""
+        if log.hyper_history and model.n < REFIT_GROWTH * log.hyper_history[-1][4]:
+            return
         fit = optimize_hypers(model, inducing=INDUCING, **options)
         model.set_hypers(fit.hypers)
         log.hyper_history.append((t, fit.hypers, model.snapshot().log_likelihood(), fit.converged, model.n))
@@ -516,7 +508,6 @@ def run_mission(cfg: MissionConfig, field, poly: Polygon) -> MissionLog:
     state = VesselState(Pose(*cfg.start, 0.0), cfg.speed, 0.0)
     follower: ContourFollower | None = None
     phase = "init"
-    next_refit = cfg.init_duration
     next_sonar = 0.0
     z_last = math.nan
     waypoints = np.zeros((0, 2))
@@ -580,10 +571,9 @@ def run_mission(cfg: MissionConfig, field, poly: Polygon) -> MissionLog:
                 break
 
             if phase == "contour" and t >= next_refit - eps_t:
-                if model.n >= REFIT_GROWTH * log.hyper_history[-1][4]:
-                    # warm-started from the current hypers; capped iterations bound
-                    # the evaluations, which past INDUCING soundings cost O(n m^2)
-                    refit(max_iter=25)
+                # warm-started from the current hypers; capped iterations bound
+                # the evaluations, which past INDUCING soundings cost O(n m^2)
+                refit(max_iter=25)
                 next_refit += cfg.refit_period
 
             state = step_vessel(state, psi_d, dt, cfg.max_turn_rate)
@@ -591,8 +581,7 @@ def run_mission(cfg: MissionConfig, field, poly: Polygon) -> MissionLog:
         # coverage follows fixed waypoints, so no refit there steers the
         # vessel; one fit on all the data, under the same growth rule,
         # stands in for them all
-        if model.n >= REFIT_GROWTH * log.hyper_history[-1][4]:
-            refit(max_iter=25)
+        refit(max_iter=25)
     except MissionAbort as exc:
         log.aborted = str(exc)
     except SurveyError as exc:

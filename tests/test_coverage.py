@@ -16,7 +16,6 @@ from bathysurvey.coverage import (
     Cell,
     PathPlan,
     _path_length,
-    cells_to_geojson,
     lawnmower_cell,
     partition_monotone,
     plan_coverage,
@@ -654,26 +653,21 @@ def test_plan_coverage_skips_sliver_cell():
 
 def test_plan_serialization(tmp_path):
     plan = plan_coverage(RECT, (1.0, 1.0), 2.0, 0.0)
-    csv_path = tmp_path / "plan.csv"
-    plan.save_csv(csv_path)
-    with open(csv_path, newline="") as fh:
+    assert plan.save(tmp_path) == ["cells.geojson", "plan.csv", "path.geojson"]
+    with open(tmp_path / "plan.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["index", "x", "y", "label"]
     assert len(rows) - 1 == len(plan.waypoints)
     xs = np.array([[float(r[1]), float(r[2])] for r in rows[1:]])
     assert xs == pytest.approx(plan.waypoints)
 
-    geo_path = tmp_path / "plan.geojson"
-    plan.save_geojson(geo_path)
-    with open(geo_path) as fh:
+    with open(tmp_path / "path.geojson") as fh:
         doc = json.load(fh)
     assert doc["type"] == "Feature"
     assert doc["geometry"]["type"] == "LineString"
     assert len(doc["geometry"]["coordinates"]) == len(plan.waypoints)
     assert doc["properties"]["total_length"] == pytest.approx(plan.total_length)
 
-    cell_path = tmp_path / "cells.geojson"
-    cells_to_geojson(plan.cells, cell_path)
-    with open(cell_path) as fh:
+    with open(tmp_path / "cells.geojson") as fh:
         doc = json.load(fh)
     assert len(doc["features"]) == len(plan.cells)

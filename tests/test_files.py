@@ -16,8 +16,8 @@ from bathysurvey.sim import MissionConfig, MissionLog, load_grid_field
 RECT = Polygon([(0.0, 0.0), (20.0, 0.0), (20.0, 10.0), (0.0, 10.0)])
 H = HyperParams(2.0, 0.01, 8.0)
 
-# the exact text of each CSV and text artifact of _hand_built_log(); a change
-# here is a change of the artifact format
+# the exact text of each CSV, text and GeoJSON artifact of _hand_built_log();
+# a change here is a change of the artifact format
 EXPECTED_TEXT = {
     "trace.csv": (
         "t,x,y,psi,mode,z_measured,z_predicted,found_contour\n"
@@ -35,6 +35,101 @@ EXPECTED_TEXT = {
         "3,10.0,5.0,lawnmower\n"
         "4,15.0,5.000000000000001,lawnmower\n"
     ),
+    "boundary.geojson": """{
+  "type": "Feature",
+  "geometry": {
+    "type": "LineString",
+    "coordinates": [
+      [
+        1.0,
+        2.0
+      ],
+      [
+        3.5,
+        2.0
+      ]
+    ]
+  },
+  "properties": {
+    "closed": true
+  }
+}""",
+    "cells.geojson": """{
+  "type": "FeatureCollection",
+  "features": [
+    {
+      "type": "Feature",
+      "geometry": {
+        "type": "Polygon",
+        "coordinates": [
+          [
+            [
+              0.0,
+              0.0
+            ],
+            [
+              20.0,
+              0.0
+            ],
+            [
+              20.0,
+              10.0
+            ],
+            [
+              0.0,
+              10.0
+            ],
+            [
+              0.0,
+              0.0
+            ]
+          ]
+        ]
+      },
+      "properties": {
+        "index": 0,
+        "t_open": 0.0,
+        "t_close": 10.0,
+        "opens_at_min": true,
+        "closes_at_max": true
+      }
+    }
+  ]
+}""",
+    "path.geojson": """{
+  "type": "Feature",
+  "geometry": {
+    "type": "LineString",
+    "coordinates": [
+      [
+        1.0,
+        1.0
+      ],
+      [
+        3.0,
+        3.0
+      ],
+      [
+        5.0,
+        5.0
+      ],
+      [
+        10.0,
+        5.0
+      ],
+      [
+        15.0,
+        5.000000000000001
+      ]
+    ]
+  },
+  "properties": {
+    "delta": 5.0,
+    "sweep_dir": 0.0,
+    "total_length": 15.65685424949238,
+    "transit_length": 5.656854249492381
+  }
+}""",
     "intersection.txt": (
         "# polygon vertices, one 'x,y' per line, counter-clockwise\n0.0,0.0\n20.0,0.0\n20.0,10.0\n0.0,10.0\n"
     ),
@@ -87,12 +182,10 @@ def test_artifacts_keep_their_bytes(tmp_path):
     ]
     for name, text in EXPECTED_TEXT.items():
         assert (out / name).read_text(encoding="utf-8") == text, name
-    # JSON: two-space indent, no trailing newline, keys sorted only in the manifest
-    for name in ("boundary.geojson", "cells.geojson", "path.geojson", "manifest.json"):
-        text = (out / name).read_text(encoding="utf-8")
-        assert text == json.dumps(json.loads(text), indent=2, sort_keys=name == "manifest.json"), name
-    assert json.loads((out / "boundary.geojson").read_text())["geometry"]["coordinates"] == [[1.0, 2.0], [3.5, 2.0]]
-    assert json.loads((out / "manifest.json").read_text())["files"] == written[:-1]
+    # the manifest: two-space indent, sorted keys, no trailing newline
+    text = (out / "manifest.json").read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True)
+    assert json.loads(text)["files"] == written[:-1]
 
     again = tmp_path / "again.csv"
     GpModel.load_checkpoint(out / "gp_checkpoint.csv").save_checkpoint(again)

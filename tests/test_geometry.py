@@ -125,6 +125,20 @@ def test_first_crossing_matches_the_scalar_oracle(v):
     assert _first_crossing(v, np.roll(v, -1, axis=0)) == oracles.first_crossing(v)
 
 
+def test_first_crossing_in_blocks_matches_one_block(monkeypatch):
+    """Edges in blocks of a few rows give the same first pair, or None,
+    as one pass over every edge, on star and self-intersecting rings."""
+    rng = np.random.default_rng(31)
+    rings = []
+    for _ in range(150):
+        n = int(rng.integers(4, 40))
+        rings += [oracles.star_polygon(rng, n), rng.uniform(-50.0, 50.0, (n, 2))]
+    whole = [_first_crossing(v, np.roll(v, -1, axis=0)) for v in rings]
+    monkeypatch.setattr(geometry, "_PAIR_BLOCK", 40)  # 1 to 10 rows a block
+    assert [_first_crossing(v, np.roll(v, -1, axis=0)) for v in rings] == whole
+    assert None in whole and any(w is not None for w in whole)
+
+
 @st.composite
 def _creeping(draw):
     """A ring with a run of vertices inserted after one, each 0.6 nm past
