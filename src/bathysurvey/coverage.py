@@ -117,14 +117,12 @@ class PathPlan:
         return self._flat()[0]
 
     def _flat(self):
-        pts, labels = [], []
-        for seg in self.segments:
-            for p in np.asarray(seg.points, dtype=float):
-                if pts and math.hypot(p[0] - pts[-1][0], p[1] - pts[-1][1]) < 1e-12:
-                    continue
-                pts.append([float(p[0]), float(p[1])])
-                labels.append(seg.kind)
-        return np.asarray(pts, dtype=float).reshape(-1, 2), labels
+        """The segments' points in order, less each within 1e-12 m of the
+        point before it, and the segment index of each point kept."""
+        parts = [np.asarray(seg.points, dtype=float).reshape(-1, 2) for seg in self.segments]
+        pts = np.concatenate([np.empty((0, 2)), *parts])
+        keep = np.hypot(*np.diff(pts, axis=0, prepend=np.inf).T) >= 1e-12  # the first point always
+        return pts[keep], np.repeat(np.arange(len(parts)), [len(p) for p in parts])[keep]
 
     @property
     def total_length(self) -> float:
@@ -140,8 +138,8 @@ class PathPlan:
         out; returns those names in that order."""
         out = files.make_dir(out)
         cells_to_geojson(self.cells, out / "cells.geojson")
-        pts, labels = self._flat()
-        rows = ((i, x, y, lab) for i, ((x, y), lab) in enumerate(zip(pts, labels)))
+        pts, seg = self._flat()
+        rows = ((i, x, y, self.segments[k].kind) for i, ((x, y), k) in enumerate(zip(pts, seg)))
         files.write_text(out / "plan.csv", files.csv_text("index,x,y,label", rows, "iffs"))
         properties = {
             "delta": self.delta,

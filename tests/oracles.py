@@ -10,12 +10,12 @@ come from Dijkstra over the visibility graph of every vertex, its
 segments tested by sampled_segments_in_polygon. The
 exceptions are earlier searches, kept as the references for what
 replaced them, and they run the package's own helpers on purpose: the
-planner's loop mow_per_leg (one densify per leg, one span read per hop
-station), sampled_segments_in_polygon
-(segments tested at evenly spaced samples, which the exact contact test
-replaced), trace_boundary (a chain's vertices found by locating each
-end on its nearest edge, which the partition's own monotone chains
-replaced), and fit_three_hypers, the hyper fit over all three
+planner's loops mow_per_leg (one densify per leg, one span read per hop
+station) and flatten_plan (a plan's points kept one at a time),
+sampled_segments_in_polygon (segments tested at evenly spaced samples,
+which the exact contact test replaced), trace_boundary (a chain's
+vertices found by locating each end on its nearest edge, which the
+partition's own monotone chains replaced), and fit_three_hypers, the hyper fit over all three
 parameters that the profile-likelihood fit replaced.
 """
 
@@ -419,6 +419,20 @@ def mow_per_leg(cell, entry_corner, delta, sweep_dir):
         pts.extend(way[1:])  # the hop's last point stands in for the track's first
         pts.extend(track[1:])
     return np.asarray(pts, dtype=float).reshape(-1, 2)
+
+
+def flatten_plan(plan):
+    """A PathPlan's waypoints and plan.csv labels by the per-point loop the
+    array pass replaced: each point is compared with the last point kept,
+    and dropped within 1e-12 m of it."""
+    pts, labels = [], []
+    for seg in plan.segments:
+        for p in np.asarray(seg.points, dtype=float):
+            if pts and math.hypot(p[0] - pts[-1][0], p[1] - pts[-1][1]) < 1e-12:
+                continue
+            pts.append([float(p[0]), float(p[1])])
+            labels.append(seg.kind)
+    return np.asarray(pts, dtype=float).reshape(-1, 2), labels
 
 
 def shoelace_area(verts):

@@ -15,6 +15,7 @@ from bathysurvey import coverage
 from bathysurvey.coverage import (
     Cell,
     PathPlan,
+    PathSegment,
     _path_length,
     lawnmower_cell,
     partition_monotone,
@@ -597,6 +598,47 @@ def test_plans_match_pinned_digests():
             except GeometryError as exc:
                 got[k, sweep_dir] = f"{type(exc).__name__}: {exc}"
     assert got == PLAN_DIGESTS
+
+
+@pytest.mark.filterwarnings("ignore:skipping cell")
+def test_a_plan_flattens_as_the_per_point_oracle(tmp_path):
+    rng = np.random.default_rng(2)
+    plans = []
+    for k in range(12):
+        poly = Polygon(oracles.star_polygon(rng, 10 + k, r_lo=8.0, r_hi=60.0))
+        for sweep_dir in (0.0, 1.1):
+            try:
+                plans.append(plan_coverage(poly, (0.0, 0.0), 4.0, sweep_dir))
+            except GeometryError:
+                continue
+    # a duplicate where two segments meet, and a zero-length transit [p, p]
+    mow = PathSegment("lawnmower", np.array([[1.0, 0.0], [1.0, 2.0], [3.0, 2.0]]), 0)
+    plans.append(PathPlan([PathSegment("transit", np.array([[0.0, 0.0], [1.0, 0.0]])), mow], [], 2.0, 0.0))
+    stay = PathSegment("transit", np.array([[3.0, 2.0], [3.0, 2.0]]))
+    plans.append(PathPlan([mow, stay, PathSegment("lawnmower", np.array([[3.0, 2.0], [3.0, 4.0]]), 1)], [], 2.0, 0.0))
+    plans.append(PathPlan([], [], 2.0, 0.0))
+    assert len(plans) == len(PLAN_DIGESTS) + 3
+    for i, plan in enumerate(plans):
+        pts, labels = oracles.flatten_plan(plan)
+        assert plan.waypoints.shape == pts.shape and plan.waypoints.tobytes() == pts.tobytes()
+        plan.save(tmp_path / str(i))
+        with open(tmp_path / str(i) / "plan.csv", newline="") as fh:
+            assert [row[3] for row in csv.reader(fh)][1:] == labels
+
+    empty, out = plans[-1], tmp_path / str(len(plans) - 1)
+    assert empty.waypoints.shape == (0, 2) and empty.total_length == 0.0
+    assert sorted(f.name for f in out.iterdir()) == ["cells.geojson", "path.geojson", "plan.csv"]
+    assert (out / "plan.csv").read_text() == "index,x,y,label\n"
+
+
+def test_a_plan_drops_a_run_of_points_each_near_the_one_before():
+    # each point is compared with the one before it, not with the last
+    # point kept, so a run of near points keeps only its first; the
+    # per-point oracle, which compares with the last kept, keeps the third
+    run = np.array([[0.0, 0.0], [0.6e-12, 0.0], [1.2e-12, 0.0]])
+    plan = PathPlan([PathSegment("transit", run)], [], 2.0, 0.0)
+    assert plan.waypoints.tolist() == [[0.0, 0.0]]
+    assert oracles.flatten_plan(plan)[0].tolist() == [[0.0, 0.0], [1.2e-12, 0.0]]
 
 
 @pytest.mark.filterwarnings("ignore:skipping cell")

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import os
 import warnings
 from dataclasses import fields, replace
 
@@ -16,7 +17,7 @@ from bathysurvey import gp, sim
 from bathysurvey.cli import main
 from bathysurvey.contour import Pose
 from bathysurvey.errors import ConfigError, GeometryError, SurveyError
-from bathysurvey.geometry import Polygon
+from bathysurvey.geometry import Polygon, points_in_polygon
 from bathysurvey.gp import GpModel
 from bathysurvey.sim import (
     REFIT_GROWTH,
@@ -562,6 +563,13 @@ def _mission_digest(log) -> str:
     return h.hexdigest()
 
 
+def test_blas_runs_on_one_thread():
+    # conftest pins these before numpy loads, whatever the environment
+    # exports; the pinned digests hold only on one thread
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    assert [os.environ.get(name) for name in names] == ["1", "1", "1"]
+
+
 #: _mission_digest of the plane mission, as PLAN_DIGESTS pins plans: a
 #: change that moves any bit of its trajectory, soundings or fits must
 #: say why
@@ -669,6 +677,22 @@ CANONICAL_HALF_DIGEST = "82cca3e761bc20e08b0990505340f2b98752ea56c2474a2d41fd6b1
 
 def test_canonical_half_mission_is_pinned():
     assert _mission_digest(run_mission(*_canonical_at_half_scale(1))) == CANONICAL_HALF_DIGEST
+
+
+def test_the_traced_loop_is_the_water_at_target_depth(canonical_inputs, canonical_run, variant_runs):
+    # the truth is the polygon's water at or deeper than target_depth, on a
+    # 200 x 200 grid over the polygon's box; a loop around the wrong water
+    # (a pocket at the polygon's edge) reads an IoU near 0
+    _cfg, field, poly = canonical_inputs
+    x_lo, y_lo, x_hi, y_hi = poly.bounds
+    gx, gy = np.meshgrid(np.linspace(x_lo, x_hi, 200), np.linspace(y_lo, y_hi, 200))
+    grid = np.column_stack([gx.ravel(), gy.ravel()])
+    logs = {"packaged": canonical_run[0]} | {f"search radius {r}": log for r, log in variant_runs.items()}
+    for name, log in logs.items():
+        truth = points_in_polygon(grid, poly) & (field.depth(grid) >= log.config.target_depth)
+        traced = points_in_polygon(grid, log.intersection)
+        iou = (truth & traced).sum() / (truth | traced).sum()
+        assert iou >= 0.9, f"{name}: IoU {iou:.3f}"
 
 
 def test_a_mission_that_met_the_polygon_edge_closes_and_plans():
